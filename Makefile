@@ -4,7 +4,7 @@ export PYTHONPATH := src
 # five fixed seeds for the deterministic fault-schedule sweep
 FAULT_SEEDS ?= 0 1 7 42 1337
 
-.PHONY: test faults parallel obs compile dstream ivm net telemetry columnar bench
+.PHONY: test faults parallel obs compile dstream ivm net telemetry columnar bench e2e
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,3 +65,10 @@ telemetry:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+# end-to-end benchmark as a whole-stack check: the harness's self-test, then
+# a short run of all five workloads whose correctness references (season-
+# Voter model, acked => durable, recovered == live) must hold
+e2e:
+	$(PYTHON) benchmarks/e2e/run.py --selftest
+	$(PYTHON) benchmarks/e2e/run.py --quick

@@ -30,7 +30,6 @@ throughput result (experiments E3/E4).
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,10 +52,7 @@ from repro.core.window import (
 from repro.core.workflow import WorkflowNode, WorkflowSpec, plan_table_access
 from repro.errors import (
     CatalogError,
-    ConstraintViolationError,
-    ReproError,
     StreamingError,
-    TransactionAborted,
     UnknownObjectError,
     WorkflowError,
 )
@@ -678,16 +674,21 @@ class SStoreEngine(HStoreEngine):
         finally:
             self._in_drain = False
         if executed:
-            self._collect_garbage()
+            self._system_txn("<gc>", self.gc.collect)
+            self.stats.bump("gc_passes")
         return executed
 
-    def _collect_garbage(self) -> None:
-        partition = self.partitions[0]
-        txn = TransactionContext(self._next_txn_id, partition.ee, "<gc>")
-        self._next_txn_id += 1
-        self.gc.collect(txn)
-        txn.commit()
-        self.stats.bump("gc_passes")
+    def _system_txn(self, name: str, body: Any, *args: Any) -> Any:
+        """Run an engine-internal maintenance transaction on partition 0.
+
+        ``<gc>``, ``<tick>`` and the cluster's ``<task>`` insert are not
+        client work, so they stay out of ``txns_committed``; and with no
+        caller to hand a failed result to, an abort propagates.
+        """
+        _txns, data, error = self._transact(name, (0,), body, *args, counted=False)
+        if error is not None:
+            raise error
+        return data[0]
 
     def workflow_status(self) -> dict[str, Any]:
         """Operational snapshot of the streaming layer.
@@ -739,88 +740,36 @@ class SStoreEngine(HStoreEngine):
 
     def _execute_stream_te(self, task: StreamTask) -> None:
         tracer = self.tracer
-        metered = self.metrics is not None
-        if not (tracer.enabled or metered):
-            self._execute_stream_te_body(task)
+        if not (tracer.enabled or self.metrics is not None):
+            self._run_stream_te(task)
             return
-        started_ns = time.perf_counter_ns() if metered else 0
         # a TE popped outside its ingest's span (non-eager drain, replay)
         # re-joins the originating trace via the context the task carries
         activated = tracer.enabled and tracer.depth == 0 and task.trace_ctx is not None
         if activated:
             tracer.activate(task.trace_ctx)
         try:
-            with tracer.span(
-                "txn",
+            self._observed(
                 task.procedure_name,
-                batch_id=task.batch.batch_id,
-                depth=task.depth,
-                workflow=task.workflow_name,
-            ) as span:
-                outcome = self._execute_stream_te_body(task)
-                # direct attrs store — the span's dict already exists, and
-                # set(**kwargs) would build a second dict per transaction
-                span.attrs["outcome"] = outcome
+                {
+                    "batch_id": task.batch.batch_id,
+                    "depth": task.depth,
+                    "workflow": task.workflow_name,
+                },
+                self._run_stream_te,
+                task,
+            )
         finally:
             if activated:
                 tracer.deactivate()
-        if metered:
-            duration_us = (time.perf_counter_ns() - started_ns) / 1000.0
-            buf = self._txn_obs
-            if buf is None:
-                self._observe_txn(
-                    task.procedure_name, duration_us, outcome == "committed"
-                )
-            else:
-                buf.append((task.procedure_name, duration_us, outcome == "committed"))
 
-    def _execute_stream_te_body(self, task: StreamTask) -> str:
+    def _run_stream_te(self, task: StreamTask) -> ProcedureResult:
         procedure = self.procedure(task.procedure_name)
-        partition = self.partitions[0]
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        txn = TransactionContext(txn_id, partition.ee, procedure.name)
-        ctx = StreamContext(self, procedure, txn, 0, batch=task.batch)
-
-        window_backup = {
-            name: state.dump_state() for name, state in self.windows.items()
-        }
         spec, node = self._node_of[task.procedure_name]
-        is_border = (
-            task.depth == 0 and node.input_stream == task.batch.stream
-        )
-
-        input_high = -1
-        partition.acquire()
         try:
-            if is_border:
-                # The batch enters stream state transactionally at TE start;
-                # EE hooks (windows, SQL triggers) fire inside this txn.
-                self.stats.pe_ee_roundtrips += 1
-                rowids = partition.ee.insert_rows(
-                    txn, node.input_stream, list(task.batch.rows)
-                )
-                input_high = max(rowids)
-            procedure.run(ctx)
-        except (TransactionAborted, ConstraintViolationError) as exc:
-            txn.abort()
-            self._restore_windows(window_backup)
-            self.stats.txns_aborted += 1
-            self.stats.bump("stream_te_aborts")
-            # The batch is consumed even on abort (it will never be retried),
-            # so the cursor still advances and GC can reclaim the tuples.
-            self._advance_input_cursor(task, node, input_high)
-            return "aborted"
-        except ReproError:
-            txn.abort()
-            self._restore_windows(window_backup)
-            self.stats.txns_aborted += 1
-            self._failed_te = (
-                procedure.name,
-                task.batch.stream,
-                task.batch.origin_batch_id,
+            (txn,), _data, error = self._transact(
+                procedure.name, (0,), self._stream_te_body, procedure, task, node
             )
-            raise
         except BaseException:
             self._failed_te = (
                 procedure.name,
@@ -828,13 +777,13 @@ class SStoreEngine(HStoreEngine):
                 task.batch.origin_batch_id,
             )
             raise
-        finally:
-            partition.release()
-
-        txn.commit()
-        self.stats.txns_committed += 1
+        # The batch is consumed even on abort (it will never be retried),
+        # so the cursor still advances and GC can reclaim the tuples.
+        self._advance_input_cursor(task, node, txn.notes.get("input_high", -1))
+        if error is not None:
+            self.stats.bump("stream_te_aborts")
+            return ProcedureResult(success=False, error=str(error), txn_id=txn.txn_id)
         self.latency.record_commit(task.batch.origin_batch_id)
-        self._advance_input_cursor(task, node, input_high)
         self.schedule_history.append(
             TERecord(
                 seq=self._commit_seq,
@@ -847,7 +796,24 @@ class SStoreEngine(HStoreEngine):
         self._commit_seq += 1
         self.stream_commits.append((node.input_stream, tuple(task.batch.rows)))
         self._dispatch_emissions(txn, origin=task.batch)
-        return "committed"
+        return ProcedureResult(success=True, txn_id=txn.txn_id)
+
+    def _stream_te_body(
+        self,
+        txn: TransactionContext,
+        procedure: StoredProcedure,
+        task: StreamTask,
+        node: WorkflowNode,
+    ) -> None:
+        if task.depth == 0 and node.input_stream == task.batch.stream:
+            # The border batch enters stream state transactionally at TE
+            # start; EE hooks (windows, SQL triggers) fire inside this txn.
+            self.stats.pe_ee_roundtrips += 1
+            rowids = txn.ee.insert_rows(
+                txn, node.input_stream, list(task.batch.rows)
+            )
+            txn.notes["input_high"] = max(rowids)
+        procedure.run(StreamContext(self, procedure, txn, 0, batch=task.batch))
 
     def _advance_input_cursor(
         self, task: StreamTask, node: WorkflowNode, border_high: int
@@ -864,10 +830,6 @@ class SStoreEngine(HStoreEngine):
         recorded = self._batch_high_rowids.pop(task.batch.batch_id, None)
         if recorded is not None:
             info.advance_cursor(node.procedure_name, recorded)
-
-    def _restore_windows(self, backup: dict[str, dict[str, Any]]) -> None:
-        for name, state in backup.items():
-            self.windows[name].load_state(state)
 
     # ------------------------------------------------------------------
     # PE triggers: commit-time dispatch of emitted batches
@@ -1036,12 +998,13 @@ class SStoreEngine(HStoreEngine):
         ]
         if not time_windows:
             return
-        partition = self.partitions[0]
-        txn = TransactionContext(self._next_txn_id, partition.ee, "<tick>")
-        self._next_txn_id += 1
+        self._system_txn(_TICK_RECORD, self._advance_time_windows, time_windows)
+
+    def _advance_time_windows(
+        self, txn: TransactionContext, time_windows: list[WindowState]
+    ) -> None:
         for state in time_windows:
             state.advance_time(txn, self.clock.now)
-        txn.commit()
 
     # ------------------------------------------------------------------
     # OLTP entry points (drain stream work around them)
@@ -1061,14 +1024,7 @@ class SStoreEngine(HStoreEngine):
     ) -> ProcedureContext:
         return StreamContext(self, procedure, txn, partition_id, batch=None)
 
-    def _after_commit(
-        self,
-        procedure: StoredProcedure,
-        ctx: ProcedureContext,
-        txn: TransactionContext,
-        params: tuple[Any, ...],
-        result: ProcedureResult,
-    ) -> None:
+    def _after_commit(self, txn: TransactionContext) -> None:
         # An OLTP procedure that emitted into a border stream starts a fresh
         # pipeline instance (its own origin batch).
         self._dispatch_emissions(txn, origin=None)

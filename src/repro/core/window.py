@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import WindowError
@@ -107,6 +108,62 @@ class WindowState:
         #: attached delta views (repro.ivm.DeltaView); admits/expires are
         #: folded into each as (rowid, row, ±1) inside the maintaining txn
         self.views: list[Any] = []
+        #: the transaction whose undo log already holds this window's inverse
+        self._undo_txn: "TransactionContext | None" = None
+
+    # ------------------------------------------------------------------
+    # Rollback: the window's own entry in the transaction's undo log
+    # ------------------------------------------------------------------
+
+    def _touch(self, txn: "TransactionContext") -> None:
+        """Register this window's inverse the first time ``txn`` changes it.
+
+        Must run before the window's first row mutation in ``txn``: undo
+        entries run in reverse, so the inverse then finds the backing table
+        already rolled back.  Nothing is copied: the staging deque is kept
+        by reference (a transaction only appends to the deque it found — the
+        slide paths *replace* it instead of clearing it), and the live
+        rowids are re-read from the table if the transaction aborts.
+        """
+        if self._undo_txn is not txn:
+            self._undo_txn = txn
+            txn.record_compensation(
+                partial(
+                    self._rollback,
+                    self._arrivals,
+                    self._last_boundary,
+                    self._staging,
+                    len(self._staging),
+                )
+            )
+
+    def _rollback(
+        self,
+        arrivals: int,
+        last_boundary: int,
+        staging: deque[tuple[Any, ...]],
+        staged: int,
+    ) -> None:
+        self._arrivals = arrivals
+        self._last_boundary = last_boundary
+        while len(staging) > staged:
+            staging.pop()
+        self._staging = staging
+        # the live rowids are exactly the backing table's, oldest first
+        self._live_rowids = deque(self._ee.table(self.spec.name).rowids())
+        self._rebuild_views()
+
+    def _rebuild_views(self) -> None:
+        """Re-derive attached views once the backing table is true again
+        (rolled back by abort, restored by recovery).
+
+        Inverse deltas would not do: re-admitting an expired rowid would
+        move its group to the end of the view's first-appearance order.
+        """
+        if self.views:
+            table = self._ee.table(self.spec.name)
+            for view in self.views:
+                view.rebuild(table)
 
     # ------------------------------------------------------------------
     # EE-trigger entry points (called inside the inserting transaction)
@@ -119,6 +176,7 @@ class WindowState:
         now: int,
     ) -> None:
         """New tuples arrived on the source stream: stage and maybe slide."""
+        self._touch(txn)
         if self.spec.kind is WindowKind.TUPLE:
             self._on_tuples(txn, rows)
         else:
@@ -138,9 +196,12 @@ class WindowState:
         if self.spec.kind is not WindowKind.TIME:
             return
         boundary = (now // self.spec.slide) * self.spec.slide
-        if boundary < self._last_boundary:
-            return
         slid = boundary > self._last_boundary
+        # a tick inside the current extent of a quiet stream changes nothing
+        # (and must not cost an undo entry per window)
+        if boundary < self._last_boundary or not (slid or self._staging):
+            return
+        self._touch(txn)
         self._last_boundary = boundary
         low = boundary - self.spec.size
         assert self._timestamp_offset is not None
@@ -149,6 +210,7 @@ class WindowState:
         # a future timestamp stay staged, tuples older than the extent drop.
         # Empty staging skips the whole admission pass — ticks on a quiet
         # stream must not pay a per-window list scan and deque rebuild.
+        # (The deque is replaced, never filtered in place: see _touch.)
         if self._staging:
             ts = self._timestamp_offset
             admit = [
@@ -209,7 +271,7 @@ class WindowState:
                 txn, self.spec.name, staged, fire_hooks=True
             )
             self._live_rowids.extend(rowids)
-            self._staging.clear()
+            self._staging = deque()  # replaced, not cleared: see _touch
             for view in self.views:
                 view.apply(rowids, staged, 1)
         overflow = len(self._live_rowids) - self.spec.size
@@ -255,12 +317,8 @@ class WindowState:
         self._staging = deque(tuple(row) for row in state.get("staging", []))
         self._live_rowids = deque(int(r) for r in state.get("live_rowids", []))
         self._last_boundary = int(state.get("last_boundary", -1))
-        # the backing table was restored (recovery) or rolled back (abort)
-        # before this call: attached views re-derive from it deterministically
-        if self.views:
-            table = self._ee.table(self.spec.name)
-            for view in self.views:
-                view.rebuild(table)
+        # recovery restored the backing table before this call
+        self._rebuild_views()
 
     def reset(self) -> None:
         self.load_state({})

@@ -270,7 +270,9 @@ class StreamShardEngine(SStoreEngine):
             # share it, exactly like a locally-emitted batch.  Border
             # consumers (depth 0) instead insert inside their own TE, like
             # a local ingest would.
-            high_rowid = self._materialize_received_rows(stream_name, rows)
+            high_rowid = self._system_txn(
+                _TASK_RECORD, self._insert_received_rows, stream_name, rows
+            )
         trace_ctx = (
             self.tracer.current_context() if self.tracer.enabled else None
         )
@@ -290,25 +292,15 @@ class StreamShardEngine(SStoreEngine):
                 )
             )
 
-    def _materialize_received_rows(
-        self, stream_name: str, rows: list[tuple[Any, ...]]
+    def _insert_received_rows(
+        self,
+        txn: TransactionContext,
+        stream_name: str,
+        rows: list[tuple[Any, ...]],
     ) -> int:
         """Insert a received batch into its stream's backing, hooks and all."""
-        partition = self.partitions[0]
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        txn = TransactionContext(txn_id, partition.ee, _TASK_RECORD)
-        partition.acquire()
-        try:
-            self.stats.pe_ee_roundtrips += 1
-            rowids = partition.ee.insert_rows(txn, stream_name, list(rows))
-        except BaseException:
-            txn.abort()
-            raise
-        finally:
-            partition.release()
-        txn.commit()
-        return max(rowids)
+        self.stats.pe_ee_roundtrips += 1
+        return max(txn.ee.insert_rows(txn, stream_name, list(rows)))
 
     def apply_tick(self, ticks: int, seq: int) -> int:
         """Apply a cluster-wide clock tick exactly once (broadcast dedup)."""

@@ -74,13 +74,12 @@ ADHOC_RECORD = "<adhoc>"
 
 @dataclass
 class PreparedInvocation:
-    """A ran-but-undecided transaction holding its partition fenced."""
+    """A ran-but-undecided transaction holding its partitions fenced."""
 
     procedure: StoredProcedure
     params: tuple[Any, ...]
-    txn: TransactionContext
-    ctx: ProcedureContext
-    partition_id: int
+    #: one open context per held partition
+    txns: list[TransactionContext]
     result: ProcedureResult
 
 
@@ -354,15 +353,30 @@ class HStoreEngine:
         """Engine-internal invocation (no client round trip charged).
 
         This is the path PE triggers use in S-Store — the saving the paper's
-        push-based workflows buy over client-driven polling.
+        push-based workflows buy over client-driven polling.  A run-everywhere
+        procedure is the same transaction over every partition,
+        all-or-nothing.
         """
         procedure = self.procedure(name)
-        if procedure.run_everywhere:
-            return self._invoke_everywhere(procedure, params)
-        partition_id = self._route(procedure, params)
-        result = self._run_on_partition(procedure, params, partition_id)
+        partition_id = (
+            None if procedure.run_everywhere else self._route(procedure, params)
+        )
+        if self.tracer.enabled or self.metrics is not None:
+            attrs = (
+                {"everywhere": True}
+                if partition_id is None
+                else {"partition": partition_id}
+            )
+            result = self._observed(
+                name, attrs, self._invoke_now, procedure, params, partition_id
+            )
+        else:
+            result = self._invoke_now(procedure, params, partition_id)
         if result.success:
-            self._log_commit(procedure, params, result, partition_id)
+            # partition=-1 marks a fenced/everywhere transaction in the log
+            self._log_commit(
+                procedure, params, result, -1 if partition_id is None else partition_id
+            )
         return result
 
     def _route(self, procedure: StoredProcedure, params: tuple[Any, ...]) -> int:
@@ -375,43 +389,117 @@ class HStoreEngine:
             )
         return route_value(params[procedure.partition_param], len(self.partitions))
 
-    def _run_on_partition(
+    def _invoke_now(
         self,
         procedure: StoredProcedure,
         params: tuple[Any, ...],
-        partition_id: int,
+        partition_id: int | None,
     ) -> ProcedureResult:
-        if self.tracer.enabled or self.metrics is not None:
-            return self._run_observed(procedure, params, partition_id)
-        return self._run_txn(procedure, params, partition_id)
+        """A direct invoke is a prepare that commits immediately."""
+        result, prepared = self._prepare(procedure, params, partition_id)
+        if prepared is not None:
+            self._commit(prepared)
+        return result
 
-    def _run_observed(
+    # ------------------------------------------------------------------
+    # The transaction funnel: begin -> run -> resolve, written once
+    # ------------------------------------------------------------------
+    #
+    # Every transaction the engine runs — stored procedures (direct, fenced,
+    # run-everywhere), ad-hoc DML, stream TEs and the streaming layer's
+    # system transactions — begins in `_transact` and ends in `_resolve`.
+    # Callers keep only their own pre/post steps.
+
+    def _transact(
         self,
-        procedure: StoredProcedure,
-        params: tuple[Any, ...],
-        partition_id: int,
+        name: str,
+        partition_ids: Any,
+        body: Any,
+        *args: Any,
+        hold: bool = False,
+        counted: bool = True,
+    ) -> tuple[list[TransactionContext], list[Any], Exception | None]:
+        """Begin one transaction and run ``body(txn, *args)`` per partition.
+
+        Allocates the txn id; for each partition acquires it, builds its
+        context and runs the body.  The exception policy lives here and only
+        here: a business abort (``TransactionAborted``, a constraint
+        violation) rolls back and is *returned*; anything else — a
+        ``ReproError``, an injected fault, a bug in the body — rolls back
+        and propagates unchanged.  Returns ``(txns, data, error)``.  On
+        success the transaction is committed, or with ``hold`` left open
+        with its partitions fenced for a later :meth:`_resolve`.
+        """
+        txn_id = self._next_txn_id
+        self._next_txn_id += 1
+        txns: list[TransactionContext] = []
+        data: list[Any] = []
+        try:
+            for partition_id in partition_ids:
+                partition = self.partitions[partition_id]
+                partition.acquire()
+                txn = TransactionContext(
+                    txn_id, partition.ee, name, partition_id=partition_id
+                )
+                txns.append(txn)
+                data.append(body(txn, *args))
+        except (TransactionAborted, ConstraintViolationError) as exc:
+            self._resolve(txns, False, counted)
+            return txns, data, exc
+        except BaseException:
+            self._resolve(txns, False, counted)
+            raise
+        if not hold:
+            self._resolve(txns, True, counted)
+        return txns, data, None
+
+    def _resolve(
+        self, txns: list[TransactionContext], commit: bool, counted: bool = True
+    ) -> None:
+        """Commit or roll back each partition's context and release it."""
+        for txn in txns:
+            try:
+                if commit:
+                    txn.commit()
+                else:
+                    txn.abort()
+            finally:
+                self.partitions[txn.partition_id].release()
+        if not counted:
+            return
+        if commit:
+            self.stats.txns_committed += 1
+        else:
+            self.stats.txns_aborted += 1
+
+    def _observed(
+        self, name: str, attrs: dict[str, Any], run: Any, *args: Any
     ) -> ProcedureResult:
-        """The traced/metered transaction path (obs enabled only)."""
+        """Span and latency sample around one whole transaction.
+
+        ``run(*args)`` covers begin to post-commit dispatch (so trigger
+        spans nest under the ``txn`` span) and returns the outcome.
+        """
         started_ns = time.perf_counter_ns() if self.metrics is not None else 0
         if self.tracer.enabled:
-            with self.tracer.span(
-                "txn", procedure.name, partition=partition_id
-            ) as span:
-                result = self._run_txn(procedure, params, partition_id)
+            with self.tracer.span("txn", name, **attrs) as span:
+                result = run(*args)
                 # direct attrs stores — the span's dict already exists, and
                 # set(**kwargs) would build a second dict per transaction
-                attrs = span.attrs
-                attrs["txn_id"] = result.txn_id
-                attrs["committed"] = result.success
+                span.attrs["txn_id"] = result.txn_id
+                span.attrs["outcome"] = "committed" if result.success else "aborted"
         else:
-            result = self._run_txn(procedure, params, partition_id)
+            result = run(*args)
         if self.metrics is not None:
-            duration_us = (time.perf_counter_ns() - started_ns) / 1000.0
-            buf = self._txn_obs
-            if buf is None:
-                self._observe_txn(procedure.name, duration_us, result.success)
+            sample = (
+                name,
+                (time.perf_counter_ns() - started_ns) / 1000.0,
+                result.success,
+            )
+            if self._txn_obs is None:
+                self._record_txns([sample])
             else:
-                buf.append((procedure.name, duration_us, result.success))
+                self._txn_obs.append(sample)
         return result
 
     def defer_txn_metrics(self) -> None:
@@ -438,6 +526,10 @@ class HStoreEngine:
             return
         entries = buf[:]
         del buf[: len(entries)]
+        self._record_txns(entries)
+
+    def _record_txns(self, entries: list[tuple[str, float, bool]]) -> None:
+        """Feed ``(procedure, duration_us, committed)`` samples to the metrics."""
         # a commit batch is usually one procedure over and over: cache the
         # instruments across iterations and batch the counter increments
         hists = self._txn_hists
@@ -470,139 +562,64 @@ class HStoreEngine:
                 self._txn_counters[procedure_name, committed] = counter
             counter.inc(n)
 
-    def _observe_txn(
-        self, procedure_name: str, duration_us: float, committed: bool
-    ) -> None:
-        histogram = self._txn_hists.get(procedure_name)
-        if histogram is None:
-            histogram = self.metrics.histogram(
-                "txn_latency_us",
-                "transaction latency in microseconds",
-                procedure=procedure_name,
-            )
-            self._txn_hists[procedure_name] = histogram
-        histogram.observe(duration_us)
-        counter = self._txn_counters.get((procedure_name, committed))
-        if counter is None:
-            counter = self.metrics.counter(
-                "txns_total",
-                "transactions by procedure and outcome",
-                procedure=procedure_name,
-                outcome="committed" if committed else "aborted",
-            )
-            self._txn_counters[procedure_name, committed] = counter
-        counter.inc()
+    # ------------------------------------------------------------------
+    # Stored-procedure transactions: prepare, then commit or abort
+    # ------------------------------------------------------------------
+    #
+    # A multi-partition transaction spanning OS processes must run the
+    # procedure on each worker, report the outcome to the coordinator, and
+    # *hold the partition fenced* until every sibling has prepared, so the
+    # commit/abort decision is atomic across the cluster.  `prepare_invoke`
+    # runs the procedure and leaves the transaction open with the partition
+    # still acquired; `commit_prepared` / `abort_prepared` resolve it.  The
+    # in-process paths are the same steps taken back to back.
 
-    def _run_txn(
+    def _prepare(
         self,
         procedure: StoredProcedure,
         params: tuple[Any, ...],
-        partition_id: int,
-    ) -> ProcedureResult:
-        partition = self.partitions[partition_id]
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        txn = TransactionContext(txn_id, partition.ee, procedure.name)
-        ctx = self._make_context(procedure, txn, partition_id)
-        partition.acquire()
-        try:
-            data = procedure.run(ctx, *params)
-        except TransactionAborted as exc:
-            txn.abort()
-            self.stats.txns_aborted += 1
-            return ProcedureResult(
-                success=False, error=str(exc), txn_id=txn_id, partition=partition_id
-            )
-        except ConstraintViolationError as exc:
-            txn.abort()
-            self.stats.txns_aborted += 1
-            return ProcedureResult(
-                success=False, error=str(exc), txn_id=txn_id, partition=partition_id
-            )
-        except ReproError:
-            # Programming error inside the procedure: keep state consistent
-            # by rolling back, then surface the bug to the caller.
-            txn.abort()
-            self.stats.txns_aborted += 1
-            raise
-        finally:
-            partition.release()
-
-        txn.commit()
-        self.stats.txns_committed += 1
-        result = ProcedureResult(
-            success=True, data=data, txn_id=txn_id, partition=partition_id
+        partition_id: int | None,
+    ) -> tuple[ProcedureResult, "PreparedInvocation | None"]:
+        """Run ``procedure`` on one partition, or on all (``None``), and hold."""
+        everywhere = partition_id is None
+        txns, data, error = self._transact(
+            procedure.name,
+            range(len(self.partitions)) if everywhere else (partition_id,),
+            self._run_procedure,
+            procedure,
+            params,
+            hold=True,
         )
-        self._after_commit(procedure, ctx, txn, params, result)
-        return result
+        txn_id = txns[0].txn_id
+        if error is not None:
+            return (
+                ProcedureResult(
+                    success=False, error=str(error), txn_id=txn_id, partition=partition_id
+                ),
+                None,
+            )
+        result = ProcedureResult(
+            success=True,
+            data=data if everywhere else data[0],
+            txn_id=txn_id,
+            partition=partition_id,
+        )
+        return result, PreparedInvocation(procedure, params, txns, result)
 
-    def _invoke_everywhere(
-        self, procedure: StoredProcedure, params: tuple[Any, ...]
-    ) -> ProcedureResult:
-        """Multi-partition transaction: run on every partition, all-or-nothing."""
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "txn", procedure.name, everywhere=True
-            ) as span:
-                result = self._invoke_everywhere_body(procedure, params)
-                span.set(txn_id=result.txn_id, committed=result.success)
-                return result
-        return self._invoke_everywhere_body(procedure, params)
+    def _run_procedure(
+        self,
+        txn: TransactionContext,
+        procedure: StoredProcedure,
+        params: tuple[Any, ...],
+    ) -> Any:
+        return procedure.run(
+            self._make_context(procedure, txn, txn.partition_id), *params
+        )
 
-    def _invoke_everywhere_body(
-        self, procedure: StoredProcedure, params: tuple[Any, ...]
-    ) -> ProcedureResult:
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        txns: list[TransactionContext] = []
-        contexts: list[ProcedureContext] = []
-        data: list[Any] = []
-        acquired: list[Partition] = []
-        try:
-            for partition in self.partitions:
-                partition.acquire()
-                acquired.append(partition)
-                txn = TransactionContext(txn_id, partition.ee, procedure.name)
-                ctx = self._make_context(procedure, txn, partition.partition_id)
-                txns.append(txn)
-                contexts.append(ctx)
-                data.append(procedure.run(ctx, *params))
-        except (TransactionAborted, ConstraintViolationError) as exc:
-            for txn in reversed(txns):
-                if txn.is_active:
-                    txn.abort()
-            self.stats.txns_aborted += 1
-            return ProcedureResult(success=False, error=str(exc), txn_id=txn_id)
-        except ReproError:
-            for txn in reversed(txns):
-                if txn.is_active:
-                    txn.abort()
-            self.stats.txns_aborted += 1
-            raise
-        finally:
-            for partition in reversed(acquired):
-                partition.release()
-
-        for txn in txns:
-            txn.commit()
-        self.stats.txns_committed += 1
-        result = ProcedureResult(success=True, data=data, txn_id=txn_id)
-        for ctx, txn in zip(contexts, txns):
-            self._after_commit(procedure, ctx, txn, params, result)
-        self._log_commit(procedure, params, result, partition=-1)
-        return result
-
-    # ------------------------------------------------------------------
-    # Prepared (fenced) invocations — the multi-process 2PC building block
-    # ------------------------------------------------------------------
-    #
-    # A multi-partition transaction spanning OS processes cannot use
-    # `_invoke_everywhere` directly: each worker must run the procedure,
-    # report its outcome to the coordinator, and *hold the partition fenced*
-    # until every sibling has prepared, so the commit/abort decision is
-    # atomic across the cluster.  `prepare_invoke` runs the procedure and
-    # leaves the transaction open with the partition still acquired;
-    # `commit_prepared` / `abort_prepared` resolve it.
+    def _commit(self, prepared: "PreparedInvocation") -> None:
+        self._resolve(prepared.txns, True)
+        for txn in prepared.txns:
+            self._after_commit(txn)
 
     def prepare_invoke(
         self, name: str, params: tuple[Any, ...]
@@ -618,95 +635,31 @@ class HStoreEngine:
         self._require_alive()
         procedure = self.procedure(name)
         partition_id = self._route(procedure, params)
-        partition = self.partitions[partition_id]
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        txn = TransactionContext(txn_id, partition.ee, procedure.name)
-        ctx = self._make_context(procedure, txn, partition_id)
-        span = (
-            self.tracer.start_span(
-                "txn", procedure.name, {"txn_id": txn_id, "phase": "prepare"}
+        with self.tracer.span("txn", name, phase="prepare") as span:
+            result, prepared = self._prepare(procedure, params, partition_id)
+            span.set(
+                txn_id=result.txn_id,
+                outcome="aborted" if prepared is None else "prepared",
             )
-            if self.tracer.enabled
-            else None
-        )
-        partition.acquire()
-        try:
-            data = procedure.run(ctx, *params)
-        except (TransactionAborted, ConstraintViolationError) as exc:
-            txn.abort()
-            partition.release()
-            self.stats.txns_aborted += 1
-            if span is not None:
-                self.tracer.end_span(span.set(outcome="aborted"))
-            return (
-                ProcedureResult(
-                    success=False, error=str(exc), txn_id=txn_id, partition=partition_id
-                ),
-                None,
-            )
-        except ReproError:
-            txn.abort()
-            partition.release()
-            self.stats.txns_aborted += 1
-            if span is not None:
-                self.tracer.end_span(span.set(outcome="error"))
-            raise
-        if span is not None:
-            self.tracer.end_span(span.set(outcome="prepared"))
-        result = ProcedureResult(
-            success=True, data=data, txn_id=txn_id, partition=partition_id
-        )
-        return result, PreparedInvocation(
-            procedure=procedure,
-            params=params,
-            txn=txn,
-            ctx=ctx,
-            partition_id=partition_id,
-            result=result,
-        )
+        return result, prepared
 
     def commit_prepared(self, prepared: "PreparedInvocation") -> ProcedureResult:
-        """Commit a held invocation: release the fence, log, fire hooks."""
+        """Commit a held invocation: release the fence, fire hooks, log."""
         with self.tracer.span(
             "txn",
             prepared.procedure.name,
             phase="commit",
-            txn_id=prepared.txn.txn_id,
+            txn_id=prepared.result.txn_id,
         ):
-            return self._commit_prepared_body(prepared)
-
-    def _commit_prepared_body(
-        self, prepared: "PreparedInvocation"
-    ) -> ProcedureResult:
-        prepared.txn.commit()
-        self.partitions[prepared.partition_id].release()
-        self.stats.txns_committed += 1
-        self._after_commit(
-            prepared.procedure,
-            prepared.ctx,
-            prepared.txn,
-            prepared.params,
-            prepared.result,
-        )
-        if not (prepared.procedure.read_only or self._replaying):
-            # partition=-1 marks a fenced/everywhere transaction, matching
-            # what _invoke_everywhere logs in the single-process engine
-            self.command_log.append(
-                txn_id=prepared.txn.txn_id,
-                procedure=prepared.procedure.name,
-                params=prepared.params,
-                partition=-1,
-                logical_time=self.clock.now,
+            self._commit(prepared)
+            self._log_commit(
+                prepared.procedure, prepared.params, prepared.result, -1
             )
-            self._note_logged_command()
         return prepared.result
 
     def abort_prepared(self, prepared: "PreparedInvocation") -> None:
         """Roll back a held invocation and release the fence."""
-        prepared.txn.abort()
-        self.partitions[prepared.partition_id].release()
-        self.stats.txns_aborted += 1
+        self._resolve(prepared.txns, False)
 
     def shutdown(self) -> None:
         """Release external resources; a no-op for the in-process engine.
@@ -763,27 +716,17 @@ class HStoreEngine:
 
         if len(self.partitions) != 1:
             raise PartitionError("ad-hoc DML requires a single-partition engine")
-        partition = self.partitions[0]
-        txn_id = self._next_txn_id
-        txn = TransactionContext(txn_id, partition.ee, "<adhoc>")
-        self._next_txn_id += 1
-        partition.acquire()
-        try:
-            self.stats.pe_ee_roundtrips += 1
-            result = partition.ee.execute(plan, params, txn)
-        except ReproError:
-            txn.abort()
-            self.stats.txns_aborted += 1
-            raise
-        finally:
-            partition.release()
-        txn.commit()
-        self.stats.txns_committed += 1
+        txns, data, error = self._transact(
+            ADHOC_RECORD, (0,), self._run_adhoc, plan, params
+        )
+        if error is not None:
+            # no result object to carry a failure: the statement raises
+            raise error
         # Ad-hoc DML is a write command like any other: it must reach the
         # command log or recovery could not rebuild state written this way.
         if not self._replaying:
             self.command_log.append(
-                txn_id=txn_id,
+                txn_id=txns[0].txn_id,
                 procedure=ADHOC_RECORD,
                 params=(sql, tuple(params)),
                 partition=0,
@@ -791,7 +734,13 @@ class HStoreEngine:
                 meta={"kind": "adhoc"},
             )
             self._note_logged_command()
-        return result
+        return data[0]
+
+    def _run_adhoc(
+        self, txn: TransactionContext, plan: Any, params: tuple[Any, ...]
+    ) -> ResultSet | int:
+        self.stats.pe_ee_roundtrips += 1
+        return txn.ee.execute(plan, params, txn)
 
     def _plan_adhoc(self, sql: str):
         """Plan one ad-hoc statement through the engine's PlanCache.
@@ -1082,14 +1031,7 @@ class HStoreEngine:
     ) -> ProcedureContext:
         return ProcedureContext(self, procedure, txn, partition_id)
 
-    def _after_commit(
-        self,
-        procedure: StoredProcedure,
-        ctx: ProcedureContext,
-        txn: TransactionContext,
-        params: tuple[Any, ...],
-        result: ProcedureResult,
-    ) -> None:
+    def _after_commit(self, txn: TransactionContext) -> None:
         """Post-commit hook; plain H-Store does nothing here."""
 
     def _snapshot_extra(self) -> dict[str, Any]:

@@ -2,8 +2,11 @@
 
 H-Store runs transactions serially per partition, so no locks or latches are
 needed; atomicity comes from an in-memory undo log.  Every mutation the EE
-applies is recorded here as a logical undo record; abort walks the records in
-reverse and restores the before-images.
+applies is recorded here as a logical undo entry; abort walks the entries in
+reverse and restores the before-images.  State that lives outside tables
+(window bookkeeping, delta views) joins the same log as a compensation
+entry — a callable that restores it — so ``abort`` is the engine's only
+rollback mechanism.
 
 A :class:`TransactionContext` is bound to one partition's execution engine —
 the single-sited case the paper demonstrates.  Multi-partition transactions
@@ -16,34 +19,24 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import NoActiveTransactionError, TransactionError
+from repro.errors import NoActiveTransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hstore.executor import ExecutionEngine
 
-__all__ = ["TxnState", "UndoKind", "UndoRecord", "TransactionContext"]
+__all__ = ["TxnState", "TransactionContext"]
+
+#: undo-entry tags — entries are plain tuples: ``(_INSERT, table, rowid)``,
+#: ``(_DELETE | _UPDATE, table, rowid, before)``, ``(_COMPENSATE, callable)``
+_INSERT, _DELETE, _UPDATE, _COMPENSATE = range(4)
 
 
 class TxnState(enum.Enum):
     ACTIVE = "ACTIVE"
     COMMITTED = "COMMITTED"
     ABORTED = "ABORTED"
-
-
-class UndoKind(enum.Enum):
-    INSERT = "INSERT"
-    DELETE = "DELETE"
-    UPDATE = "UPDATE"
-
-
-@dataclass(frozen=True)
-class UndoRecord:
-    kind: UndoKind
-    table: str
-    rowid: int
-    before: tuple[Any, ...] | None = None
 
 
 @dataclass
@@ -54,9 +47,10 @@ class TransactionContext:
     ee: "ExecutionEngine"
     procedure_name: str = ""
     state: TxnState = TxnState.ACTIVE
-    undo_log: list[UndoRecord] = field(default_factory=list)
+    undo_log: list[tuple] = field(default_factory=list)
     #: arbitrary per-transaction scratch used by the streaming layer
     notes: dict[str, Any] = field(default_factory=dict)
+    partition_id: int = 0
 
     # -- undo recording -----------------------------------------------------
 
@@ -68,19 +62,29 @@ class TransactionContext:
 
     def record_insert(self, table: str, rowid: int) -> None:
         self._require_active()
-        self.undo_log.append(UndoRecord(UndoKind.INSERT, table, rowid))
+        self.undo_log.append((_INSERT, table, rowid))
 
     def record_delete(
         self, table: str, rowid: int, before: tuple[Any, ...]
     ) -> None:
         self._require_active()
-        self.undo_log.append(UndoRecord(UndoKind.DELETE, table, rowid, before))
+        self.undo_log.append((_DELETE, table, rowid, before))
 
     def record_update(
         self, table: str, rowid: int, before: tuple[Any, ...]
     ) -> None:
         self._require_active()
-        self.undo_log.append(UndoRecord(UndoKind.UPDATE, table, rowid, before))
+        self.undo_log.append((_UPDATE, table, rowid, before))
+
+    def record_compensation(self, compensate: Callable[[], None]) -> None:
+        """Register the inverse of a change to state that is not table rows.
+
+        Entries run in reverse order, so one registered *before* the
+        owner's first row mutation runs *after* those rows are restored —
+        what a window needs to rebuild its views from the backing table.
+        """
+        self._require_active()
+        self.undo_log.append((_COMPENSATE, compensate))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -92,18 +96,17 @@ class TransactionContext:
     def abort(self) -> None:
         """Undo every recorded mutation (reverse order) and mark aborted."""
         self._require_active()
-        for record in reversed(self.undo_log):
-            table = self.ee.table(record.table)
-            if record.kind is UndoKind.INSERT:
-                table.delete(record.rowid)
-            elif record.kind is UndoKind.DELETE:
-                if record.before is None:  # pragma: no cover - defensive
-                    raise TransactionError("delete undo record lacks before-image")
-                table.insert_with_rowid(record.rowid, record.before)
-            else:  # UPDATE
-                if record.before is None:  # pragma: no cover - defensive
-                    raise TransactionError("update undo record lacks before-image")
-                table.update(record.rowid, record.before)
+        table_of = self.ee.table
+        for entry in reversed(self.undo_log):
+            kind = entry[0]
+            if kind == _COMPENSATE:
+                entry[1]()
+            elif kind == _INSERT:
+                table_of(entry[1]).delete(entry[2])
+            elif kind == _DELETE:
+                table_of(entry[1]).insert_with_rowid(entry[2], entry[3])
+            else:
+                table_of(entry[1]).update(entry[2], entry[3])
         self.undo_log.clear()
         self.state = TxnState.ABORTED
 

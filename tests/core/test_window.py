@@ -2,26 +2,17 @@
 
 import pytest
 
-from repro.core.engine import SStoreEngine
+from repro.core.engine import SStoreEngine, StreamProcedure
 from repro.core.window import WindowKind, WindowSpec
+from repro.core.workflow import WorkflowSpec
 from repro.errors import WindowError
+from repro.hstore.procedure import StoredProcedure
 
 
 def make_engine(window_ddl: str) -> SStoreEngine:
     eng = SStoreEngine()
     eng.execute_ddl("CREATE STREAM s (ts TIMESTAMP, v INTEGER)")
     eng.execute_ddl(window_ddl)
-
-    from repro.core.engine import StreamProcedure
-    from repro.core.workflow import WorkflowSpec
-
-    class Sink(StreamProcedure):
-        name = "sink"
-        statements = {}
-
-        def run(self, ctx):
-            pass
-
     eng.register_procedure(Sink)
     wf = WorkflowSpec("wf")
     wf.add_node("sink", input_stream="s", batch_size=1)
@@ -32,6 +23,80 @@ def make_engine(window_ddl: str) -> SStoreEngine:
 def window_rows(eng: SStoreEngine, name: str):
     # bypass scoping (tests observe internal state directly)
     return eng.partitions[0].ee.table(name).rows()
+
+
+class Sink(StreamProcedure):
+    name = "sink"
+    statements = {}
+
+    def run(self, ctx):
+        pass
+
+
+def abort_path_engine(path: str) -> SStoreEngine:
+    """Stream ``s`` feeding ``ROWS 3 SLIDE 1`` window ``w`` with a view.
+
+    ``te``: a workflow TE that aborts on a negative tuple.  ``call`` /
+    ``prepared``: an OLTP procedure that emits its argument into ``s`` (and,
+    on ``call``, then aborts on a negative one).
+    """
+    eng = SStoreEngine()
+    eng.execute_ddl("CREATE STREAM s (v INTEGER)")
+    eng.create_window("w", "s", kind="ROWS", size=3, slide=1)
+    eng.execute_ddl("CREATE VIEW av AS SELECT COUNT(*), SUM(v), MIN(v) FROM w")
+
+    if path == "te":
+
+        class Picky(StreamProcedure):
+            name = "picky"
+            statements = {}
+
+            def run(self, ctx):
+                if any(v < 0 for (v,) in ctx.batch):
+                    ctx.abort("negative")
+
+        eng.register_procedure(Picky)
+        wf = WorkflowSpec("wf")
+        wf.add_node("picky", input_stream="s", batch_size=1)
+        eng.deploy_workflow(wf)
+    else:
+
+        class Feed(StoredProcedure):
+            name = "feed"
+            statements = {}
+
+            def run(self, ctx, v):
+                ctx.emit("s", [(v,)])
+                if v < 0 and path == "call":
+                    ctx.abort("negative")
+
+        eng.register_procedure(Feed)
+    return eng
+
+
+def feed(eng: SStoreEngine, path: str, v: int) -> None:
+    """Push ``v`` through ``path``; a negative ``v`` is rolled back."""
+    if path == "te":
+        eng.ingest("s", [(v,)])
+    elif path == "call":
+        assert eng.call_procedure("feed", v).success == (v > 0)
+    else:
+        _result, prepared = eng.prepare_invoke("feed", (v,))
+        if v > 0:
+            eng.commit_prepared(prepared)
+        else:
+            eng.abort_prepared(prepared)
+
+
+def window_and_view(eng: SStoreEngine, name: str = "w"):
+    state = eng.windows[name]
+    return (
+        window_rows(eng, name),
+        state.live_count,
+        state.staged_count,
+        state._arrivals,
+        eng.delta_views["av"].ext_rows(),
+    )
 
 
 class TestWindowSpec:
@@ -181,6 +246,79 @@ class TestWindowAbortRestore:
             (3,),
             (4,),
         ]
+
+
+    @pytest.mark.parametrize("path", ["te", "call", "prepared"])
+    def test_abort_leaves_window_and_view_as_if_never_seen(self, path):
+        """Whichever way a transaction that fed the window is rolled back —
+        a TE abort, an OLTP procedure that emits then aborts, a fenced
+        invocation the coordinator aborts — table, bookkeeping and delta
+        view must equal those of an engine that never saw it."""
+        subject, reference = abort_path_engine(path), abort_path_engine(path)
+        for v in (1, -2, 3):  # commit / abort / commit
+            feed(subject, path, v)
+            if v > 0:
+                feed(reference, path, v)
+        assert window_and_view(subject) == window_and_view(reference)
+        # the next slides expire rows admitted before the aborted call
+        for v in (4, 5, 6, 7):
+            feed(subject, path, v)
+            feed(reference, path, v)
+        assert window_and_view(subject) == window_and_view(reference)
+        assert [r[0] for r in window_rows(subject, "w")] == [5, 6, 7]
+
+    def test_failed_tick_rolls_back_windows_already_slid(self, monkeypatch):
+        """<tick> is one transaction over every time window: if the second
+        window's maintenance raises, the first window's expiry is undone."""
+        eng = SStoreEngine()
+        eng.execute_ddl("CREATE STREAM s (ts TIMESTAMP, v INTEGER)")
+        eng.create_window("w1", "s", kind="RANGE", size=10, slide=5)
+        eng.create_window("w2", "s", kind="RANGE", size=10, slide=5)
+        eng.execute_ddl("CREATE VIEW av AS SELECT COUNT(*), SUM(v) FROM w1")
+        eng.register_procedure(Sink)
+        wf = WorkflowSpec("wf")
+        wf.add_node("sink", input_stream="s", batch_size=1)
+        eng.deploy_workflow(wf)
+        eng.ingest("s", [(0, 1)])
+        eng.ingest("s", [(0, 2)])
+        before = window_and_view(eng, "w1")
+        assert before[0] == [(0, 1), (0, 2)]
+
+        def boom(txn, now):
+            raise RuntimeError("second window failed")
+
+        monkeypatch.setattr(eng.windows["w2"], "advance_time", boom)
+        with pytest.raises(RuntimeError):
+            eng.advance_time(20)  # would expire both rows of w1
+        assert window_and_view(eng, "w1") == before
+        assert not eng.partitions[0].busy
+
+    def test_committed_te_does_no_work_proportional_to_window_size(self):
+        """The commit path never copies the window: no dump_state(), no
+        iteration over the live rowids (analytics-churn's ROWS 4000 SLIDE 1)."""
+        from collections import deque
+        from unittest import mock
+
+        eng = make_engine("CREATE WINDOW w ON s ROWS 4000 SLIDE 1 OWNED BY sink")
+        eng.ingest("s", [(i, i) for i in range(4000)])
+        state = eng.windows["w"]
+        walks = []
+
+        class CountingDeque(deque):
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        state._live_rowids = CountingDeque(state._live_rowids)
+        with mock.patch.object(
+            type(state), "dump_state", side_effect=AssertionError("copied")
+        ):
+            committed = eng.stats.txns_committed
+            for i in range(4000, 4010):
+                eng.ingest("s", [(i, i)])
+            assert eng.stats.txns_committed == committed + 10
+        assert not walks
+        assert state.live_count == 4000
 
 
 class TestWindowOverWindow:

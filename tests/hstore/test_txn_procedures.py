@@ -133,6 +133,63 @@ class TestCommitAbort:
         )
 
 
+    @pytest.mark.parametrize("path", ["call", "everywhere", "prepared", "te"])
+    def test_any_exception_rolls_back_counts_and_reraises(self, path):
+        """A bug in procedure code (not a ReproError) is still a transaction
+        that did not commit: its writes vanish on every partition, it counts
+        as an abort, the fence is released, and the caller sees the original
+        exception."""
+        from repro.core.engine import SStoreEngine, StreamProcedure
+        from repro.core.workflow import WorkflowSpec
+
+        eng = SStoreEngine(partitions=2 if path == "everywhere" else 1)
+        eng.execute_ddl("CREATE TABLE t (a INTEGER)")
+        eng.execute_ddl("CREATE STREAM s (a INTEGER)")
+        last = len(eng.partitions) - 1
+
+        class Crashy(StreamProcedure if path == "te" else StoredProcedure):
+            name = "crashy"
+            statements = {"ins": "INSERT INTO t VALUES (?)"}
+            run_everywhere = path == "everywhere"
+
+            def run(self, ctx, *params):
+                (x,) = ctx.batch.rows[0] if path == "te" else params
+                ctx.execute("ins", x)
+                if ctx.partition_id == last:  # every partition has written
+                    return 10 // x
+
+        eng.register_procedure(Crashy)
+        if path == "te":
+            wf = WorkflowSpec("wf")
+            wf.add_node("crashy", input_stream="s", batch_size=1)
+            eng.deploy_workflow(wf)
+
+        def drive(x):
+            if path == "te":
+                eng.ingest("s", [(x,)])
+            elif path == "prepared":
+                _result, prepared = eng.prepare_invoke("crashy", (x,))
+                eng.commit_prepared(prepared)
+            else:
+                assert eng.call_procedure("crashy", x).success
+
+        drive(5)
+        with pytest.raises(ZeroDivisionError):
+            drive(0)
+        live = [eng.table_rows("t", p.partition_id) for p in eng.partitions]
+        assert live == [[(5,)]] * len(eng.partitions)
+        assert (eng.stats.txns_committed, eng.stats.txns_aborted) == (1, 1)
+        assert not any(p.busy for p in eng.partitions)
+        if path == "te":
+            # its <ingest> record is already durable, so replay would meet
+            # the same bug; the failure is attributed to the batch instead
+            assert eng._failed_te[:2] == ("crashy", "s")
+            return
+        eng.crash()
+        eng.recover()
+        assert [eng.table_rows("t", p.partition_id) for p in eng.partitions] == live
+
+
 class TestRegistration:
     def test_procedure_requires_name(self):
         with pytest.raises(ProcedureError):
