@@ -108,5 +108,5 @@ def test_e7_only_border_inputs_logged(benchmark, save_report):
     # upstream backup: ingest records (+ the seed DML) only — never a
     # validate_vote / update_leaderboard / remove_lowest TE
     assert set(kinds) <= {"<ingest>", "<adhoc>", "<tick>"}
-    te_count = len(app.engine.schedule_history)
+    te_count = app.engine.workflow_status()["committed_tes"]
     assert te_count > kinds.get("<ingest>", 0)  # interior work was derived

@@ -40,7 +40,7 @@ def main() -> None:
         kinds[record.procedure] = kinds.get(record.procedure, 0) + 1
     print(f"\ncommand log contents (upstream backup): {kinds}")
     print(f"interior TEs executed but never logged: "
-          f"{len(app.engine.schedule_history)}")
+          f"{app.engine.workflow_status()['committed_tes']}")
 
     print("\n*** CRASH ***  (all in-memory state lost)")
     report = crash_and_recover_streaming(app.engine)

@@ -30,6 +30,8 @@ throughput result (experiments E3/E4).
 
 from __future__ import annotations
 
+import zlib
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,7 +43,7 @@ from repro.core.latency import LatencyTracker
 from repro.core.scheduler import StreamScheduler, StreamTask
 from repro.core.scope import WindowScopes
 from repro.core.stream import StreamRegistry
-from repro.core.transaction import TERecord
+from repro.core.transaction import HISTORY_RING, TERecord
 from repro.core.triggers import EETrigger
 from repro.core.window import (
     WindowKind,
@@ -236,13 +238,14 @@ class SStoreEngine(HStoreEngine):
         self.gc = StreamGarbageCollector(
             self.streams, self.partitions[0].ee, self.stats
         )
-        #: committed-TE history for the schedule validator (E9)
-        self.schedule_history: list[TERecord] = []
+        #: the most recent committed TEs, for the schedule validator (E9);
+        #: ``_commit_seq`` is the true count
+        self.schedule_history: deque[TERecord] = deque(maxlen=HISTORY_RING)
         self._commit_seq = 0
-        #: per-stream commit ledger: (input_stream, batch rows) appended at
-        #: each TE commit — the differential ordering oracle compares this
-        #: across deployments (kept out of fingerprints: it is observational)
-        self.stream_commits: list[tuple[str, tuple[tuple[Any, ...], ...]]] = []
+        #: input stream → (batches committed, rolling crc32 over their rows):
+        #: the differential ordering oracle compares this across deployments,
+        #: processes and restarts (kept out of fingerprints: observational)
+        self.stream_commits: dict[str, tuple[int, int]] = {}
         #: (procedure, stream, origin batch id) of the TE whose failure is
         #: currently propagating — lets the cluster worker loop attribute a
         #: serialized error to the batch that caused it
@@ -674,6 +677,7 @@ class SStoreEngine(HStoreEngine):
         finally:
             self._in_drain = False
         if executed:
+            self.latency.finalize()
             self._system_txn("<gc>", self.gc.collect)
             self.stats.bump("gc_passes")
         return executed
@@ -720,7 +724,7 @@ class SStoreEngine(HStoreEngine):
         }
         return {
             "pending_tes": self.scheduler.pending_count,
-            "committed_tes": len(self.schedule_history),
+            "committed_tes": self._commit_seq,
             "workflows": {
                 name: {
                     "border": spec.border_procedures,
@@ -794,7 +798,11 @@ class SStoreEngine(HStoreEngine):
             )
         )
         self._commit_seq += 1
-        self.stream_commits.append((node.input_stream, tuple(task.batch.rows)))
+        batches, digest = self.stream_commits.get(node.input_stream, (0, 0))
+        self.stream_commits[node.input_stream] = (
+            batches + 1,
+            zlib.crc32(repr(task.batch.rows).encode(), digest),
+        )
         self._dispatch_emissions(txn, origin=task.batch)
         return ProcedureResult(success=True, txn_id=txn.txn_id)
 

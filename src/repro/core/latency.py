@@ -13,14 +13,19 @@ not participate in recovery (wall time is inherently non-replayable).
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["LatencySummary", "LatencyTracker"]
+__all__ = ["LATENCY_RING", "LatencySummary", "LatencyTracker"]
+
+#: completed pipeline latencies kept for the summary's distribution
+LATENCY_RING = 2048
 
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """Distribution of completed pipeline latencies, in milliseconds."""
+    """Completed pipelines so far (``count``) and the distribution of the
+    most recent ``LATENCY_RING`` of their latencies, in milliseconds."""
 
     count: int
     mean_ms: float
@@ -48,36 +53,41 @@ class LatencyTracker:
 
     def __init__(self, clock: "callable[[], float]" = time.perf_counter) -> None:
         self._clock = clock
-        self._enqueued_at: dict[int, float] = {}
-        self._latest_commit: dict[int, float] = {}
+        #: origin batch → [enqueued at, latest commit or None], until finalized
+        self._in_flight: dict[int, list[float | None]] = {}
+        self._completed: deque[float] = deque(maxlen=LATENCY_RING)
+        self.completed_count = 0
 
     def record_enqueue(self, origin_batch_id: int) -> None:
         """Called when a BSP batch is cut; first call per origin wins."""
-        self._enqueued_at.setdefault(origin_batch_id, self._clock())
+        self._in_flight.setdefault(origin_batch_id, [self._clock(), None])
 
     def record_commit(self, origin_batch_id: int) -> None:
         """Called at each TE commit; the last one defines completion."""
-        if origin_batch_id in self._enqueued_at:
-            self._latest_commit[origin_batch_id] = self._clock()
+        entry = self._in_flight.get(origin_batch_id)
+        if entry is not None:
+            entry[1] = self._clock()
+
+    def finalize(self) -> None:
+        """The scheduler is quiescent: every in-flight pipeline has run its
+        last TE, so fold the committed ones into the ring and forget them."""
+        for enqueued, committed in self._in_flight.values():
+            if committed is not None:
+                self._completed.append((committed - enqueued) * 1000.0)
+                self.completed_count += 1
+        self._in_flight.clear()
 
     # ------------------------------------------------------------------
 
-    @property
-    def completed_count(self) -> int:
-        return len(self._latest_commit)
-
     def latencies_ms(self) -> list[float]:
-        return [
-            (self._latest_commit[origin] - self._enqueued_at[origin]) * 1000.0
-            for origin in self._latest_commit
-        ]
+        return list(self._completed)
 
     def summary(self) -> LatencySummary:
-        values = sorted(self.latencies_ms())
+        values = sorted(self._completed)
         if not values:
             return LatencySummary.empty()
         return LatencySummary(
-            count=len(values),
+            count=self.completed_count,
             mean_ms=sum(values) / len(values),
             p50_ms=_percentile(values, 0.50),
             p95_ms=_percentile(values, 0.95),
@@ -85,5 +95,6 @@ class LatencyTracker:
         )
 
     def reset(self) -> None:
-        self._enqueued_at.clear()
-        self._latest_commit.clear()
+        self._in_flight.clear()
+        self._completed.clear()
+        self.completed_count = 0

@@ -106,14 +106,13 @@ def crash_and_recover_streaming(engine: "SStoreEngine") -> StreamingRecoveryRepo
     """Crash the engine, recover it, and verify state equivalence."""
     engine.run_until_quiescent()
     before = state_fingerprint(engine)
-    had_snapshot = engine.snapshots.latest is not None
     lost = engine.crash()
     replayed = engine.recover()
     after = state_fingerprint(engine)
     return StreamingRecoveryReport(
         lost_log_records=lost,
         replayed_records=replayed,
-        had_snapshot=had_snapshot,
+        had_snapshot=engine.last_recovery_report.had_snapshot,
         fingerprint_before=before,
         fingerprint_after=after,
     )

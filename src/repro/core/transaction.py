@@ -25,7 +25,11 @@ from typing import Iterable
 
 from repro.core.workflow import WorkflowSpec
 
-__all__ = ["TERecord", "ScheduleViolation", "validate_schedule"]
+__all__ = ["HISTORY_RING", "TERecord", "ScheduleViolation", "validate_schedule"]
+
+#: committed TEs an engine keeps for the validator — a ring, so a long-running
+#: engine's history is bounded; above the largest validated run (1 500 TEs)
+HISTORY_RING = 2048
 
 
 @dataclass(frozen=True)

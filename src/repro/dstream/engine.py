@@ -372,25 +372,22 @@ class DStreamEngine(ParallelHStoreEngine):
                 )
         return state
 
-    def stream_commit_order(self) -> dict[str, list[tuple]]:
-        """Per-stream committed batch order, cluster-wide.
+    def stream_commit_order(self) -> dict[str, tuple[int, int]]:
+        """Per-stream ``(batches committed, order digest)``, cluster-wide.
 
         Every stream is consumed on exactly one worker, so that worker's
-        local ledger *is* the stream's total commit order.
+        local digest *is* the digest of the stream's total commit order.
         """
-        order: dict[str, list[tuple]] = {}
-        for state in self._broadcast(msg.OP_DSTREAM_STATE):
-            for stream_name, rows in state["stream_commits"]:
-                order.setdefault(stream_name, []).append(
-                    tuple(tuple(row) for row in rows)
-                )
+        order: dict[str, tuple[int, int]] = {}
+        for state in self.dstream_status():
+            order.update(state["commit_digests"])
         return order
 
     def schedule_histories(self) -> list[list]:
-        """Per-worker committed-TE histories (for the E9 validator)."""
+        """Per-worker recent committed-TE rings (for the E9 validator)."""
         return [
             state["schedule_history"]
-            for state in self._broadcast(msg.OP_DSTREAM_STATE)
+            for state in self._broadcast(msg.OP_DSTREAM_STATE, True)
         ]
 
     def dstream_status(self) -> list[dict[str, Any]]:

@@ -25,7 +25,6 @@ from typing import Any
 
 from repro.core.engine import SStoreEngine, _TICK_RECORD
 from repro.core.scheduler import StreamTask
-from repro.core.transaction import TERecord
 from repro.hstore.txn import TransactionContext
 from repro.core.workflow import WorkflowNode, WorkflowSpec, plan_table_access
 from repro.errors import StreamingError, WorkflowError
@@ -343,17 +342,21 @@ class StreamShardEngine(SStoreEngine):
     # Coordinator-facing state
     # ------------------------------------------------------------------
 
-    def dstream_state(self) -> dict[str, Any]:
-        return {
+    def dstream_state(self, history: bool = False) -> dict[str, Any]:
+        """O(streams) status for health polls; ``history`` adds the bounded
+        committed-TE ring the E9 validator reads."""
+        state = {
             "worker_id": self.worker_id,
             "ticks_applied": self._ticks_applied,
             "watermarks": dict(self._watermarks),
             "stream_seq": dict(self._stream_seq),
-            "stream_commits": list(self.stream_commits),
-            "schedule_history": list(self.schedule_history),
+            "commit_digests": dict(self.stream_commits),
             "pending_tes": self.scheduler.pending_count,
             "outbound": len(self.outbound),
         }
+        if history:
+            state["schedule_history"] = list(self.schedule_history)
+        return state
 
     # ------------------------------------------------------------------
     # Durability: the dstream state rides the snapshot extra
@@ -372,14 +375,9 @@ class StreamShardEngine(SStoreEngine):
                 for stream, token, rows in self.outbound
             ],
             "ticks_applied": self._ticks_applied,
-            "stream_commits": [
-                [stream, [list(row) for row in rows]]
-                for stream, rows in self.stream_commits
-            ],
-            "schedule_history": [
-                [r.seq, r.procedure, r.origin_batch_id, r.depth, r.workflow]
-                for r in self.schedule_history
-            ],
+            # the oracle's per-stream (batches, digest), not a per-TE ledger:
+            # the snapshot stays O(streams) however long the run
+            "commit_digests": dict(self.stream_commits),
             "commit_seq": self._commit_seq,
         }
         return extra
@@ -398,25 +396,13 @@ class StreamShardEngine(SStoreEngine):
             for stream, token, rows in state.get("outbound", [])
         ]
         self._ticks_applied = int(state.get("ticks_applied", 0))
-        self.stream_commits = [
-            (stream, tuple(tuple(row) for row in rows))
-            for stream, rows in state.get("stream_commits", [])
-        ]
-        self.schedule_history = [
-            TERecord(
-                seq=seq,
-                procedure=procedure,
-                origin_batch_id=origin,
-                depth=depth,
-                workflow=workflow,
-            )
-            for seq, procedure, origin, depth, workflow in state.get(
-                "schedule_history", []
-            )
-        ]
-        self._commit_seq = int(
-            state.get("commit_seq", len(self.schedule_history))
-        )
+        self.stream_commits = {
+            str(stream): (int(batches), int(digest))
+            for stream, (batches, digest) in state.get("commit_digests", {}).items()
+        }
+        # the ring restarts with the numbering: replay appends the suffix
+        self.schedule_history.clear()
+        self._commit_seq = int(state.get("commit_seq", 0))
 
     def _replay_invocation(self, record: LogRecord) -> None:
         if record.procedure == _TASK_RECORD:

@@ -19,8 +19,8 @@ was durable but whose acknowledgement was dropped is **not** — the paper's
 command-logging contract, made testable.
 
 At the end, table-by-table and window-by-window state must be equal.  The
-checker assumes the durable log is not GC-truncated mid-run (snapshots here
-keep the full log, which ``DurabilityDirectory`` does by default).
+count relies on the directory keeping the whole log (docs/INTERNALS.md §5,
+"Where history lives").
 
 The engine factory may build an in-process engine *or* a
 :class:`repro.parallel.ParallelHStoreEngine` process cluster — the checker

@@ -8,15 +8,16 @@ ARIES-style logging and is what S-Store's upstream-backup fault tolerance
 builds on (the logged commands for border procedures *are* the upstream
 backup of the input streams).
 
-The log here is an in-memory append-only list standing in for the log disk;
-``group_size`` models group commit (a flush every N records), which benchmark
-A3 sweeps.
+``group_size`` models group commit (a flush every N records), which
+benchmark A3 sweeps.  Where the durable records live — a list standing in
+for the log disk, or ``command.log`` once a directory is attached — is
+tabulated in docs/INTERNALS.md §5 ("Where history lives").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import RecoveryError
 from repro.hstore.stats import EngineStats
@@ -24,6 +25,7 @@ from repro.obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
+    from repro.hstore.durability import DurabilityDirectory
 
 __all__ = ["LogRecord", "CommandLog"]
 
@@ -49,12 +51,18 @@ class CommandLog:
         if group_size < 1:
             raise RecoveryError("group commit size must be >= 1")
         self.group_size = group_size
+        #: memory mode's simulated log disk; empty for good once a
+        #: directory is attached (the file is then the only copy)
         self._records: list[LogRecord] = []
         self._pending: list[LogRecord] = []
         self._next_lsn = 0
+        #: what the durable store holds — LSN up to which records are durable
+        #: (exclusive) and their count; advanced only after its write returned
+        self.durable_lsn = 0
+        self._durable_count = 0
         self._stats = stats if stats is not None else EngineStats()
-        #: called with the flushed records at every flush (file persistence)
-        self.on_flush: Callable[[list[LogRecord]], None] | None = None
+        #: the durable store once enable_durability/restore_from_disk set one
+        self.directory: "DurabilityDirectory | None" = None
         #: False = the engine runs without durability: appends are dropped,
         #: so a crash is unrecoverable (and the engine refuses to simulate one)
         self.enabled = True
@@ -112,30 +120,55 @@ class CommandLog:
     def _flush_pending(self) -> int:
         if self.fault_injector is not None:
             self.fault_injector.fire("log.flush", stage="pre")
-        flushed_records = list(self._pending)
-        self._records.extend(self._pending)
-        self._pending.clear()
+        # a write that fails loses the group, as a crash at that instant would
+        flushed, self._pending = self._pending, []
         self._stats.log_flushes += 1
-        if self.on_flush is not None:
-            self.on_flush(flushed_records)
+        if self.directory is None:
+            self._records.extend(flushed)
+        else:
+            try:
+                self.directory.append_log_records(flushed)
+            except BaseException:
+                # part of the group may have landed before the failure:
+                # count what a restarted process would find, not a guess
+                self._set_durable(self.directory.scan_log(repair=False)[0])
+                raise
+        self.durable_lsn = flushed[-1].lsn + 1
+        self._durable_count += len(flushed)
         if self.fault_injector is not None:
             self.fault_injector.fire("log.flush", stage="post")
-        return len(flushed_records)
+        return len(flushed)
 
-    def load_records(self, records: list[LogRecord]) -> None:
-        """Adopt records read back from disk (restart recovery)."""
-        if self._records or self._pending:
-            raise RecoveryError("cannot load records into a non-empty log")
-        self._records = sorted(records, key=lambda record: record.lsn)
-        if self._records:
-            self._next_lsn = self._records[-1].lsn + 1
+    # -- the durable store ---------------------------------------------------
+
+    def attach(self, directory: "DurabilityDirectory") -> None:
+        """Make ``directory``'s log file the only copy of the durable records
+        (the caller wrote the in-memory history into it, or reloads from it)."""
+        self.directory = directory
+        self._records = []
+
+    def reload(self) -> tuple[list[LogRecord], int]:
+        """What a restarted process finds: ``(durable records, torn count)``.
+
+        Pending records are gone, a torn tail is repaired, and the counters
+        and the next LSN restart from what the store actually holds.
+        """
+        self._pending = []
+        records, torn = self._scan(repair=True)
+        self._set_durable(records)
+        self._next_lsn = self.durable_lsn
+        return records, torn
+
+    def _scan(self, repair: bool = False) -> tuple[list[LogRecord], int]:
+        if self.directory is None:
+            return self._records, 0
+        return self.directory.scan_log(repair=repair)
+
+    def _set_durable(self, records: list[LogRecord]) -> None:
+        self._durable_count = len(records)
+        self.durable_lsn = records[-1].lsn + 1 if records else 0
 
     # -- reading -------------------------------------------------------------
-
-    @property
-    def durable_lsn(self) -> int:
-        """LSN up to which records are durable (exclusive)."""
-        return self._records[-1].lsn + 1 if self._records else 0
 
     @property
     def next_lsn(self) -> int:
@@ -143,21 +176,16 @@ class CommandLog:
 
     def records_from(self, lsn: int) -> list[LogRecord]:
         """All durable records with ``record.lsn >= lsn`` in order."""
-        return [record for record in self._records if record.lsn >= lsn]
+        return [record for record in self._scan()[0] if record.lsn >= lsn]
 
     def all_records(self) -> list[LogRecord]:
-        return list(self._records)
+        """Every durable record in LSN order (read from the file once attached)."""
+        return list(self._scan()[0])
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._durable_count
 
     # -- maintenance -----------------------------------------------------------
-
-    def truncate_through(self, lsn: int) -> int:
-        """Drop durable records with ``record.lsn < lsn`` (post-snapshot GC)."""
-        before = len(self._records)
-        self._records = [record for record in self._records if record.lsn >= lsn]
-        return before - len(self._records)
 
     def lose_pending(self) -> int:
         """Simulate a crash before group commit: un-flushed records are lost."""

@@ -1,9 +1,9 @@
 """File-backed durability: the command log and snapshots on disk.
 
-The in-memory :class:`~repro.hstore.cmdlog.CommandLog` and
-:class:`~repro.hstore.snapshot.SnapshotStore` model the durability
-*protocol*; this module adds the actual files, so an engine survives not
-just a simulated crash but a full process restart:
+Once attached to an engine this directory is the only copy of its durable
+history (:class:`~repro.hstore.cmdlog.CommandLog` keeps just the pending
+group, :class:`~repro.hstore.snapshot.SnapshotStore` keeps no checkpoint),
+so the engine survives a full process restart:
 
 * ``<dir>/command.log`` — one JSON object per durable log record,
   append-only, written at group-commit flush time;
@@ -219,12 +219,6 @@ class DurabilityDirectory:
         records, _torn = self.scan_log(repair=True)
         return records
 
-    def truncate_log_through(self, lsn: int) -> None:
-        """Drop durable records below ``lsn`` (post-snapshot log GC)."""
-        kept = [record for record in self.load_log_records() if record.lsn >= lsn]
-        self.log_path.write_text("", encoding="utf-8")
-        self.append_log_records(kept)
-
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
@@ -246,13 +240,9 @@ class DurabilityDirectory:
             "extra": _jsonable(snapshot.extra),
         }
         body = _snapshot_body(payload)
-        envelope = json.dumps(
-            {
-                "checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
-                "payload": payload,
-            },
-            separators=(",", ":"),
-        )
+        # the envelope embeds the canonical body: one encoding per snapshot
+        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        envelope = f'{{"checksum":"{checksum}","payload":{body}}}'
         with self.tracer.span(
             "snapshot", "write_file", snapshot_id=snapshot.snapshot_id
         ):

@@ -172,10 +172,9 @@ class HStoreEngine:
         self._next_txn_id = 0
         self._replaying = False
         self._crashed = False
-        self._durability: "DurabilityDirectory | None" = None
         #: deterministic fault injection (repro.faults); None = no faults
         self.fault_injector: "FaultInjector | None" = None
-        #: what the most recent restore_from_disk() did (torn records etc.)
+        #: what the most recent recover() did (torn records etc.)
         self.last_recovery_report: "RecoveryReport | None" = None
 
     def set_tracer_identity(self, process: str, origin: int) -> None:
@@ -197,8 +196,8 @@ class HStoreEngine:
             sql_spans=self.tracer.sql_spans,
         )
         self.command_log.tracer = self.tracer
-        if self._durability is not None:
-            self._durability.tracer = self.tracer
+        if self.command_log.directory is not None:
+            self.command_log.directory.tracer = self.tracer
 
     # ------------------------------------------------------------------
     # DDL
@@ -816,8 +815,6 @@ class HStoreEngine:
             )
             self.stats.snapshots_taken += 1
             self._txns_since_snapshot = 0
-            if self._durability is not None:
-                self._durability.write_snapshot(snapshot)
             span.set(
                 snapshot_id=snapshot.snapshot_id,
                 through_lsn=snapshot.through_lsn,
@@ -842,8 +839,8 @@ class HStoreEngine:
         """
         self.fault_injector = injector
         self.command_log.fault_injector = injector
-        if self._durability is not None:
-            self._durability.fault_injector = injector
+        if self.command_log.directory is not None:
+            self.command_log.directory.fault_injector = injector
         return injector
 
     # ------------------------------------------------------------------
@@ -855,35 +852,41 @@ class HStoreEngine:
     ) -> "DurabilityDirectory":
         """Persist the command log and snapshots under ``path``.
 
-        Flushed log records are appended to ``<path>/command.log`` from now
-        on, and every snapshot is written as a file.  Records already in the
+        From now on the directory is the only durable store: flushed log
+        records are appended to ``<path>/command.log`` and retained nowhere
+        else, and every snapshot is a file.  Records already in the
         in-memory log (e.g., application seed DML executed during setup) are
-        written out immediately so the durable history is complete.
+        written out first so the durable history is complete from LSN 0 (an
+        in-memory snapshot taken earlier is dropped: the log covers it).
 
         With ``fsync_log=True`` every append ends in one ``fsync`` — acked
         means on-disk, and the per-flush syscall becomes the fixed cost the
         group-commit batcher (``log_group_size``, the network coalescer)
         amortizes across concurrent transactions.
         """
-        from repro.hstore.durability import DurabilityDirectory
-
         if not self.command_log.enabled:
             raise ReproError(
                 "cannot enable durability: this engine was built with "
                 "command_logging=False, so there is no history to persist"
             )
-        directory = DurabilityDirectory(path, fsync_log=fsync_log)
+        directory = self._open_directory(path, fsync_log)
         if directory.load_log_records():
             raise ReproError(
                 f"durability directory {directory.path} already holds a log; "
                 f"use restore_from_disk() to resume from it"
             )
-        directory.fault_injector = self.fault_injector
-        directory.tracer = self.tracer
         self.command_log.flush()
         directory.append_log_records(self.command_log.all_records())
-        self._durability = directory
-        self.command_log.on_flush = directory.append_log_records
+        self.command_log.attach(directory)
+        self.snapshots.attach(directory)
+        return directory
+
+    def _open_directory(self, path: Any, fsync_log: bool) -> "DurabilityDirectory":
+        from repro.hstore.durability import DurabilityDirectory
+
+        directory = DurabilityDirectory(path, fsync_log=fsync_log)
+        directory.fault_injector = self.fault_injector
+        directory.tracer = self.tracer
         return directory
 
     def restore_from_disk(self, path: Any) -> int:
@@ -902,38 +905,15 @@ class HStoreEngine:
         falls back to the previous valid one — both surfaced through
         :attr:`last_recovery_report`.
         """
-        from repro.hstore.cmdlog import CommandLog
-        from repro.hstore.durability import DurabilityDirectory
-        from repro.hstore.recovery import RecoveryReport
-        from repro.hstore.snapshot import SnapshotStore
-
-        directory = DurabilityDirectory(path)
-        directory.fault_injector = self.fault_injector
-        directory.tracer = self.tracer
-        new_log = CommandLog(self.command_log.group_size, self.stats)
-        new_log.enabled = self.command_log.enabled
-        new_log.fault_injector = self.fault_injector
-        new_log.tracer = self.tracer
         with self.tracer.span("recovery", "restore_from_disk") as span:
-            records, torn = directory.scan_log(repair=True)
-            new_log.load_records(records)
-            self.command_log = new_log
-            self.snapshots = SnapshotStore()
-            snapshot, skipped = directory.scan_snapshots()
-            if snapshot is not None:
-                self.snapshots.adopt(snapshot)
+            # attach, then the one recovery path; persisting resumes from here
+            directory = self._open_directory(path, fsync_log=False)
+            self.command_log.attach(directory)
+            self.snapshots.attach(directory)
             replayed = self.recover()
-            span.set(replayed=replayed, torn=torn)
-        # resume persisting from here on
-        self._durability = directory
-        self.command_log.on_flush = directory.append_log_records
-        self.last_recovery_report = RecoveryReport(
-            lost_log_records=0,
-            replayed_transactions=replayed,
-            had_snapshot=snapshot is not None,
-            torn_records=torn,
-            snapshots_skipped=len(skipped),
-        )
+            span.set(
+                replayed=replayed, torn=self.last_recovery_report.torn_records
+            )
         return replayed
 
     # ------------------------------------------------------------------
@@ -959,10 +939,13 @@ class HStoreEngine:
         return lost
 
     def recover(self) -> int:
-        """Rebuild state: load the latest snapshot, replay the log suffix.
+        """Rebuild state: load the newest valid snapshot, replay the log suffix.
 
-        Returns the number of replayed transactions.  Works with or without a
-        snapshot (without one, replay starts from an empty database at LSN 0).
+        Both come from whichever durable store is attached (memory or a
+        directory), so this sees what a restarted process would see.  Works
+        with or without a snapshot (without one, replay starts from an empty
+        database at LSN 0).  Returns the number of replayed transactions and
+        fills :attr:`last_recovery_report`.
         """
         with self.tracer.span("recovery", "replay") as span:
             replayed = self._recover_body()
@@ -970,27 +953,26 @@ class HStoreEngine:
             return replayed
 
     def _recover_body(self) -> int:
-        snapshot = self.snapshots.latest
-        if snapshot is not None:
-            for partition in self.partitions:
-                partition.ee.load_state(
-                    snapshot.partition_state.get(partition.partition_id, {})
-                )
-            self.clock.advance_to(snapshot.logical_time)
-            self._restore_extra(snapshot.extra)
-            replay_from = snapshot.through_lsn
-        else:
-            for partition in self.partitions:
-                for table in partition.ee.tables().values():
-                    table.truncate()
-            self._restore_extra({})
-            replay_from = 0
+        from repro.hstore.recovery import RecoveryReport
+
+        records, torn = self.command_log.reload()
+        found, skipped = self.snapshots.newest()
+        # no checkpoint = an empty one at LSN 0 (load_state({}) empties tables)
+        snapshot = found or Snapshot(-1, 0, self.clock.now, {})
+        for partition in self.partitions:
+            partition.ee.load_state(
+                snapshot.partition_state.get(partition.partition_id, {})
+            )
+        self.clock.advance_to(snapshot.logical_time)
+        self._restore_extra(snapshot.extra)
 
         self._crashed = False
         self._replaying = True
         replayed = 0
         try:
-            for record in self.command_log.records_from(replay_from):
+            for record in records:
+                if record.lsn < snapshot.through_lsn:
+                    continue
                 if self.fault_injector is not None:
                     self.fault_injector.fire("recovery.replay", record=record)
                 self.clock.advance_to(record.logical_time)
@@ -998,6 +980,13 @@ class HStoreEngine:
                 replayed += 1
         finally:
             self._replaying = False
+        self.last_recovery_report = RecoveryReport(
+            lost_log_records=0,
+            replayed_transactions=replayed,
+            had_snapshot=found is not None,
+            torn_records=torn,
+            snapshots_skipped=skipped,
+        )
         return replayed
 
     def _replay_invocation(self, record: LogRecord) -> None:

@@ -7,7 +7,7 @@ helpers tests and benchmarks use to exercise it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,11 +38,6 @@ def crash_and_recover(engine: "HStoreEngine") -> RecoveryReport:
     transactions whose effects survive are exactly those whose commands were
     durable, which is the guarantee command logging provides.
     """
-    had_snapshot = engine.snapshots.latest is not None
     lost = engine.crash()
-    replayed = engine.recover()
-    return RecoveryReport(
-        lost_log_records=lost,
-        replayed_transactions=replayed,
-        had_snapshot=had_snapshot,
-    )
+    engine.recover()
+    return replace(engine.last_recovery_report, lost_log_records=lost)

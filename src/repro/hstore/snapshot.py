@@ -4,19 +4,20 @@ H-Store pairs command logging with periodic snapshots so recovery replays a
 bounded log suffix.  Because transactions execute serially per partition, a
 snapshot taken between transactions is trivially transaction-consistent.
 
-Snapshots here are deep copies of every partition's table state (rows only —
-indexes are rebuilt on load) plus any extra state the streaming layer
-registers (stream cursors, window metadata), standing in for H-Store's
-checkpoint files on disk.
+A snapshot is every partition's table state (rows only — indexes are rebuilt
+on load) plus any extra state the streaming layer registers (stream cursors,
+window metadata).  Where checkpoints live — the single newest one in memory,
+or one file each once a directory is attached — is tabulated in
+docs/INTERNALS.md §5 ("Where history lives").
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.errors import RecoveryError
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hstore.durability import DurabilityDirectory
 
 __all__ = ["Snapshot", "SnapshotStore"]
 
@@ -36,11 +37,18 @@ class Snapshot:
 
 
 class SnapshotStore:
-    """Holds the snapshots "on disk"; only the newest matters for recovery."""
+    """Takes checkpoints and hands recovery the newest valid one."""
 
     def __init__(self) -> None:
-        self._snapshots: list[Snapshot] = []
+        #: memory mode's simulated checkpoint file (only the newest matters)
+        self.latest: Snapshot | None = None
+        #: once attached, every checkpoint is a file there and none is kept here
+        self.directory: "DurabilityDirectory | None" = None
         self._next_id = 0
+
+    def attach(self, directory: "DurabilityDirectory") -> None:
+        self.directory = directory
+        self.latest = None
 
     def take(
         self,
@@ -49,51 +57,26 @@ class SnapshotStore:
         partition_state: dict[int, dict[str, Any]],
         extra: dict[str, Any] | None = None,
     ) -> Snapshot:
+        """Checkpoint freshly dumped state (the store keeps it uncopied)."""
         snapshot = Snapshot(
             snapshot_id=self._next_id,
             through_lsn=through_lsn,
             logical_time=logical_time,
-            partition_state=copy.deepcopy(partition_state),
-            extra=copy.deepcopy(extra or {}),
+            partition_state=partition_state,
+            extra=extra or {},
         )
         self._next_id += 1
-        self._snapshots.append(snapshot)
+        if self.directory is not None:
+            self.directory.write_snapshot(snapshot)
+        else:
+            self.latest = snapshot
         return snapshot
 
-    @property
-    def latest(self) -> Snapshot | None:
-        return self._snapshots[-1] if self._snapshots else None
-
-    def adopt(self, snapshot: Snapshot) -> None:
-        """Install a snapshot loaded from disk as the latest checkpoint."""
-        self._snapshots.append(snapshot)
-        self._next_id = max(self._next_id, snapshot.snapshot_id + 1)
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def require_latest(self) -> Snapshot:
-        snapshot = self.latest
-        if snapshot is None:
-            raise RecoveryError("no snapshot available")
-        return snapshot
-
-    def discard_latest(self) -> Snapshot:
-        """Drop the newest checkpoint (it was found damaged) and return it.
-
-        Recovery then falls back to the previous snapshot — or to a full
-        log replay if none remain — mirroring what the file-backed
-        :meth:`~repro.hstore.durability.DurabilityDirectory.scan_snapshots`
-        does when a snapshot file fails its checksum.
-        """
-        if not self._snapshots:
-            raise RecoveryError("no snapshot to discard")
-        return self._snapshots.pop()
-
-    def prune(self, keep: int = 1) -> int:
-        """Drop all but the newest ``keep`` snapshots; returns count dropped."""
-        if keep < 1:
-            raise RecoveryError("must keep at least one snapshot")
-        dropped = max(0, len(self._snapshots) - keep)
-        self._snapshots = self._snapshots[-keep:]
-        return dropped
+    def newest(self) -> tuple[Snapshot | None, int]:
+        """``(newest valid checkpoint, damaged newer ones skipped over)``."""
+        if self.directory is None:
+            return self.latest, 0
+        snapshot, skipped = self.directory.scan_snapshots()
+        if snapshot is not None:
+            self._next_id = max(self._next_id, snapshot.snapshot_id + 1)
+        return snapshot, len(skipped)

@@ -95,24 +95,31 @@ class SpaceSaving:
         """Fold another sketch in; estimates and error bounds both add.
 
         Every merged estimate still brackets the combined true count
-        (``est - err <= true <= est``): per-key counts and errors add when
-        both sides tracked the key, and a key entering through the eviction
-        path inherits the victim's count as additional error, exactly as in
-        :meth:`offer`.
+        (``est - err <= true <= est``).  A key one side does not track may
+        still have occurred there up to that side's minimum counter (zero
+        if the side is not full, since it then tracks everything it saw),
+        so it takes that floor as both count and error — the same
+        inheritance :meth:`offer` applies on eviction.  The top
+        ``capacity`` combined counters are kept.
         """
-        carried = 0
-        for key, count, error in other.top():
-            carried += count
-            if key in self._counts:
-                self._counts[key] += count
-                self._errors[key] += error
-                self.total += count
-            else:
-                self.offer(key, count)
-                self._errors[key] += error
-        # weight the other sketch absorbed on keys it later evicted
-        self.total += max(0, other.total - carried)
+        mine, theirs = self._floor(), other._floor()
+        merged = []
+        for key in self._counts.keys() | other._counts.keys():
+            count = self._counts.get(key, mine) + other._counts.get(key, theirs)
+            error = self._errors.get(key, mine) + other._errors.get(key, theirs)
+            merged.append((key, count, error))
+        merged.sort(key=lambda item: (-item[1], str(item[0])))
+        del merged[self.capacity :]
+        self._counts = {key: count for key, count, _error in merged}
+        self._errors = {key: error for key, _count, error in merged}
+        self.total += other.total
         return self
+
+    def _floor(self) -> int:
+        """Upper bound on the true count of any key this sketch does not track."""
+        if len(self._counts) < self.capacity:
+            return 0
+        return min(self._counts.values())
 
     # -- wire form (mailbox replies are pickled; keep it plain) ----------
 

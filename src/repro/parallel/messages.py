@@ -109,7 +109,7 @@ OP_STREAM_TASK = "stream_task"            # payload: (stream, token, rows)
 OP_TICK = "tick"                          # payload: (ticks, seq)
 OP_WF_DRAIN = "wf_drain"                  # payload: None
 OP_TAKE_DISPATCHES = "take_dispatches"    # payload: None
-OP_DSTREAM_STATE = "dstream_state"        # payload: None
+OP_DSTREAM_STATE = "dstream_state"        # payload: include the TE ring (bool | None)
 
 # -- lifecycle ---------------------------------------------------------------
 OP_PING = "ping"                          # payload: None

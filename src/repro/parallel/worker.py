@@ -542,8 +542,8 @@ class _WorkerState:
     def _op_take_dispatches(self, _payload: None) -> list:
         return self._shard().take_outbound()
 
-    def _op_dstream_state(self, _payload: None) -> dict[str, Any]:
-        return self._shard().dstream_state()
+    def _op_dstream_state(self, history: bool | None) -> dict[str, Any]:
+        return self._shard().dstream_state(history=bool(history))
 
     # -- lifecycle -----------------------------------------------------
 

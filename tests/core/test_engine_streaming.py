@@ -465,3 +465,104 @@ class TestStreamingRecovery:
         report = crash_and_recover_streaming(eng)
         assert report.state_matches
         assert eng.clock.now == 10
+
+    def test_snapshot_is_not_aliased_by_later_mutation(self):
+        """`take_snapshot` stores the dumped state uncopied, so the dumps
+        must share nothing with live state: mutate tables, windows and
+        ingest buffers behind the log's back, then recover in memory mode."""
+        eng = SStoreEngine()
+        eng.execute_ddl("CREATE STREAM s (v INTEGER)")
+        eng.execute_ddl("CREATE WINDOW w ON s ROWS 4 SLIDE 4 OWNED BY keep")
+        eng.execute_ddl("CREATE TABLE kept (v INTEGER)")
+
+        class Keep(StreamProcedure):
+            name = "keep"
+            statements = {"ins": "INSERT INTO kept VALUES (?)"}
+
+            def run(self, ctx):
+                for (v,) in ctx.batch:
+                    ctx.execute("ins", v)
+
+        eng.register_procedure(Keep)
+        wf = WorkflowSpec("wf")
+        wf.add_node("keep", input_stream="s", batch_size=2)
+        eng.deploy_workflow(wf)
+        eng.ingest("s", [(v,) for v in range(7)])  # 3 batches + 1 buffered
+        window = eng.windows["w"]
+        def observe():
+            buffers = {name: list(rows) for name, rows in eng._ingest_buffers.items()}
+            return state_fingerprint(eng), window.dump_state(), buffers
+
+        before = observe()
+        assert before[1]["staging"] and before[2]["s"] == [(6,)]
+        eng.take_snapshot()
+
+        ee = eng.partitions[0].ee
+        ee.table("kept")._rows[0] = (999,)  # unlogged, in place
+        ee.table("kept").insert((1000,))
+        ee.table("w")._rows.clear()
+        window._staging.append((77,))
+        window._live_rowids.clear()
+        window._arrivals += 5
+        eng._ingest_buffers["s"].append((78,))
+        eng.streams.get("s").cursors["keep"] = 10**6
+
+        eng.crash()
+        assert eng.recover() == 0
+        assert observe() == before
+        eng.ingest("s", [(7,)])  # the restored buffer completes batch 4
+        assert eng.execute_sql("SELECT COUNT(*) FROM kept").scalar() == 8
+
+
+class TestBoundedProcessState:
+    """What the engine retains is the database or a bounded ring — E6's
+    claim for tables, checked here for the process (ISSUE 19)."""
+
+    def test_heap_and_history_stay_flat_past_ring_capacity(self, tmp_path):
+        import gc
+        import tracemalloc
+
+        from repro.core.latency import LATENCY_RING
+        from repro.core.transaction import HISTORY_RING
+
+        ring = max(HISTORY_RING, LATENCY_RING)
+        eng = SStoreEngine(snapshot_interval=200)
+        eng.execute_ddl("CREATE STREAM s (v INTEGER)")
+        eng.execute_ddl("CREATE WINDOW recent ON s ROWS 50 OWNED BY bump")
+        eng.execute_ddl(
+            "CREATE TABLE counter (id INTEGER NOT NULL, n INTEGER, PRIMARY KEY (id))"
+        )
+
+        class Bump(StreamProcedure):
+            name = "bump"
+            statements = {"up": "UPDATE counter SET n = n + 1 WHERE id = 0"}
+
+            def run(self, ctx):
+                ctx.execute("up")
+
+        eng.register_procedure(Bump)
+        wf = WorkflowSpec("wf")
+        wf.add_node("bump", input_stream="s", batch_size=1)
+        eng.deploy_workflow(wf)
+        eng.execute_sql("INSERT INTO counter VALUES (0, 0)")
+        eng.enable_durability(tmp_path)
+
+        def drive_to(total: int) -> int:
+            for v in range(eng.workflow_status()["committed_tes"], total):
+                eng.ingest("s", [(v % 1000,)])
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            at_2x = drive_to(2 * ring)
+            at_4x = drive_to(4 * ring)
+        finally:
+            tracemalloc.stop()
+        assert abs(at_4x - at_2x) < 256 * 1024, (at_2x, at_4x)
+        assert len(eng.schedule_history) <= HISTORY_RING
+        assert eng.workflow_status()["committed_tes"] == 4 * ring
+        assert eng.latency.completed_count == 4 * ring
+        assert len(eng.latency.latencies_ms()) <= LATENCY_RING
+        assert eng.table_rows("counter") == [(0, 4 * ring)]
+        assert len(eng.stream_commits) == 1 and eng.stream_commits["s"][0] == 4 * ring

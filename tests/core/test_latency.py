@@ -22,6 +22,8 @@ class TestLatencyTracker:
         tracker.record_commit(0)
         clock.now = 0.025
         tracker.record_commit(0)  # deeper TE of the same pipeline
+        assert tracker.latencies_ms() == []  # in flight until quiescence
+        tracker.finalize()
         assert tracker.latencies_ms() == [25.0]
 
     def test_first_enqueue_wins(self):
@@ -31,11 +33,13 @@ class TestLatencyTracker:
         clock.now = 1.0
         tracker.record_enqueue(0)  # ignored
         tracker.record_commit(0)
+        tracker.finalize()
         assert tracker.latencies_ms() == [1000.0]
 
     def test_commit_without_enqueue_ignored(self):
         tracker = LatencyTracker(FakeClock())
         tracker.record_commit(42)
+        tracker.finalize()
         assert tracker.completed_count == 0
 
     def test_summary_statistics(self):
@@ -46,6 +50,7 @@ class TestLatencyTracker:
             tracker.record_enqueue(origin)
             clock.now = origin + latency_s
             tracker.record_commit(origin)
+        tracker.finalize()
         summary = tracker.summary()
         assert summary.count == 5
         assert summary.p50_ms == pytest.approx(3.0)
@@ -61,8 +66,27 @@ class TestLatencyTracker:
         tracker = LatencyTracker(clock)
         tracker.record_enqueue(0)
         tracker.record_commit(0)
+        tracker.finalize()
+        assert tracker.completed_count == 1
         tracker.reset()
         assert tracker.completed_count == 0
+        assert tracker.latencies_ms() == []
+
+    def test_finalize_forgets_in_flight_and_ring_is_bounded(self):
+        from repro.core.latency import LATENCY_RING
+
+        clock = FakeClock()
+        tracker = LatencyTracker(clock)
+        tracker.record_enqueue(-1)  # its TE aborted: never commits
+        for origin in range(LATENCY_RING + 10):
+            tracker.record_enqueue(origin)
+            clock.now += 0.001
+            tracker.record_commit(origin)
+            tracker.finalize()
+        assert not tracker._in_flight
+        assert tracker.completed_count == LATENCY_RING + 10  # true count
+        assert len(tracker.latencies_ms()) == LATENCY_RING  # bounded window
+        assert tracker.summary().count == LATENCY_RING + 10
 
 
 class TestEngineIntegration:

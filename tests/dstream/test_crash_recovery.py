@@ -83,6 +83,42 @@ def test_restore_into_fresh_cluster_then_continue(tmp_path):
         assert commit_order_of(fresh) == commit_order_of(single)
 
 
+def test_shard_snapshot_stays_flat_and_commit_order_survives_it(tmp_path):
+    """The consuming worker's checkpoint carries the O(streams) order digest,
+    not a per-TE ledger: its size does not grow with run length, and a
+    restore that starts from it still matches a never-crashed single engine
+    batch for batch."""
+    sizes = {}
+    # 50 distinct keys: the consuming worker's own tables stay the same size
+    with build_pipe_cluster(workers=2) as first:
+        first.enable_durability(tmp_path / "d")
+        for total in (1000, 4000):
+            for k in range(len(sizes) and 1000, total):
+                first.ingest("src", [(k % 50,)])
+            first.take_snapshot()
+            newest = max((tmp_path / "d" / "worker-1" / "snapshots").glob("*.json"))
+            sizes[total] = newest.stat().st_size
+        for k in range(4000, 4006):
+            first.ingest("src", [(k % 50,)])
+    assert abs(sizes[4000] - sizes[1000]) <= 0.10 * sizes[1000], sizes
+
+    single = build_pipe_single()
+    for k in range(4006):
+        single.ingest("src", [(k % 50,)])
+
+    with build_pipe_cluster(workers=2) as fresh:
+        fresh.restore_from_disk(tmp_path / "d")
+        assert fresh.last_recovery_report.had_snapshot
+        for k in range(4006, 4010):
+            single.ingest("src", [(k % 50,)])
+            fresh.ingest("src", [(k % 50,)])
+        order = commit_order_of(fresh)
+        assert order == commit_order_of(single)
+        assert order["src"][0] == order["mid"][0] == 2005
+        report = differential_report(single, fresh)
+        assert report.equivalent, report.summary()
+
+
 def test_replay_regenerates_undelivered_dispatches(tmp_path):
     """Kill the cluster after the producer logged an ingest; on restore the
     downstream work must still happen exactly once."""

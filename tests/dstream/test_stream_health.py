@@ -9,6 +9,8 @@ end-to-end latency histogram.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.obs import ObsConfig
@@ -80,5 +82,26 @@ class TestStreamHealth:
             health = engine.stream_health()
             assert all(i["lag"] == 0 for i in health["streams"].values())
             assert engine.metrics is None
+        finally:
+            engine.shutdown()
+
+    def test_status_poll_reply_is_o_streams_not_o_history(self):
+        """What rides every `stream_health()` / `/healthz` poll must not grow
+        with run length: no per-TE ledger in the OP_DSTREAM_STATE reply."""
+        engine = build_pipe_cluster(workers=2)
+        try:
+            sizes = []
+            for total in (100, 1000):
+                for k in range(len(sizes) and 100, total):
+                    engine.ingest("src", [(k,)])
+                reply = engine.dstream_status()
+                assert "schedule_history" not in reply[0]
+                assert reply[1]["commit_digests"]["mid"][0] == total // 2
+                sizes.append(len(pickle.dumps(reply)))
+            # a few bytes for wider integers, never a per-ingest term
+            assert sizes[1] <= sizes[0] + 32, sizes
+            # the validator's bounded ring travels only when asked for
+            rings = engine.schedule_histories()
+            assert [len(ring) for ring in rings] == [500, 500]
         finally:
             engine.shutdown()

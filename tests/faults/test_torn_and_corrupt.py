@@ -2,7 +2,8 @@
 
 These tests damage the durable files directly (no injector), pinning down
 the exact detect/skip/repair contract `scan_log` and `scan_snapshots`
-implement for `restore_from_disk`.
+implement for `restore_from_disk` — and that a live engine's
+`crash(); recover()` reads the same store a restarted process would.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ import json
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import InjectedIOError, RecoveryError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultAction, FaultPlan
 from repro.hstore.cmdlog import LogRecord
 from repro.hstore.durability import DurabilityDirectory
-from repro.hstore.snapshot import Snapshot, SnapshotStore
+from repro.hstore.engine import HStoreEngine
+from repro.hstore.snapshot import Snapshot
 
 pytestmark = pytest.mark.faults
 
@@ -165,13 +169,66 @@ class TestSnapshotFallback:
         assert chosen is None
         assert len(skipped) == 2
 
-    def test_in_memory_store_discard_latest(self):
-        store = SnapshotStore()
-        store.take(through_lsn=1, logical_time=0, partition_state={0: {}})
-        store.take(through_lsn=5, logical_time=0, partition_state={0: {}})
-        dropped = store.discard_latest()
-        assert dropped.through_lsn == 5
-        assert store.latest.through_lsn == 1
-        store.discard_latest()
-        with pytest.raises(RecoveryError):
-            store.discard_latest()
+
+def build_t(group_size: int = 1) -> HStoreEngine:
+    engine = HStoreEngine(log_group_size=group_size)
+    engine.execute_ddl(
+        "CREATE TABLE t (k INTEGER NOT NULL, v INTEGER, PRIMARY KEY (k))"
+    )
+    return engine
+
+
+class TestOneStoreOneRecoveryPath:
+    """With a directory attached the files are the only copy of history, so
+    `crash(); recover()` on the live engine and `restore_from_disk()` on a
+    fresh one must agree — after a real write failure as after a clean run."""
+
+    @pytest.mark.parametrize(
+        "group_size,inserts,on_disk",
+        [
+            (1, 2, 1),  # the second append fails: record 2 never lands
+            (3, 3, 1),  # the group's flush fails at its second record
+        ],
+        ids=["single-record", "mid-group"],
+    )
+    def test_failed_append_leaves_memory_and_disk_agreeing(
+        self, tmp_path, group_size, inserts, on_disk
+    ):
+        plan = FaultPlan(seed=0)
+        plan.add("log.append", FaultAction.IO_ERROR, at=2)
+        engine = build_t(group_size)
+        engine.install_fault_injector(FaultInjector(plan))
+        engine.enable_durability(tmp_path)
+        with pytest.raises(InjectedIOError):
+            for k in range(1, inserts + 1):
+                engine.execute_sql(f"INSERT INTO t VALUES ({k}, {k * 10})")
+        assert engine.table_rows("t")[-1] == (inserts, inserts * 10)  # live
+
+        durable = DurabilityDirectory(tmp_path).load_log_records()
+        assert len(durable) == on_disk
+        assert len(engine.command_log) == on_disk
+        assert engine.command_log.durable_lsn == durable[-1].lsn + 1
+        self.assert_both_paths_agree(engine, tmp_path, group_size, [(1, 10)])
+
+    def test_clean_run_with_snapshot_in_the_middle(self, tmp_path):
+        engine = build_t()
+        engine.enable_durability(tmp_path)
+        engine.execute_sql("INSERT INTO t VALUES (1, 10)")
+        engine.execute_sql("INSERT INTO t VALUES (2, 20)")
+        engine.take_snapshot()
+        engine.execute_sql("INSERT INTO t VALUES (3, 30)")
+        assert len(engine.command_log) == 3
+        self.assert_both_paths_agree(
+            engine, tmp_path, 1, [(1, 10), (2, 20), (3, 30)]
+        )
+        assert engine.last_recovery_report.had_snapshot
+        assert engine.last_recovery_report.replayed_transactions == 1
+
+    @staticmethod
+    def assert_both_paths_agree(engine, path, group_size, expected):
+        engine.crash()
+        engine.recover()
+        fresh = build_t(group_size)
+        fresh.restore_from_disk(path)
+        assert engine.table_rows("t") == fresh.table_rows("t") == expected
+        assert engine.last_recovery_report == fresh.last_recovery_report

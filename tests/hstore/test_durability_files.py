@@ -6,10 +6,11 @@ from repro.apps.voter import VoterSStoreApp, VoterWorkload
 from repro.core.engine import SStoreEngine
 from repro.core.recovery import state_fingerprint
 from repro.errors import RecoveryError, ReproError
-from repro.hstore.cmdlog import CommandLog, LogRecord
+from repro.hstore.cmdlog import LogRecord
 from repro.hstore.durability import DurabilityDirectory
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.procedure import StoredProcedure
+from repro.hstore.snapshot import Snapshot
 
 
 class Put(StoredProcedure):
@@ -53,17 +54,7 @@ class TestDurabilityDirectory:
         with pytest.raises(RecoveryError):
             directory.load_log_records()
 
-    def test_truncate_log(self, tmp_path):
-        directory = DurabilityDirectory(tmp_path)
-        directory.append_log_records(
-            [LogRecord(i, i, "p", (), 0, 0) for i in range(5)]
-        )
-        directory.truncate_log_through(3)
-        assert [r.lsn for r in directory.load_log_records()] == [3, 4]
-
     def test_latest_snapshot_wins(self, tmp_path):
-        from repro.hstore.snapshot import Snapshot
-
         directory = DurabilityDirectory(tmp_path)
         for snapshot_id in (0, 1, 2):
             directory.write_snapshot(
@@ -123,6 +114,53 @@ class TestEngineRestart:
         third = make_kv()
         third.restore_from_disk(tmp_path)
         assert len(third.table_rows("kv")) == 2
+
+    def test_first_append_after_restore_continues_lsn_sequence(self, tmp_path):
+        first = make_kv(log_group_size=2)
+        first.enable_durability(tmp_path)
+        for i in range(5):  # LSNs 0-3 durable, LSN 4 pending and lost
+            first.call_procedure("put", i, "x")
+        del first
+
+        second = make_kv()
+        second.call_procedure("put", 99, "local")  # its own LSN 0: discarded
+        second.restore_from_disk(tmp_path)
+        assert second.command_log.durable_lsn == second.command_log.next_lsn == 4
+        second.call_procedure("put", 7, "y")
+        tail = DurabilityDirectory(tmp_path).load_log_records()[-1]
+        assert (tail.lsn, tail.params) == (4, (7, "y"))
+
+    def test_directory_is_the_only_copy_of_history(self, tmp_path):
+        """Attached, the engine retains the pending group and nothing else:
+        no durable LogRecord in the log object, no Snapshot in the store."""
+        eng = make_kv(log_group_size=4)
+        eng.call_procedure("put", -1, "setup")  # memory-mode history...
+        eng.take_snapshot()
+        eng.enable_durability(tmp_path)  # ...moves into the directory
+        for i in range(12):
+            if i == 6:
+                eng.take_snapshot()  # flushes LSNs 5-6
+            eng.call_procedure("put", i, "x")
+        log = eng.command_log
+        assert [r.lsn for r in log._pending] == [11, 12]
+        retained = [
+            item
+            for name, value in vars(log).items()
+            if name != "_pending" and isinstance(value, (list, tuple, dict))
+            for item in value
+        ]
+        assert retained == []
+        assert not any(
+            isinstance(value, (Snapshot, list, dict))
+            for value in vars(eng.snapshots).values()
+        )
+        # the counters answer for the file without reading it...
+        assert len(log) == 11 and log.durable_lsn == 11
+        # ...and the readers are answered from it
+        on_disk = DurabilityDirectory(tmp_path).load_log_records()
+        assert log.all_records() == on_disk and len(on_disk) == 11
+        assert [r.lsn for r in log.records_from(9)] == [9, 10]
+        assert len(list((tmp_path / "snapshots").glob("*.json"))) == 1
 
     def test_restore_discards_local_setup_writes(self, tmp_path):
         # write a durable history of one put
@@ -230,17 +268,3 @@ class TestStreamingRestart:
         # the restored window keeps sliding correctly
         second.advance_time(10)
         assert second.partitions[0].ee.table("w").row_count() == 0
-
-
-class TestCommandLogLoad:
-    def test_load_into_nonempty_rejected(self):
-        log = CommandLog()
-        log.append(0, "p", (), 0, 0)
-        with pytest.raises(RecoveryError):
-            log.load_records([LogRecord(5, 5, "q", (), 0, 0)])
-
-    def test_load_continues_lsn_sequence(self):
-        log = CommandLog()
-        log.load_records([LogRecord(3, 3, "p", (), 0, 0)])
-        record = log.append(9, "q", (), 0, 0)
-        assert record.lsn == 4

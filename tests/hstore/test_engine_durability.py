@@ -56,13 +56,6 @@ class TestCommandLog:
             log.append(i, "p", (), 0, 0)
         assert [r.lsn for r in log.records_from(3)] == [3, 4]
 
-    def test_truncate_through(self):
-        log = CommandLog()
-        for i in range(5):
-            log.append(i, "p", (), 0, 0)
-        assert log.truncate_through(3) == 3
-        assert [r.lsn for r in log.all_records()] == [3, 4]
-
     def test_invalid_group_size(self):
         from repro.errors import RecoveryError
 

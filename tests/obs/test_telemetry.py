@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import FlightRecorder, ObsConfig, PartitionTelemetry, SpaceSaving
 from repro.obs.trace import TraceCollector, Tracer
@@ -128,6 +128,7 @@ def test_prop_overcount_bracket_and_guaranteed_presence(stream, capacity):
     right=st.lists(st.integers(min_value=0, max_value=15), max_size=150),
     capacity=st.integers(min_value=1, max_value=8),
 )
+@example(left=[1, 1], right=[1, 0, 2, 3], capacity=3)  # key evicted on one side
 def test_prop_merge_keeps_the_bracket(left, right, capacity):
     a, b = SpaceSaving(capacity), SpaceSaving(capacity)
     for key in left:
