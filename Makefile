@@ -4,7 +4,7 @@ export PYTHONPATH := src
 # five fixed seeds for the deterministic fault-schedule sweep
 FAULT_SEEDS ?= 0 1 7 42 1337
 
-.PHONY: test faults parallel obs compile dstream ivm net telemetry columnar bench e2e
+.PHONY: test faults parallel obs compile dstream ivm net telemetry columnar bench e2e hotpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -72,3 +72,8 @@ bench:
 e2e:
 	$(PYTHON) benchmarks/e2e/run.py --selftest
 	$(PYTHON) benchmarks/e2e/run.py --quick
+
+# sizing tool: us/op per statement name, per emit, log append and system
+# transaction for Voter and BikeShare on the in-process loop
+hotpath:
+	$(PYTHON) benchmarks/hotpath.py

@@ -1,0 +1,149 @@
+"""Where one op's time goes on the in-process loop: µs per statement name,
+per ``emit``, per log append and per system transaction.
+
+    python benchmarks/hotpath.py                 # Voter and BikeShare
+    python benchmarks/hotpath.py --app voter --ops 20000 --seed 3
+
+A sizing tool, not a benchmark: it times the engine's own entry points from
+outside (class-level wrappers, removed at exit) on the same deployments
+``benchmarks/e2e`` drives — the season Voter workflow, one vote per
+``ingest``, and E8's BikeShare city, one simulation tick per op — with a
+durability directory attached.  The wrappers cost ~0.3 µs per probed call,
+so read the rows against each other and take end-to-end numbers from
+``benchmarks/e2e/run.py``.  Rows are disjoint; ``(unattributed)`` is the
+loop's time outside every probe: TE begin/commit, scheduling, trigger
+dispatch and the procedures' own Python.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import pathlib
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from typing import Any, Callable
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
+
+import apps  # noqa: E402  (benchmarks/e2e/apps.py: the deployments)
+from repro.core.engine import SStoreEngine, StreamContext  # noqa: E402
+from repro.hstore.cmdlog import CommandLog  # noqa: E402
+from repro.hstore.engine import HStoreEngine  # noqa: E402
+
+WARMUP = {"voter": 1000, "bikeshare": 300}
+DEFAULT_OPS = {"voter": 10_000, "bikeshare": 1_500}
+
+
+class Probes:
+    """Accumulates (calls, ns) per row name; wraps methods in place."""
+
+    def __init__(self) -> None:
+        self.rows: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+        self._undo: list[tuple[type, str, Callable]] = []
+
+    def wrap(self, owner: type, attr: str, name_of: Callable[..., str]) -> None:
+        original = getattr(owner, attr)
+        rows = self.rows
+        clock = time.perf_counter_ns
+
+        def probed(*args: Any, **kwargs: Any) -> Any:
+            start = clock()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                row = rows[name_of(*args)]
+                row[0] += 1
+                row[1] += clock() - start
+
+        self._undo.append((owner, attr, original))
+        setattr(owner, attr, probed)
+
+    def remove(self) -> None:
+        for owner, attr, original in reversed(self._undo):
+            setattr(owner, attr, original)
+
+
+def install() -> Probes:
+    probes = Probes()
+    probes.wrap(
+        StreamContext,
+        "execute",
+        lambda ctx, stmt, *_: f"sql  {ctx.procedure_name}.{stmt}",
+    )
+    probes.wrap(StreamContext, "emit", lambda ctx, stream, *_: f"emit {stream}")
+    probes.wrap(CommandLog, "append", lambda *_: "log  append+flush")
+    probes.wrap(SStoreEngine, "_system_txn", lambda engine, name, *_: f"txn  {name}")
+    probes.wrap(HStoreEngine, "_execute_sql", lambda *_: "sql  <adhoc>")
+    return probes
+
+
+def drive(app: str, ops: int, seed: int, directory: str) -> tuple[Probes, int, int]:
+    """Warm up, then run ``ops`` probed ops; returns (probes, loop ns, gc runs)."""
+    if app == "voter":
+        engine = SStoreEngine(snapshot_interval=apps.VOTER_SNAPSHOT_INTERVAL)
+        apps.deploy_voter(engine)
+        rows = apps.voter_rows(seed, WARMUP[app] + ops)
+        steps = [lambda row=row: engine.ingest("votes_in", [row]) for row in rows]
+    else:
+        engine = SStoreEngine()
+        _app, sim = apps.build_bikeshare(engine, seed)
+        steps = [lambda: sim.run(1)] * (WARMUP[app] + ops)
+    engine.enable_durability(directory, fsync_log=False)
+    for step in steps[: WARMUP[app]]:
+        step()
+    probes = install()
+    collections = sum(stat["collections"] for stat in gc.get_stats())
+    try:
+        start = time.perf_counter_ns()
+        for step in steps[WARMUP[app] :]:
+            step()
+        elapsed = time.perf_counter_ns() - start
+    finally:
+        probes.remove()
+        engine.shutdown()
+    collections = sum(stat["collections"] for stat in gc.get_stats()) - collections
+    return probes, elapsed, collections
+
+
+def report(app: str, ops: int, probes: Probes, elapsed: int, collections: int) -> None:
+    unit = "vote" if app == "voter" else "tick"
+    print(f"\n{app}: {ops} {unit}s, {elapsed / ops / 1000:.1f} us/{unit}")
+    print(f"  {'row':<44}{'calls/op':>9}{'us/call':>9}{'us/op':>9}{'share':>7}")
+    attributed = small = 0
+    for name, (calls, ns) in sorted(probes.rows.items(), key=lambda kv: -kv[1][1]):
+        attributed += ns
+        if ns < elapsed / 500:  # under 0.2 %: summed into one row below
+            small += ns
+            continue
+        print(
+            f"  {name:<44}{calls / ops:>9.2f}{ns / calls / 1000:>9.1f}"
+            f"{ns / ops / 1000:>9.1f}{100 * ns / elapsed:>6.1f}%"
+        )
+    rest = elapsed - attributed
+    for name, ns in (("(rows under 0.2 %)", small), ("(unattributed)", rest)):
+        print(f"  {name:<44}{'':>18}{ns / ops / 1000:>9.1f}{100 * ns / elapsed:>6.1f}%")
+    print(f"  python gc: {collections} collections ({collections / ops:.4f}/op)")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--app", choices=("voter", "bikeshare", "both"), default="both")
+    parser.add_argument("--ops", type=int, default=None, help="measured votes / ticks")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    for app in ("voter", "bikeshare") if args.app == "both" else (args.app,):
+        ops = args.ops or DEFAULT_OPS[app]
+        # inside the checkout (git-ignored), removed on exit
+        with tempfile.TemporaryDirectory(
+            prefix="hotpath-", dir=ROOT / "benchmarks" / "_results"
+        ) as directory:
+            probes, elapsed, collections = drive(app, ops, args.seed, directory)
+        report(app, ops, probes, elapsed, collections)
+
+
+if __name__ == "__main__":
+    main()

@@ -145,6 +145,8 @@ _TABLES = [
     "CREATE INDEX idx_discounts_station ON discounts (station_id, state)",
     "CREATE INDEX idx_discounts_rider ON discounts (rider_id)",
     "CREATE INDEX idx_rides_rider ON rides (rider_id)",
+    # track_movement finds a bike's open ride per GPS fix; rides only grows
+    "CREATE INDEX idx_rides_bike ON rides (bike_id)",
 ]
 
 _STREAMS = [

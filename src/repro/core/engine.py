@@ -88,6 +88,15 @@ _INGEST_RECORD = "<ingest>"
 _TICK_RECORD = "<tick>"
 
 
+def _select_stages(plan: Plan) -> list[SelectPlan]:
+    """The scan+aggregate stages a delta view could serve: a SELECT plan
+    itself and, when it is lowered group-before-join, its outer side."""
+    if not isinstance(plan, SelectPlan):
+        return []
+    group_first = getattr(plan.compiled, "group_first", None)
+    return [plan] if group_first is None else [plan, group_first.outer]
+
+
 class StreamProcedure(StoredProcedure):
     """Base class for workflow stored procedures.
 
@@ -138,9 +147,10 @@ class StreamContext(ProcedureContext):
 
     def execute(self, statement_name: str, *params: Any) -> ResultSet | int:
         plan = self._procedure.plans.get(statement_name)
-        if plan is not None:
-            self._sstore.check_plan_access(plan, self.procedure_name)
-        return super().execute(statement_name, *params)
+        if plan is None:
+            return super().execute(statement_name, *params)  # raises
+        self._sstore.check_plan_access(plan, self._procedure.name)
+        return self._run_plan(statement_name, plan, params)
 
     # -- streaming -------------------------------------------------------------
 
@@ -439,9 +449,9 @@ class SStoreEngine(HStoreEngine):
         self.catalog.bump_version()
         for procedure in self.procedures.values():
             for proc_plan in procedure.plans.values():
-                read = getattr(proc_plan, "view_read", None)
-                if read is not None and read.view is view:
-                    proc_plan.view_read = None
+                for plan in _select_stages(proc_plan):
+                    if plan.view_read is not None and plan.view_read.view is view:
+                        plan.view_read = None
 
     def _attach_view_read(self, plan: Plan) -> None:
         """Lower an eligible compiled aggregate SELECT onto a delta view.
@@ -452,19 +462,20 @@ class SStoreEngine(HStoreEngine):
         ``compile=False`` plans are never lowered, so interpreted execution
         always scans.
         """
-        if not self._views_of_table or not isinstance(plan, SelectPlan):
+        if not self._views_of_table:
             return
-        if plan.compiled is None or plan.view_read is not None:
-            return
-        if plan.joins or plan.where is not None or not plan.grouped:
-            return
-        if not isinstance(plan.access, SeqScan):
-            return
-        for view in self._views_of_table.get(plan.access.table, ()):
-            agg_map = match_plan(view, plan)
-            if agg_map is not None:
-                plan.view_read = ViewRead(view, agg_map)
-                return
+        for stage in _select_stages(plan):
+            if stage.compiled is None or stage.view_read is not None:
+                continue
+            if stage.joins or stage.where is not None or not stage.grouped:
+                continue
+            if not isinstance(stage.access, SeqScan):
+                continue
+            for view in self._views_of_table.get(stage.access.table, ()):
+                agg_map = match_plan(view, stage)
+                if agg_map is not None:
+                    stage.view_read = ViewRead(view, agg_map)
+                    break
 
     def _plan_statement(self, sql: str, label: str):
         plan = super()._plan_statement(sql, label)
@@ -949,7 +960,15 @@ class SStoreEngine(HStoreEngine):
             )
 
     def check_plan_access(self, plan: Plan, procedure_name: str | None) -> None:
-        """Enforce window scoping and stream/window write protection."""
+        """Enforce window scoping and stream/window write protection.
+
+        A pass is remembered on the plan under what decided it, so the full
+        check runs the first time and again after any DDL
+        (``catalog.version``) or re-scoping (``scopes.epoch``).
+        """
+        token = (self.scopes, procedure_name, self.catalog.version, self.scopes.epoch)
+        if plan.access_pass == token:
+            return
         reads, writes = plan_table_access(plan)
         self.scopes.check_access(reads | writes, procedure_name)
         for table_name in writes:
@@ -967,6 +986,7 @@ class SStoreEngine(HStoreEngine):
                     f"direct DML on window {table_name!r}; window contents "
                     f"are maintained natively by the EE"
                 )
+        plan.access_pass = token
 
     def _check_adhoc_plan(self, plan: Any) -> None:
         self.check_plan_access(plan, None)

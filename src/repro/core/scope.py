@@ -24,6 +24,9 @@ class WindowScopes:
 
     def __init__(self) -> None:
         self._owners: dict[str, str] = {}
+        #: bumped by every :meth:`assign`; the engine remembers a passed
+        #: access check only while this (and the catalog version) stand
+        self.epoch = 0
 
     def assign(self, window_name: str, owner_procedure: str) -> None:
         window_name = window_name.lower()
@@ -35,6 +38,7 @@ class WindowScopes:
                 f"{existing!r}; a window has exactly one owner"
             )
         self._owners[window_name] = owner_procedure
+        self.epoch += 1
 
     def owner_of(self, window_name: str) -> str:
         try:

@@ -35,7 +35,7 @@ Anything the compiler does not recognize falls back to the node's own bound
 
 from __future__ import annotations
 
-import operator
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -75,6 +75,7 @@ from repro.hstore.planner import (
     SelectPlan,
     UpdatePlan,
 )
+from repro.hstore.table import row_getter
 from repro.hstore.vector import lower_delete, lower_select, lower_update
 
 __all__ = [
@@ -84,6 +85,7 @@ __all__ = [
     "make_tuple_fn",
     "CompiledAccess",
     "CompiledJoin",
+    "GroupFirst",
     "CompiledSelect",
     "CompiledInsert",
     "CompiledUpdate",
@@ -455,15 +457,6 @@ def make_tuple_fn(fns: tuple[EvalFn, ...]) -> EvalFn:
     return lambda ctx: tuple(fn(ctx) for fn in fns)
 
 
-def _row_getter(offsets: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """``row -> (row[o0], row[o1], ...)`` — always a tuple, any arity."""
-    if len(offsets) == 1:
-        (o0,) = offsets
-        return lambda row: (row[o0],)
-    getter = operator.itemgetter(*offsets)
-    return getter  # itemgetter already returns a tuple for arity >= 2
-
-
 def _column_offsets(
     exprs: list[Expression], columns: dict[str, int]
 ) -> tuple[int, ...] | None:
@@ -505,6 +498,18 @@ class CompiledJoin:
 
 
 @dataclass
+class GroupFirst:
+    """Group-before-join: the outer table aggregated alone, then one probe
+    per *group* instead of one per row (see :func:`_group_first`)."""
+
+    #: the plan minus its joins: same WHERE, GROUP BY and aggregates, so its
+    #: extended rows have the full plan's layout; compiled like any plan
+    outer: SelectPlan
+    #: per join step ``(inner table, unique index, extended row -> probe key)``
+    probes: tuple[tuple[str, str, Callable[[tuple], tuple]], ...]
+
+
+@dataclass
 class CompiledSelect:
     access: CompiledAccess
     joins: list[CompiledJoin]
@@ -530,6 +535,8 @@ class CompiledSelect:
     #: batch-at-a-time artifacts (repro.hstore.vector.VectorSelect) for
     #: full scans whose WHERE/GROUP BY/aggregates all lower; None = row path
     vector: Any = None
+    #: grouped unique-key inner joins: aggregate first, probe per group
+    group_first: GroupFirst | None = None
 
 
 @dataclass
@@ -567,64 +574,32 @@ class CompiledDelete:
 def compile_plan(plan: Plan, *, vectorize: bool = True) -> Plan:
     """Attach compiled artifacts to a physical plan (idempotent, in place).
 
-    Recurses into nested subquery plans and ``INSERT ... SELECT`` sources so
-    every plan an execution can reach carries its closures.  With
-    ``vectorize`` (the default), full-scan SELECT/UPDATE/DELETE plans whose
-    expressions all lower additionally carry batch-at-a-time artifacts
-    (``.compiled.vector``); the executor prefers those and falls back to
-    the row closures at the first sign of trouble.
+    The planner calls this as each plan is built, nested subquery plans and
+    ``INSERT ... SELECT`` sources included, so every plan an execution can
+    reach carries its closures.  With ``vectorize`` (the default), full-scan
+    SELECT/UPDATE/DELETE plans whose expressions all lower additionally
+    carry batch-at-a-time artifacts (``.compiled.vector``); the executor
+    prefers those and falls back to the row closures at the first sign of
+    trouble.
     """
     if getattr(plan, "compiled", None) is not None:
         return plan
     if isinstance(plan, SelectPlan):
-        plan.compiled = _compile_select(plan, vectorize=vectorize)
+        plan.compiled = _compile_select(plan)
         if vectorize:
             plan.compiled.vector = lower_select(plan)
+        plan.compiled.group_first = _group_first(plan)
     elif isinstance(plan, InsertPlan):
-        if plan.select is not None:
-            compile_plan(plan.select, vectorize=vectorize)
-        plan.compiled = _compile_insert(plan, vectorize=vectorize)
+        plan.compiled = _compile_insert(plan)
     elif isinstance(plan, UpdatePlan):
         plan.compiled = _compile_update(plan)
         if vectorize:
             plan.compiled.vector = lower_update(plan)
-        _compile_subplans(
-            [expr for _offset, expr in plan.assignments]
-            + ([plan.where] if plan.where is not None else [])
-            + _access_exprs(plan.access),
-            vectorize=vectorize,
-        )
     elif isinstance(plan, DeletePlan):
         plan.compiled = _compile_delete(plan)
         if vectorize:
             plan.compiled.vector = lower_delete(plan)
-        _compile_subplans(
-            ([plan.where] if plan.where is not None else [])
-            + _access_exprs(plan.access),
-            vectorize=vectorize,
-        )
     return plan
-
-
-def _access_exprs(access: Any) -> list[Expression]:
-    """Probe expressions of an access path (may hold uncorrelated subqueries)."""
-    if isinstance(access, IndexEqScan):
-        return list(access.key_exprs)
-    if isinstance(access, IndexRangeScan):
-        return [
-            expr for expr in (access.low, access.high) if expr is not None
-        ]
-    return []
-
-
-def _compile_subplans(exprs: list[Expression], *, vectorize: bool = True) -> None:
-    """Compile the plans of every planned subquery node in ``exprs``."""
-    for expr in exprs:
-        for node in walk(expr):
-            if isinstance(
-                node, (PlannedInSubquery, PlannedExists, PlannedScalarSubquery)
-            ):
-                compile_plan(node.plan, vectorize=vectorize)
 
 
 def _compile_access(access: Any, columns: dict[str, int]) -> CompiledAccess:
@@ -676,24 +651,9 @@ def _make_order_cmp(ascending: tuple[bool, ...]) -> Callable[[Any, Any], int]:
     return compare
 
 
-def _compile_select(plan: SelectPlan, *, vectorize: bool = True) -> CompiledSelect:
+def _compile_select(plan: SelectPlan) -> CompiledSelect:
     columns = plan.columns
     ext_columns = plan.ext_columns
-
-    # nested subquery plans reachable from any expression of this plan
-    reachable: list[Expression] = list(plan.output_exprs)
-    reachable.extend(plan.group_exprs)
-    reachable.extend(expr for expr, _asc in plan.order_by)
-    if plan.where is not None:
-        reachable.append(plan.where)
-    if plan.having is not None:
-        reachable.append(plan.having)
-    for step in plan.joins:
-        if step.on is not None:
-            reachable.append(step.on)
-        reachable.extend(_access_exprs(step.access))
-    reachable.extend(_access_exprs(plan.access))
-    _compile_subplans(reachable, vectorize=vectorize)
 
     access = _compile_access(plan.access, columns)
     joins = [
@@ -734,7 +694,7 @@ def _compile_select(plan: SelectPlan, *, vectorize: bool = True) -> CompiledSele
     )
     output_offsets = _column_offsets(plan.post_exprs, ext_columns)
     row_project = (
-        _row_getter(output_offsets) if output_offsets is not None else None
+        row_getter(output_offsets) if output_offsets is not None else None
     )
 
     if plan.post_order:
@@ -777,12 +737,80 @@ def _compile_select(plan: SelectPlan, *, vectorize: bool = True) -> CompiledSele
     )
 
 
-def _compile_insert(plan: InsertPlan, *, vectorize: bool = True) -> CompiledInsert:
+def _group_first(plan: SelectPlan) -> GroupFirst | None:
+    """Plan-time rewrite of a grouped join into aggregate-then-probe.
+
+    Fires when every join step is an INNER equality probe of a *unique*
+    index with no residual ON, its probe key made of plain outer-table
+    columns that are GROUP BY keys, and WHERE, GROUP BY and the aggregates
+    read outer-table columns only.  Such a join matches each outer row zero
+    or one time and every row of a group alike, so aggregating the outer
+    table first and dropping the groups whose key misses yields the same
+    groups, the same aggregates and the same first-appearance order — for
+    one probe per group.  HAVING, projection and ORDER BY run over the
+    extended rows either way.  Compiled lowering only: ``compile=False``
+    keeps the join order as the oracle.
+
+    The outer side keeps the lanes the join plan had — a delta view when one
+    matches, else the row closures.  It is not lowered to column vectors:
+    that would build a columnar mirror on a table the join never scanned
+    that way, and a sliding window would re-sync it on every slide.
+    """
+    if not plan.joins or not plan.group_exprs:
+        return None
+    columns = plan.columns
+    outer_width = plan.joins[0].base_offset
+
+    def outer_only(expr: Expression) -> bool:
+        for node in walk(expr):
+            if isinstance(node, ColumnRef):
+                if columns.get(node.key, outer_width) >= outer_width:
+                    return False
+            elif isinstance(
+                node, (PlannedInSubquery, PlannedExists, PlannedScalarSubquery)
+            ):
+                return False
+        return True
+
+    evaluated = list(plan.group_exprs)
+    evaluated.extend(agg.arg for agg in plan.aggregates if agg.arg is not None)
+    if plan.where is not None:
+        evaluated.append(plan.where)
+    if not all(outer_only(expr) for expr in evaluated):
+        return None
+
+    #: combined-row offset of a plain-column group key -> its extended-row slot
+    key_slots = {
+        columns[expr.key]: slot
+        for slot, expr in enumerate(plan.group_exprs)
+        if isinstance(expr, ColumnRef)
+    }
+    probes = []
+    for step in plan.joins:
+        access = step.access
+        if (
+            step.left_outer
+            or step.on is not None
+            or not isinstance(access, IndexEqScan)
+            or not access.unique
+        ):
+            return None
+        offsets = _column_offsets(list(access.key_exprs), columns)
+        if offsets is None or not all(offset in key_slots for offset in offsets):
+            return None
+        slots = tuple(key_slots[offset] for offset in offsets)
+        probes.append((access.table, access.index, row_getter(slots)))
+
+    outer = dataclasses.replace(plan, joins=[], compiled=None, view_read=None)
+    compile_plan(outer, vectorize=False)
+    return GroupFirst(outer=outer, probes=tuple(probes))
+
+
+def _compile_insert(plan: InsertPlan) -> CompiledInsert:
     no_columns: dict[str, int] = {}
     row_fns: list[EvalFn] = []
     param_rows: list[Callable[[tuple], tuple]] | None = []
     for row in plan.rows:
-        _compile_subplans(list(row), vectorize=vectorize)
         row_fns.append(
             make_tuple_fn(tuple(compile_expr(expr, no_columns) for expr in row))
         )
@@ -790,7 +818,7 @@ def _compile_insert(plan: InsertPlan, *, vectorize: bool = True) -> CompiledInse
             isinstance(expr, Parameter) for expr in row
         ):
             param_rows.append(
-                _row_getter(tuple(expr.index for expr in row))
+                row_getter(tuple(expr.index for expr in row))
             )
         else:
             param_rows = None

@@ -6,7 +6,10 @@ group, :class:`~repro.hstore.snapshot.SnapshotStore` keeps no checkpoint),
 so the engine survives a full process restart:
 
 * ``<dir>/command.log`` — one JSON object per durable log record,
-  append-only, written at group-commit flush time;
+  append-only, written at group-commit flush time through one kept append
+  handle; every group ends with a ``flush()``, so a flushed record is in
+  the file for any reader (a second process, a second engine restoring
+  while the writer lives) and a forked child inherits no buffered bytes;
 * ``<dir>/snapshots/<id>.json`` — one file per checkpoint, wrapped in a
   checksummed envelope so bit rot and torn writes are detected on load.
 
@@ -41,7 +44,7 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import TYPE_CHECKING, Any
+from typing import IO, TYPE_CHECKING, Any
 
 from repro.errors import RecoveryError
 from repro.hstore.cmdlog import LogRecord
@@ -57,14 +60,23 @@ _LOG_FILE = "command.log"
 _SNAPSHOT_DIR = "snapshots"
 
 
+#: one encoder for every log record (``json.dumps`` would build one per call)
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _jsonable(value: Any) -> Any:
-    """Normalize tuples to lists so the encoder accepts everything."""
-    if isinstance(value, tuple):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, list):
-        return [_jsonable(item) for item in value]
+    """``value`` with every dict key made a string, the one thing ``json``
+    does not take as it is (tuples it writes as arrays, like lists).
+
+    Containers holding only scalars are returned as they are, so the usual
+    record — a params tuple of rows of scalars — is walked, not copied.
+    """
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            if isinstance(item, (tuple, list, dict)):
+                return [_jsonable(item) for item in value]
     return value
 
 
@@ -89,6 +101,9 @@ class DurabilityDirectory:
         #: when set, every log append ends with one fsync — the fixed
         #: per-flush cost that group commit exists to amortize
         self.fsync_log = fsync_log
+        #: the append handle on ``command.log``: opened by the first group,
+        #: closed by :meth:`close_log`
+        self._log_handle: IO[str] | None = None
 
     # ------------------------------------------------------------------
     # command log
@@ -117,10 +132,13 @@ class DurabilityDirectory:
         self._append_log_records(records)
 
     def _append_log_records(self, records: list[LogRecord]) -> None:
-        with self.log_path.open("a", encoding="utf-8") as handle:
+        handle = self._log_handle
+        if handle is None:
+            handle = self._log_handle = self.log_path.open("a", encoding="utf-8")
+        try:
             for record in records:
                 payload = (
-                    json.dumps(
+                    _encode_record(
                         {
                             "lsn": record.lsn,
                             "txn_id": record.txn_id,
@@ -129,8 +147,7 @@ class DurabilityDirectory:
                             "partition": record.partition,
                             "logical_time": record.logical_time,
                             "meta": _jsonable(record.meta),
-                        },
-                        separators=(",", ":"),
+                        }
                     )
                     + "\n"
                 )
@@ -142,9 +159,21 @@ class DurabilityDirectory:
                         path=self.log_path,
                     )
                 handle.write(payload)
+            # flushed => in the file: readers never wait for a close
+            handle.flush()
             if self.fsync_log:
-                handle.flush()
                 os.fsync(handle.fileno())
+        except BaseException:
+            # the process "died" mid-group: leave exactly the bytes written
+            # so far on disk and hold no handle on a file recovery may repair
+            self.close_log()
+            raise
+
+    def close_log(self) -> None:
+        """Flush and close the append handle (the next group reopens it)."""
+        handle, self._log_handle = self._log_handle, None
+        if handle is not None:
+            handle.close()
 
     def scan_log(self, *, repair: bool = True) -> tuple[list[LogRecord], int]:
         """Read the durable log, tolerating a torn trailing record.
@@ -157,6 +186,8 @@ class DurabilityDirectory:
         final line, which no torn write can produce — is real corruption
         and raises :class:`RecoveryError`.
         """
+        if repair:
+            self.close_log()  # never truncate or patch under an open handle
         if not self.log_path.exists():
             return [], 0
         raw = self.log_path.read_bytes()
@@ -321,6 +352,7 @@ class DurabilityDirectory:
 
     def reset(self) -> None:
         """Wipe the directory's contents (test helper)."""
+        self.close_log()
         if self.log_path.exists():
             self.log_path.unlink()
         for snapshot_file in (self.path / _SNAPSHOT_DIR).glob("*.json"):

@@ -176,6 +176,8 @@ class HStoreEngine:
         self.fault_injector: "FaultInjector | None" = None
         #: what the most recent recover() did (torn records etc.)
         self.last_recovery_report: "RecoveryReport | None" = None
+        #: the durability directory this engine opened (and closes), if any
+        self._directory: "DurabilityDirectory | None" = None
 
     def set_tracer_identity(self, process: str, origin: int) -> None:
         """Re-label this engine's tracer for multi-process deployments.
@@ -661,11 +663,14 @@ class HStoreEngine:
         self._resolve(prepared.txns, False)
 
     def shutdown(self) -> None:
-        """Release external resources; a no-op for the in-process engine.
+        """Release external resources: the command log's append handle.
 
         Exists so harnesses can dispose any engine uniformly — the
         multi-process facade overrides this to stop its worker processes.
+        The engine stays usable; the next flush reopens the log.
         """
+        if self._directory is not None:
+            self._directory.close_log()
 
     # ------------------------------------------------------------------
     # Ad-hoc SQL (testing / examples / interactive use)
@@ -884,7 +889,8 @@ class HStoreEngine:
     def _open_directory(self, path: Any, fsync_log: bool) -> "DurabilityDirectory":
         from repro.hstore.durability import DurabilityDirectory
 
-        directory = DurabilityDirectory(path, fsync_log=fsync_log)
+        self.shutdown()  # a directory attached earlier gives up its handle
+        directory = self._directory = DurabilityDirectory(path, fsync_log=fsync_log)
         directory.fault_injector = self.fault_injector
         directory.tracer = self.tracer
         return directory
@@ -935,6 +941,7 @@ class HStoreEngine:
                 "every transaction — enable command logging for durability"
             )
         lost = self.command_log.lose_pending()
+        self.shutdown()  # a dead process holds no file open
         self._crashed = True
         return lost
 

@@ -44,7 +44,7 @@ from repro.hstore.vector import (
     selected_values,
 )
 
-__all__ = ["ExecutionEngine", "ResultSet", "InsertHook"]
+__all__ = ["ExecutionEngine", "ResultSet", "InsertHook", "bind_runner"]
 
 #: Signature of a post-insert hook: (txn, table_name, inserted_rowids).
 InsertHook = Callable[[TransactionContext, str, list[int]], None]
@@ -172,35 +172,28 @@ class ExecutionEngine:
         params: tuple[Any, ...] = (),
         txn: TransactionContext | None = None,
     ) -> ResultSet | int:
-        """Execute a plan; SELECT returns a :class:`ResultSet`, DML a count."""
-        self.stats.ee_statements += 1
-        if isinstance(plan, SelectPlan):
-            self._check_params(plan.param_count, params)
-            return self._execute_select(plan, params)
-        if txn is None:
-            raise StorageError("DML execution requires an active transaction")
-        if isinstance(plan, InsertPlan):
-            self._check_params(plan.param_count, params)
-            return self._execute_insert(plan, params, txn)
-        if isinstance(plan, UpdatePlan):
-            self._check_params(plan.param_count, params)
-            return self._execute_update(plan, params, txn)
-        if isinstance(plan, DeletePlan):
-            self._check_params(plan.param_count, params)
-            return self._execute_delete(plan, params, txn)
-        raise StorageError(f"EE cannot execute {type(plan).__name__}")
+        """Execute a plan; SELECT returns a :class:`ResultSet`, DML a count.
 
-    @staticmethod
-    def _check_params(expected: int, params: tuple[Any, ...]) -> None:
-        if len(params) < expected:
+        Which function runs was decided when the plan was built
+        (:func:`bind_runner`); per call only the parameters are bound.
+        """
+        self.stats.ee_statements += 1
+        if txn is None and plan.needs_txn:
+            raise StorageError("DML execution requires an active transaction")
+        run = plan.run
+        if run is None:
+            raise StorageError(f"EE cannot execute {type(plan).__name__}")
+        if len(params) < plan.param_count:
             raise BindingError(
-                f"statement expects {expected} parameters, got {len(params)}"
+                f"statement expects {plan.param_count} parameters, "
+                f"got {len(params)}"
             )
+        return run(self, plan, params, txn)
 
     def execute_select_plan(self, plan: SelectPlan, params: tuple[Any, ...]):
         """Run a (sub)query plan in-EE; used by planned subquery nodes."""
         self.stats.bump("subquery_executions")
-        return self._execute_select(plan, params)
+        return plan.run(self, plan, params, None)
 
     # -- access paths ------------------------------------------------------------
 
@@ -258,25 +251,9 @@ class ExecutionEngine:
 
     # -- SELECT -------------------------------------------------------------------
 
-    def _execute_select(
-        self, plan: SelectPlan, params: tuple[Any, ...]
+    def _select_interpreted(
+        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
     ) -> ResultSet:
-        view_read = plan.view_read
-        if view_read is not None:
-            # delta-view lowering (repro.ivm): the scan + aggregate stage is
-            # served from incrementally maintained state in O(groups); the
-            # compiled post pipeline (HAVING → projection → DISTINCT →
-            # ORDER → LIMIT) runs unchanged over the extended rows
-            ext_rows = view_read.view.ext_rows(view_read.agg_map)
-            ctx = EvalContext(
-                columns=plan.ext_columns, params=params, executor=self
-            )
-            return self._project_compiled(
-                plan, plan.compiled, params, ctx, ext_rows
-            )
-        if plan.compiled is not None:
-            return self._execute_select_compiled(plan, plan.compiled, params)
-
         combined_rows = self._combined_rows(plan, params)
 
         if plan.grouped:
@@ -499,47 +476,73 @@ class ExecutionEngine:
             pairs.extend((rowid, get(rowid)) for rowid in sorted(rowids))
         return pairs
 
-    def _execute_select_compiled(
-        self, plan: SelectPlan, c: Any, params: tuple[Any, ...]
+    def _select_point(
+        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
+    ) -> ResultSet:
+        """Pure covered equality lookup: index probe + projection, no scan
+        pipeline, no residual predicate, no aggregate machinery."""
+        self.stats.bump("point_lookups")
+        c = plan.compiled
+        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        rows = self._access_rows_compiled(plan.access, c.access, ctx)
+        return self._project_compiled(plan, ctx, rows)
+
+    def _select_compiled(
+        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
     ) -> ResultSet:
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        ext_rows = self._ext_rows_compiled(plan, params, ctx)
+        if type(ext_rows) is ResultSet:
+            return ext_rows
+        return self._project_compiled(plan, ctx, ext_rows)
 
-        if c.point_lookup:
-            # pure covered equality lookup: index probe + projection, no
-            # scan pipeline, no residual predicate, no aggregate machinery
-            self.stats.bump("point_lookups")
-            ext_rows = self._access_rows_compiled(plan.access, c.access, ctx)
-            return self._project_compiled(plan, c, params, ctx, ext_rows)
+    def _ext_rows_compiled(
+        self, plan: SelectPlan, params: tuple[Any, ...], ctx: EvalContext
+    ) -> "list[tuple[Any, ...]] | ResultSet":
+        """Scan + join + aggregate through the first lane that serves the
+        plan: delta view → column vectors → row closures.
 
+        Returns the extended rows the post pipeline (HAVING → projection →
+        DISTINCT → ORDER → LIMIT) runs over, or the finished
+        :class:`ResultSet` when the vector lane lowered the projection too.
+        """
+        view_read = plan.view_read
+        if view_read is not None:
+            # delta-view lowering (repro.ivm): served from incrementally
+            # maintained state in O(groups)
+            return view_read.view.ext_rows(view_read.agg_map)
+        c = plan.compiled
         if c.vector is not None:
             vectored = self._try_select_vector(plan, c, params)
-            if isinstance(vectored, ResultSet):
-                self.stats.bump("vector_scans")
-                return vectored
             if vectored is not None:
                 self.stats.bump("vector_scans")
-                post_ctx = (
-                    ctx
-                    if plan.ext_columns is plan.columns
-                    else EvalContext(
-                        columns=plan.ext_columns, params=params, executor=self
-                    )
-                )
-                return self._project_compiled(plan, c, params, post_ctx, vectored)
-
+                return vectored
         rows = self._combined_rows_compiled(plan, c, params, ctx)
         if plan.grouped:
-            ext_rows = self._aggregate_compiled(plan, c, ctx, rows)
-        else:
-            ext_rows = rows
-        post_ctx = (
-            ctx
-            if plan.ext_columns is plan.columns
-            else EvalContext(
-                columns=plan.ext_columns, params=params, executor=self
-            )
-        )
-        return self._project_compiled(plan, c, params, post_ctx, ext_rows)
+            return self._aggregate_compiled(plan, c, ctx, rows)
+        return rows
+
+    def _select_group_first(
+        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
+    ) -> ResultSet:
+        """Group before join (``compile.GroupFirst``): aggregate the outer
+        table alone, then probe each join's unique index once per group and
+        drop the groups that miss."""
+        first = plan.compiled.group_first
+        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        try:
+            ext_rows = self._ext_rows_compiled(first.outer, params, ctx)
+            for table_name, index_name, key_of in first.probes:
+                # a NULL-containing key is never stored, so it misses
+                entries = self.table(table_name).index(index_name).entries()
+                ext_rows = [row for row in ext_rows if key_of(row) in entries]
+        except Exception:
+            # the outer side was evaluated whole: an expression may have
+            # raised on a row the join would have dropped first.  Nothing
+            # observable happened; the join-order path raises (or doesn't)
+            # exactly as the interpreter does
+            return self._select_compiled(plan, params)
+        return self._project_compiled(plan, ctx, ext_rows)
 
     # -- batch-at-a-time execution over the columnar mirror ------------------
 
@@ -745,12 +748,16 @@ class ExecutionEngine:
     def _project_compiled(
         self,
         plan: SelectPlan,
-        c: Any,
-        params: tuple[Any, ...],
         ctx: EvalContext,
         ext_rows: list[tuple[Any, ...]],
     ) -> ResultSet:
-        """HAVING → projection → DISTINCT → ORDER → LIMIT on extended rows."""
+        """HAVING → projection → DISTINCT → ORDER → LIMIT on extended rows.
+
+        ``ctx`` is the statement's one context: the scan stage is over, so
+        it is re-pointed at the extended-row columns rather than replaced.
+        """
+        c = plan.compiled
+        ctx.columns = plan.ext_columns
         if c.post_having is not None:
             having = c.post_having
             filtered: list[tuple[Any, ...]] = []
@@ -952,13 +959,10 @@ class ExecutionEngine:
             ext_rows.append(key + values)
         return ext_rows
 
-    def _execute_update_compiled(
-        self,
-        plan: UpdatePlan,
-        c: Any,
-        params: tuple[Any, ...],
-        txn: TransactionContext,
+    def _update_compiled(
+        self, plan: UpdatePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
+        c = plan.compiled
         table = self.table(plan.table)
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
         where = c.where
@@ -1003,13 +1007,10 @@ class ExecutionEngine:
         self.stats.rows_updated += len(matches)
         return len(matches)
 
-    def _execute_delete_compiled(
-        self,
-        plan: DeletePlan,
-        c: Any,
-        params: tuple[Any, ...],
-        txn: TransactionContext,
+    def _delete_compiled(
+        self, plan: DeletePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
+        c = plan.compiled
         table = self.table(plan.table)
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
         where = c.where
@@ -1045,7 +1046,8 @@ class ExecutionEngine:
         compiled = plan.compiled
         value_rows: list[tuple[Any, ...]]
         if plan.select is not None:
-            value_rows = list(self._execute_select(plan.select, params).rows)
+            source = plan.select
+            value_rows = list(source.run(self, source, params, None).rows)
         elif compiled is not None:
             if compiled.param_rows is not None:
                 value_rows = [get(params) for get in compiled.param_rows]
@@ -1118,13 +1120,9 @@ class ExecutionEngine:
 
     # -- UPDATE --------------------------------------------------------------------
 
-    def _execute_update(
+    def _update_interpreted(
         self, plan: UpdatePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
-        if plan.compiled is not None:
-            return self._execute_update_compiled(
-                plan, plan.compiled, params, txn
-            )
         table = self.table(plan.table)
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
 
@@ -1151,13 +1149,9 @@ class ExecutionEngine:
 
     # -- DELETE --------------------------------------------------------------------
 
-    def _execute_delete(
+    def _delete_interpreted(
         self, plan: DeletePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
-        if plan.compiled is not None:
-            return self._execute_delete_compiled(
-                plan, plan.compiled, params, txn
-            )
         table = self.table(plan.table)
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
 
@@ -1191,6 +1185,32 @@ class ExecutionEngine:
         for name, table in self._tables.items():
             if name not in state:
                 table.truncate()
+
+
+def bind_runner(plan: Plan) -> None:
+    """Choose the function :meth:`ExecutionEngine.execute` calls for ``plan``.
+
+    Called once, by the planner, when the plan is built: the choice depends
+    only on the plan's type and on what the compiler attached to it, never
+    on a statement's parameters.
+    """
+    ee = ExecutionEngine
+    c = plan.compiled
+    if isinstance(plan, SelectPlan):
+        if c is None:
+            plan.run = ee._select_interpreted
+        elif c.point_lookup:
+            plan.run = ee._select_point
+        elif c.group_first is not None:
+            plan.run = ee._select_group_first
+        else:
+            plan.run = ee._select_compiled
+    elif isinstance(plan, InsertPlan):
+        plan.run = ee._execute_insert
+    elif isinstance(plan, UpdatePlan):
+        plan.run = ee._update_interpreted if c is None else ee._update_compiled
+    elif isinstance(plan, DeletePlan):
+        plan.run = ee._delete_interpreted if c is None else ee._delete_compiled
 
 
 class _Accumulator:

@@ -100,6 +100,15 @@ def _explain_select(plan: SelectPlan, indent: str) -> list[str]:
         group = ", ".join(expr.sql() for expr in plan.group_exprs) or "<global>"
         aggs = ", ".join(agg.sql() for agg in plan.aggregates)
         lines.append(f"{inner}aggregate: group by {group} computing [{aggs}]")
+        group_first = getattr(plan.compiled, "group_first", None)
+        if group_first is not None:
+            probed = ", ".join(
+                f"{table} VIA {index}" for table, index, _key in group_first.probes
+            )
+            lines.append(
+                f"{inner}rewrite: group-before-join (aggregate "
+                f"{plan.access.table} first, then probe {probed} once per group)"
+            )
         if plan.post_having is not None:
             lines.append(f"{inner}having: {plan.post_having.sql()}")
     projections = ", ".join(

@@ -27,10 +27,6 @@ __all__ = ["Key", "HashIndex", "OrderedIndex", "make_index"]
 Key = tuple[Any, ...]
 
 
-def _has_null(key: Key) -> bool:
-    return any(part is None for part in key)
-
-
 class _BaseIndex:
     """Shared bookkeeping for both index flavours."""
 
@@ -47,7 +43,7 @@ class _BaseIndex:
 
     def insert(self, key: Key, rowid: int) -> None:
         """Register ``rowid`` under ``key``; enforces uniqueness."""
-        if _has_null(key):
+        if None in key:
             return
         rowids = self._entries.get(key)
         if rowids is None:
@@ -62,7 +58,7 @@ class _BaseIndex:
 
     def remove(self, key: Key, rowid: int) -> None:
         """Remove the ``(key, rowid)`` entry; raises if it is not present."""
-        if _has_null(key):
+        if None in key:
             return
         rowids = self._entries.get(key)
         if rowids is None or rowid not in rowids:
@@ -76,7 +72,7 @@ class _BaseIndex:
 
     def lookup(self, key: Key) -> frozenset[int]:
         """Row ids holding exactly ``key`` (empty for NULL-containing keys)."""
-        if _has_null(key):
+        if None in key:
             return frozenset()
         return frozenset(self._entries.get(key, ()))
 
@@ -92,7 +88,7 @@ class _BaseIndex:
 
     def would_violate(self, key: Key) -> bool:
         """Whether inserting ``key`` would break a unique constraint."""
-        return self.unique and not _has_null(key) and key in self._entries
+        return self.unique and None not in key and key in self._entries
 
     def keys(self) -> Iterator[Key]:
         return iter(self._entries)

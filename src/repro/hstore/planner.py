@@ -98,6 +98,8 @@ class IndexEqScan(AccessPath):
 
     index: str
     key_exprs: tuple[Expression, ...]
+    #: primary key or UNIQUE index: a probe finds at most one row
+    unique: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,13 @@ class Plan:
 
     #: filled by the planner: the source SQL statement type, for diagnostics
     statement: Statement
+    #: ``run(ee, plan, params, txn)``, bound once by the planner from the
+    #: plan's type and artifacts (``executor.bind_runner``); None = not for the EE
+    run: Any = None
+    #: whether ``run`` mutates storage (and so needs a transaction)
+    needs_txn = True
+    #: what ``SStoreEngine.check_plan_access`` last passed this plan under
+    access_pass: Any = None
 
 
 @dataclass
@@ -140,6 +149,8 @@ class JoinStep:
 
 @dataclass
 class SelectPlan(Plan):
+    needs_txn = False
+
     statement: SelectStmt
     access: AccessPath
     joins: list[JoinStep]
@@ -248,14 +259,14 @@ class Planner:
 
     def plan(self, statement: Statement) -> Plan:
         if isinstance(statement, SelectStmt):
-            plan: Plan = self.plan_select(statement)
-        elif isinstance(statement, InsertStmt):
-            plan = self.plan_insert(statement)
-        elif isinstance(statement, UpdateStmt):
-            plan = self.plan_update(statement)
-        elif isinstance(statement, DeleteStmt):
-            plan = self.plan_delete(statement)
-        elif isinstance(
+            return self.plan_select(statement)
+        if isinstance(statement, InsertStmt):
+            return self.plan_insert(statement)
+        if isinstance(statement, UpdateStmt):
+            return self.plan_update(statement)
+        if isinstance(statement, DeleteStmt):
+            return self.plan_delete(statement)
+        if isinstance(
             statement,
             (
                 CreateTableStmt,
@@ -267,13 +278,20 @@ class Planner:
             ),
         ):
             return DdlPlan(statement)
-        else:
-            raise PlanningError(f"cannot plan {type(statement).__name__}")
-        if self.compile_plans:
-            from repro.hstore.compile import compile_plan
+        raise PlanningError(f"cannot plan {type(statement).__name__}")
 
+    def _finish(self, plan: Plan) -> None:
+        """Everything decided once per plan: compile it, bind its runner.
+
+        Every ``plan_*`` method ends here, so nested plans (subqueries,
+        ``INSERT ... SELECT`` sources) leave the planner executable too.
+        """
+        from repro.hstore.compile import compile_plan
+        from repro.hstore.executor import bind_runner
+
+        if self.compile_plans:
             compile_plan(plan, vectorize=self.vectorize)
-        return plan
+        bind_runner(plan)
 
     # -- scopes ---------------------------------------------------------------
 
@@ -506,11 +524,13 @@ class Planner:
         indexes = self._catalog.indexes_on(ref.name)
 
         # Primary key behaves like an implicit unique hash index.
-        candidates: list[tuple[str, tuple[str, ...], bool]] = []
+        candidates: list[tuple[str, tuple[str, ...], bool, bool]] = []
         if entry.primary_key:
-            candidates.append((f"{entry.name}__pk", entry.primary_key, False))
+            candidates.append((f"{entry.name}__pk", entry.primary_key, False, True))
         for index in indexes:
-            candidates.append((index.name, index.column_names, index.ordered))
+            candidates.append(
+                (index.name, index.column_names, index.ordered, index.unique)
+            )
 
         # 1. Equality: find an index all of whose columns have an equality
         #    conjunct with the probe side evaluable from params/outer row.
@@ -521,18 +541,18 @@ class Planner:
                 column, probe = pair
                 eq_map.setdefault(column, (conj, probe))
 
-        for index_name, index_columns, _ordered in candidates:
+        for index_name, index_columns, _ordered, unique in candidates:
             if all(col in eq_map for col in index_columns):
                 used = [eq_map[col][0] for col in index_columns]
                 probes = tuple(eq_map[col][1] for col in index_columns)
                 residual = [c for c in conjuncts if c not in used]
                 return (
-                    IndexEqScan(entry.name, alias, index_name, probes),
+                    IndexEqScan(entry.name, alias, index_name, probes, unique),
                     residual,
                 )
 
         # 2. Range: single-column ordered index with a usable bound.
-        for index_name, index_columns, ordered in candidates:
+        for index_name, index_columns, ordered, _unique in candidates:
             if not ordered or len(index_columns) != 1:
                 continue
             column = index_columns[0]
@@ -792,7 +812,7 @@ class Planner:
 
         param_count = self._count_params(stmt)
 
-        return SelectPlan(
+        plan = SelectPlan(
             statement=stmt,
             access=access,
             joins=join_steps,
@@ -814,6 +834,8 @@ class Planner:
             post_order=post_order,
             ext_columns=ext_columns,
         )
+        self._finish(plan)
+        return plan
 
     def _star_columns(
         self, star: Star, refs: list[TableRef]
@@ -900,7 +922,7 @@ class Planner:
                         f"INSERT expects {width} values, got {len(row)}"
                     )
 
-        return InsertPlan(
+        plan = InsertPlan(
             statement=stmt,
             table=entry.name,
             slots=slots,
@@ -908,6 +930,8 @@ class Planner:
             select=select_plan,
             param_count=self._count_params(stmt),
         )
+        self._finish(plan)
+        return plan
 
     # -- UPDATE / DELETE -----------------------------------------------------
 
@@ -932,7 +956,7 @@ class Planner:
             self._validate_refs(expr, columns)
             assignments.append((offset, expr))
 
-        return UpdatePlan(
+        plan = UpdatePlan(
             statement=stmt,
             table=entry.name,
             access=access,
@@ -941,6 +965,8 @@ class Planner:
             assignments=assignments,
             param_count=self._count_params(stmt),
         )
+        self._finish(plan)
+        return plan
 
     def plan_delete(self, stmt: DeleteStmt) -> DeletePlan:
         entry = self._catalog.table(stmt.table)
@@ -955,7 +981,7 @@ class Planner:
         for conj in conjuncts:
             self._validate_refs(conj, columns)
         access, residual = self._pick_access(ref, conjuncts, set())
-        return DeletePlan(
+        plan = DeletePlan(
             statement=stmt,
             table=entry.name,
             access=access,
@@ -963,6 +989,8 @@ class Planner:
             columns=columns,
             param_count=self._count_params(stmt),
         )
+        self._finish(plan)
+        return plan
 
 
 def _rewrite_post_agg(

@@ -160,6 +160,11 @@ class ProcedureContext:
                 f"procedure {self._procedure.name!r} has no statement "
                 f"{statement_name!r}; declared: {sorted(self._procedure.plans)}"
             ) from None
+        return self._run_plan(statement_name, plan, params)
+
+    def _run_plan(
+        self, statement_name: str, plan: Plan, params: tuple[Any, ...]
+    ) -> ResultSet | int:
         self._engine.stats.pe_ee_roundtrips += 1
         tracer = self._engine.tracer
         if tracer.enabled and tracer.sql_spans:

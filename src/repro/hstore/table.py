@@ -26,18 +26,31 @@ mutation funnels through to it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.errors import PrimaryKeyViolationError, StorageError, UniqueViolationError
 from repro.hstore.catalog import Schema, TableEntry, TableKind
 from repro.hstore.columnar import ColumnStore
 from repro.hstore.index import Key, make_index, _BaseIndex
-from repro.hstore.types import coerce_value
+from repro.hstore.types import make_coercer
 
-__all__ = ["Table", "Row"]
+__all__ = ["Table", "Row", "row_getter"]
 
 #: Stored rows are immutable tuples of column values.
 Row = tuple[Any, ...]
+
+
+def row_getter(offsets: tuple[int, ...]) -> Callable[[Row], tuple[Any, ...]]:
+    """``row -> (row[o0], row[o1], ...)`` for fixed offsets — always a tuple.
+
+    Built once where the offsets are decided (an index's key columns at DDL
+    time, a projection or probe key at plan time), called per row.
+    """
+    if len(offsets) == 1:
+        (offset,) = offsets
+        return lambda row: (row[offset],)
+    return itemgetter(*offsets)  # already a tuple for arity >= 2
 
 
 class Table:
@@ -52,8 +65,14 @@ class Table:
         self._rows_sorted = True
         self._tail_rowid = -1
         self._colstore: ColumnStore | None = None
+        #: the row codec, fixed by the schema: one coercer per column
+        self._coercers = tuple(
+            make_coercer(column.sql_type, nullable=column.nullable)
+            for column in self.schema
+        )
         self._indexes: dict[str, _BaseIndex] = {}
-        self._index_offsets: dict[str, tuple[int, ...]] = {}
+        #: ``(index, row -> key)`` per index, rebuilt when an index comes or goes
+        self._keyed: list[tuple[_BaseIndex, Callable[[Row], Key]]] = []
         self._pk_index: _BaseIndex | None = None
         if entry.primary_key:
             offsets = tuple(self.schema.offset_of(col) for col in entry.primary_key)
@@ -130,10 +149,11 @@ class Table:
     # -- index plumbing --------------------------------------------------
 
     def _register_index(self, index: _BaseIndex, offsets: tuple[int, ...]) -> None:
+        key_of = row_getter(offsets)
         self._indexes[index.name] = index
-        self._index_offsets[index.name] = offsets
+        self._keyed.append((index, key_of))
         for rowid, row in self._rows.items():
-            index.insert(self._key_for(offsets, row), rowid)
+            index.insert(key_of(row), rowid)
 
     def add_index(
         self,
@@ -161,47 +181,34 @@ class Table:
         if index is self._pk_index:
             raise StorageError(f"cannot drop the primary-key index of {self.name!r}")
         del self._indexes[index.name]
-        del self._index_offsets[index.name]
+        self._keyed = [pair for pair in self._keyed if pair[0] is not index]
 
     def indexes(self) -> dict[str, _BaseIndex]:
         return dict(self._indexes)
-
-    def index_offsets(self, name: str) -> tuple[int, ...]:
-        return self._index_offsets[name.lower()]
-
-    @staticmethod
-    def _key_for(offsets: tuple[int, ...], row: Row) -> Key:
-        return tuple(row[offset] for offset in offsets)
 
     # -- validation -------------------------------------------------------
 
     def validate_row(self, values: list[Any] | tuple[Any, ...]) -> Row:
         """Coerce a full row of values against the schema; returns the tuple."""
-        if len(values) != len(self.schema):
+        coercers = self._coercers
+        if len(values) != len(coercers):
             raise StorageError(
-                f"table {self.name!r} expects {len(self.schema)} values, "
+                f"table {self.name!r} expects {len(coercers)} values, "
                 f"got {len(values)}"
             )
-        coerced = [
-            coerce_value(value, column.sql_type, nullable=column.nullable)
-            for value, column in zip(values, self.schema)
-        ]
-        return tuple(coerced)
+        return tuple([coerce(value) for coerce, value in zip(coercers, values)])
 
     # -- mutation ---------------------------------------------------------
 
-    def _check_unique(self, row: Row) -> None:
-        """Raise if inserting ``row`` would violate any unique index."""
-        for name, index in self._indexes.items():
-            key = self._key_for(self._index_offsets[name], row)
-            if index.would_violate(key):
-                if index is self._pk_index:
-                    raise PrimaryKeyViolationError(
-                        f"duplicate primary key {key!r} in table {self.name!r}"
-                    )
-                raise UniqueViolationError(
-                    f"duplicate key {key!r} in unique index {name!r}"
-                )
+    def _duplicate(self, index: _BaseIndex, key: Key) -> Exception:
+        """The error for inserting ``key`` a second time into a unique index."""
+        if index is self._pk_index:
+            return PrimaryKeyViolationError(
+                f"duplicate primary key {key!r} in table {self.name!r}"
+            )
+        return UniqueViolationError(
+            f"duplicate key {key!r} in unique index {index.name!r}"
+        )
 
     def _store(self, rowid: int, row: Row) -> None:
         """Append a validated, uniqueness-checked row (no index writes)."""
@@ -220,13 +227,16 @@ class Table:
         :class:`UniqueViolationError` without mutating anything.
         """
         row = self.validate_row(values)
+        keyed = [(index, key_of(row)) for index, key_of in self._keyed]
         # Check all uniqueness constraints before touching any structure.
-        self._check_unique(row)
+        for index, key in keyed:
+            if index.would_violate(key):
+                raise self._duplicate(index, key)
         rowid = self._next_rowid
         self._next_rowid += 1
         self._store(rowid, row)
-        for name, index in self._indexes.items():
-            index.insert(self._key_for(self._index_offsets[name], row), rowid)
+        for index, key in keyed:
+            index.insert(key, rowid)
         return rowid
 
     def insert_many(
@@ -243,38 +253,26 @@ class Table:
         # Uniqueness pre-pass: against the live indexes AND against keys
         # staged earlier in this same batch (NULL-containing keys are
         # never indexed, so they cannot collide).
-        unique_offsets = [
-            (name, index, self._index_offsets[name])
-            for name, index in self._indexes.items()
-            if index.unique
+        unique = [
+            (index, key_of, set()) for index, key_of in self._keyed if index.unique
         ]
-        staged: dict[str, set[Key]] = {name: set() for name, _, _ in unique_offsets}
         for row in validated:
-            for name, index, offsets in unique_offsets:
-                key = self._key_for(offsets, row)
-                if index.would_violate(key) or (
-                    None not in key and key in staged[name]
-                ):
-                    if index is self._pk_index:
-                        raise PrimaryKeyViolationError(
-                            f"duplicate primary key {key!r} in table {self.name!r}"
-                        )
-                    raise UniqueViolationError(
-                        f"duplicate key {key!r} in unique index {name!r}"
-                    )
-                if None not in key:
-                    staged[name].add(key)
+            for index, key_of, staged in unique:
+                key = key_of(row)
+                if None in key:
+                    continue
+                if key in staged or index.would_violate(key):
+                    raise self._duplicate(index, key)
+                staged.add(key)
         first = self._next_rowid
         self._next_rowid = first + len(validated)
         rowids = list(range(first, self._next_rowid))
         for rowid, row in zip(rowids, validated):
             self._store(rowid, row)
-        for name, index in self._indexes.items():
-            offsets = self._index_offsets[name]
-            key_for = self._key_for
+        for index, key_of in self._keyed:
             insert = index.insert
             for rowid, row in zip(rowids, validated):
-                insert(key_for(offsets, row), rowid)
+                insert(key_of(row), rowid)
         return rowids
 
     def insert_with_rowid(self, rowid: int, values: list[Any] | tuple[Any, ...]) -> None:
@@ -284,14 +282,14 @@ class Table:
         row = self.validate_row(values)
         self._store(rowid, row)
         self._next_rowid = max(self._next_rowid, rowid + 1)
-        for name, index in self._indexes.items():
-            index.insert(self._key_for(self._index_offsets[name], row), rowid)
+        for index, key_of in self._keyed:
+            index.insert(key_of(row), rowid)
 
     def delete(self, rowid: int) -> Row:
         """Delete a row by id; returns the deleted row (for undo logging)."""
         row = self.get(rowid)
-        for name, index in self._indexes.items():
-            index.remove(self._key_for(self._index_offsets[name], row), rowid)
+        for index, key_of in self._keyed:
+            index.remove(key_of(row), rowid)
         del self._rows[rowid]
         if self._colstore is not None:
             self._colstore.remove(rowid)
@@ -304,25 +302,24 @@ class Table:
         """
         old_row = self.get(rowid)
         new_row = self.validate_row(new_values)
-        for name, index in self._indexes.items():
-            offsets = self._index_offsets[name]
-            old_key = self._key_for(offsets, old_row)
-            new_key = self._key_for(offsets, new_row)
-            if old_key != new_key and index.would_violate(new_key):
-                if index is self._pk_index:
-                    raise PrimaryKeyViolationError(
-                        f"duplicate primary key {new_key!r} in table {self.name!r}"
-                    )
-                raise UniqueViolationError(
-                    f"unique index {name!r} violated by update to {new_key!r}"
-                )
-        for name, index in self._indexes.items():
-            offsets = self._index_offsets[name]
-            old_key = self._key_for(offsets, old_row)
-            new_key = self._key_for(offsets, new_row)
+        # one walk: collect the keys that change (checking each against its
+        # index), then move them — an index whose key stays is never touched
+        moved: list[tuple[_BaseIndex, Key, Key]] = []
+        for index, key_of in self._keyed:
+            old_key = key_of(old_row)
+            new_key = key_of(new_row)
             if old_key != new_key:
-                index.remove(old_key, rowid)
-                index.insert(new_key, rowid)
+                if index.would_violate(new_key):
+                    if index is self._pk_index:
+                        raise self._duplicate(index, new_key)
+                    raise UniqueViolationError(
+                        f"unique index {index.name!r} violated by update "
+                        f"to {new_key!r}"
+                    )
+                moved.append((index, old_key, new_key))
+        for index, old_key, new_key in moved:
+            index.remove(old_key, rowid)
+            index.insert(new_key, rowid)
         self._rows[rowid] = new_row
         if self._colstore is not None:
             self._colstore.replace(rowid, new_row)
@@ -364,11 +361,10 @@ class Table:
         self._tail_rowid = next(reversed(self._rows), -1)
         if self._colstore is not None:
             self._colstore.rebuild(self._rows.items())
-        for name, index in self._indexes.items():
+        for index, key_of in self._keyed:
             index.clear()
-            offsets = self._index_offsets[name]
             for rowid, row in self._rows.items():
-                index.insert(self._key_for(offsets, row), rowid)
+                index.insert(key_of(row), rowid)
 
     # -- iteration helpers for executor -------------------------------------
 

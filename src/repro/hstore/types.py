@@ -15,11 +15,17 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import NullViolationError, TypeSystemError
 
-__all__ = ["SqlType", "coerce_value", "is_comparable", "type_of_literal"]
+__all__ = [
+    "SqlType",
+    "coerce_value",
+    "make_coercer",
+    "is_comparable",
+    "type_of_literal",
+]
 
 
 class SqlType(enum.Enum):
@@ -107,6 +113,40 @@ def _coerce_float(value: Any) -> float:
             raise TypeSystemError("NaN is not a valid FLOAT value")
         return result
     raise TypeSystemError(f"expected FLOAT, got {type(value).__name__}")
+
+
+def make_coercer(sql_type: SqlType, *, nullable: bool = True) -> Callable[[Any], Any]:
+    """:func:`coerce_value` for one column, with the type decided once.
+
+    A table builds one per column at DDL time.  The closure passes only a
+    value that already has the column's exact Python representation (``int``
+    in range, ``str``, non-NaN ``float``, ``bool``) and hands everything else
+    — NULL, ``bool`` for a number, ``int`` for FLOAT, an integral ``float``
+    for INTEGER, NaN, out of range — to :func:`coerce_value`, so every
+    coercion and every error message has one definition.
+    """
+
+    def slow(value: Any) -> Any:
+        return coerce_value(value, sql_type, nullable=nullable)
+
+    if sql_type in _INTEGRAL:
+        low, high = (
+            (_INT32_MIN, _INT32_MAX)
+            if sql_type is SqlType.INTEGER
+            else (_INT64_MIN, _INT64_MAX)
+        )
+        return lambda value: (
+            value if type(value) is int and low <= value <= high else slow(value)
+        )
+    if sql_type is SqlType.FLOAT:
+        # value == value is False exactly for NaN
+        return lambda value: (
+            value if type(value) is float and value == value else slow(value)
+        )
+    exact = {SqlType.VARCHAR: str, SqlType.BOOLEAN: bool}.get(sql_type)
+    if exact is None:
+        return slow
+    return lambda value: value if type(value) is exact else slow(value)
 
 
 def is_comparable(left: SqlType, right: SqlType) -> bool:

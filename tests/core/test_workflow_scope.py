@@ -284,3 +284,79 @@ class TestWindowScopes:
         eng = SStoreEngine()
         with pytest.raises(UnknownObjectError):
             eng.assign_window_owner("ghost", "sp")
+
+
+class TestAccessCheckMemo:
+    """A passed check is remembered per plan only while what it was decided
+    from stands: window owners (``scopes.epoch``) and the catalog version."""
+
+    @staticmethod
+    def _reader(window_ddl):
+        eng = SStoreEngine()
+        eng.execute_ddl("CREATE STREAM s (v INTEGER)")
+        eng.execute_ddl(window_ddl)
+
+        class Peek(StreamProcedure):
+            name = "peek"
+            statements = {"peek": "SELECT COUNT(*) FROM w"}
+
+            def run(self, ctx):
+                return ctx.execute("peek").scalar()
+
+        eng.register_procedure(Peek)
+        return eng
+
+    def test_rescoping_is_seen_on_the_very_next_call(self):
+        eng = self._reader("CREATE WINDOW w ON s ROWS 5 SLIDE 1")
+        assert eng.call_procedure("peek").success  # unowned: passes, remembered
+        assert eng.call_procedure("peek").success
+        eng.assign_window_owner("w", "someone_else")
+        with pytest.raises(ScopeViolationError, match="scoped to procedure 'someone_else'"):
+            eng.call_procedure("peek")
+
+    def test_adhoc_plan_from_the_cache_is_rechecked_after_rescoping(self):
+        eng = self._reader("CREATE WINDOW w ON s ROWS 5 SLIDE 1")
+        assert eng.execute_sql("SELECT COUNT(*) FROM w").scalar() == 0
+        assert eng.execute_sql("SELECT COUNT(*) FROM w").scalar() == 0  # cached plan
+        eng.assign_window_owner("w", "peek")
+        with pytest.raises(ScopeViolationError, match="<ad-hoc client access>"):
+            eng.execute_sql("SELECT COUNT(*) FROM w")
+        assert eng.call_procedure("peek").success  # the owner still may
+
+    def test_pass_is_per_accessor_not_per_statement_text(self):
+        eng = self._reader("CREATE WINDOW w ON s ROWS 5 SLIDE 1 OWNED BY peek")
+        assert eng.call_procedure("peek").success
+
+        class Intruder(StreamProcedure):
+            name = "intruder"
+            statements = {"peek": "SELECT COUNT(*) FROM w"}
+
+            def run(self, ctx):
+                return ctx.execute("peek").scalar()
+
+        eng.register_procedure(Intruder)
+        with pytest.raises(ScopeViolationError):
+            eng.call_procedure("intruder")
+        assert eng.call_procedure("peek").success
+
+    def test_ddl_is_seen_on_the_very_next_call(self):
+        from repro.errors import StreamingError
+
+        eng = SStoreEngine()
+        eng.execute_ddl("CREATE TABLE t (v INTEGER)")
+
+        class Put(StreamProcedure):
+            name = "put"
+            statements = {"ins": "INSERT INTO t VALUES (?)"}
+
+            def run(self, ctx, v):
+                ctx.execute("ins", v)
+
+        eng.register_procedure(Put)
+        assert eng.call_procedure("put", 1).success
+        assert eng.call_procedure("put", 2).success
+        # the pre-planned statement now points at a stream of the same name
+        eng.execute_ddl("DROP TABLE t")
+        eng.execute_ddl("CREATE STREAM t (v INTEGER)")
+        with pytest.raises(StreamingError, match="direct DML on stream 't'"):
+            eng.call_procedure("put", 3)

@@ -9,6 +9,9 @@ less.
 from __future__ import annotations
 
 import errno
+import gc
+import json
+import warnings
 
 import pytest
 
@@ -129,6 +132,79 @@ class TestLogAppend:
         first = torn_log_bytes(tmp_path / "one")
         second = torn_log_bytes(tmp_path / "two")
         assert first == second
+
+
+class TestOneAppendHandle:
+    """The log is written through one kept handle; on disk nothing changed."""
+
+    @pytest.mark.parametrize(
+        "action", [FaultAction.CRASH, FaultAction.TORN_WRITE, FaultAction.IO_ERROR]
+    )
+    def test_append_fault_leaves_a_byte_prefix_of_the_clean_log(
+        self, tmp_path, fault_seed, action
+    ):
+        clean = make_kv(log_group_size=3)
+        clean.enable_durability(tmp_path / "clean")
+        for key in range(6):
+            clean.call_procedure("put", key, f"v{key}")
+        reference = (tmp_path / "clean" / "command.log").read_bytes()
+        ends = [i + 1 for i, byte in enumerate(reference) if byte == 0x0A]
+
+        # the 5th append is the 2nd record of the 2nd group: the record
+        # before it sits in the handle's buffer when the fault fires
+        plan = FaultPlan(fault_seed)
+        plan.add("log.append", action, at=5, errno_code=errno.EIO)
+        engine = armed_kv(plan, tmp_path / "faulted", log_group_size=3)
+        for key in range(5):
+            engine.call_procedure("put", key, f"v{key}")
+        with pytest.raises((InjectedCrash, OSError)):
+            engine.call_procedure("put", 5, "v5")
+        faulted = (tmp_path / "faulted" / "command.log").read_bytes()
+
+        assert faulted == reference[: len(faulted)]
+        if action is FaultAction.TORN_WRITE:
+            assert ends[3] < len(faulted) < ends[4]
+        else:
+            assert len(faulted) == ends[3]
+
+    def test_repaired_tail_then_appends_stay_one_record_per_line(
+        self, tmp_path, fault_seed
+    ):
+        plan = FaultPlan(fault_seed)
+        plan.add("log.append", FaultAction.TORN_WRITE, at=3)
+        engine = armed_kv(plan, tmp_path)
+        engine.call_procedure("put", 0, "a")
+        engine.call_procedure("put", 1, "b")
+        with pytest.raises(InjectedCrash):
+            engine.call_procedure("put", 2, "c")
+        fresh = restored(tmp_path)  # truncates the torn tail
+        for key in (2, 3, 4):
+            fresh.call_procedure("put", key, "x")  # one handle, three groups
+        lines = (tmp_path / "command.log").read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert [json.loads(line)["lsn"] for line in lines] == [0, 1, 2, 3, 4]
+
+    def test_second_engine_restores_while_the_writer_lives(self, tmp_path):
+        writer = make_kv()
+        writer.enable_durability(tmp_path)
+        for key in range(3):
+            writer.call_procedure("put", key, "x")
+        # no shutdown, no close: every flushed record is already in the file
+        assert kv_keys(restored(tmp_path)) == [0, 1, 2]
+        writer.call_procedure("put", 3, "x")
+        assert kv_keys(restored(tmp_path)) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("end", ["shutdown", "crash"])
+    def test_no_handle_outlives_shutdown_or_crash(self, tmp_path, end):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine = make_kv()
+            engine.enable_durability(tmp_path)
+            engine.call_procedure("put", 0, "a")
+            getattr(engine, end)()
+            del engine
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSnapshotWrite:

@@ -279,3 +279,99 @@ class TestCompileExprUnit:
         assert fn(ctx) is False  # NULL AND FALSE = FALSE
         ctx.row = (None, 0)
         assert fn(ctx) is None  # NULL AND TRUE = NULL
+
+
+# -- group-before-join ---------------------------------------------------------
+
+GROUP_FIRST_DDL = [
+    "CREATE TABLE f (id INTEGER NOT NULL, k INTEGER, k2 INTEGER, v INTEGER, "
+    "PRIMARY KEY (id))",
+    "CREATE TABLE d (k INTEGER NOT NULL, w INTEGER, PRIMARY KEY (k))",
+    "CREATE TABLE d2 (k INTEGER NOT NULL, k2 INTEGER NOT NULL, w INTEGER, "
+    "PRIMARY KEY (k, k2))",
+    "CREATE TABLE e (k INTEGER NOT NULL, w INTEGER)",
+    "CREATE INDEX e_by_k ON e (k)",
+]
+
+
+def make_group_first(compile: bool = True) -> HStoreEngine:
+    eng = HStoreEngine(compile=compile)
+    for ddl in GROUP_FIRST_DDL:
+        eng.execute_ddl(ddl)
+    # keys 1 and 2 join, 3 was "eliminated" from d, NULL never joins
+    facts = [(1, 5), (2, 7), (1, 0), (3, 2), (None, 9), (2, 1), (3, 0), (1, 4)]
+    for i, (k, v) in enumerate(facts):
+        eng.execute_sql("INSERT INTO f VALUES (?, ?, ?, ?)", i, k, k, v)
+    for k in (1, 2, 4):
+        eng.execute_sql("INSERT INTO d VALUES (?, ?)", k, 10 * k)
+        eng.execute_sql("INSERT INTO d2 VALUES (?, ?, ?)", k, k, 10 * k)
+        eng.execute_sql("INSERT INTO e VALUES (?, ?)", k, 10 * k)
+    return eng
+
+
+class TestGroupBeforeJoin:
+    FIRES = [
+        "SELECT f.k, COUNT(*) FROM f JOIN d ON d.k = f.k GROUP BY f.k",
+        "SELECT f.k, COUNT(*) AS n, SUM(f.v) FROM f JOIN d ON d.k = f.k "
+        "WHERE f.v > 0 GROUP BY f.k HAVING COUNT(*) > 1 "
+        "ORDER BY n DESC, f.k LIMIT 2",
+        "SELECT f.k, f.k2, MAX(f.v) FROM f JOIN d2 ON d2.k = f.k AND d2.k2 = f.k2 "
+        "GROUP BY f.k, f.k2",
+        "SELECT f.k2, f.k, COUNT(DISTINCT f.v) FROM f JOIN d ON d.k = f.k "
+        "JOIN d2 ON d2.k = f.k AND d2.k2 = f.k2 GROUP BY f.k2, f.k",
+    ]
+    MUST_NOT_FIRE = [
+        # an unmatched outer row survives a LEFT JOIN
+        "SELECT f.k, COUNT(*) FROM f LEFT JOIN d ON d.k = f.k GROUP BY f.k",
+        # a non-unique inner index may match an outer row more than once
+        "SELECT f.k, COUNT(*) FROM f JOIN e ON e.k = f.k GROUP BY f.k",
+        # a residual ON predicate reads the inner row
+        "SELECT f.k, COUNT(*) FROM f JOIN d ON d.k = f.k AND d.w > 10 GROUP BY f.k",
+        # inner columns in SELECT / HAVING / ORDER BY / an aggregate
+        "SELECT d.w, COUNT(*) FROM f JOIN d ON d.k = f.k GROUP BY d.w",
+        "SELECT f.k, COUNT(*) FROM f JOIN d ON d.k = f.k GROUP BY f.k "
+        "HAVING MAX(d.w) > 10",
+        "SELECT f.k, COUNT(*) FROM f JOIN d ON d.k = f.k GROUP BY f.k "
+        "ORDER BY MIN(d.w) DESC",
+        "SELECT f.k, SUM(d.w) FROM f JOIN d ON d.k = f.k GROUP BY f.k",
+        # the probe key is not a GROUP BY key: a group may half-join
+        "SELECT f.v, COUNT(*) FROM f JOIN d ON d.k = f.k GROUP BY f.v",
+        # WHERE reads the inner row
+        "SELECT f.k, COUNT(*) FROM f JOIN d ON d.k = f.k WHERE d.w > 10 GROUP BY f.k",
+    ]
+
+    @pytest.mark.parametrize("sql", FIRES)
+    def test_fires_named_in_explain_and_matches_the_interpreter(self, sql):
+        compiled, oracle = make_group_first(), make_group_first(compile=False)
+        assert "rewrite: group-before-join" in compiled.explain(sql)
+        assert "group-before-join" not in oracle.explain(sql)
+        assert compiled.execute_sql(sql).rows == oracle.execute_sql(sql).rows
+
+    @pytest.mark.parametrize("sql", MUST_NOT_FIRE)
+    def test_must_not_fire(self, sql):
+        compiled, oracle = make_group_first(), make_group_first(compile=False)
+        assert "group-before-join" not in compiled.explain(sql)
+        assert compiled.execute_sql(sql).rows == oracle.execute_sql(sql).rows
+
+    def test_eliminated_and_null_keys_drop_their_groups(self):
+        eng = make_group_first()
+        rows = eng.execute_sql(self.FIRES[0]).rows
+        assert rows == [(1, 3), (2, 2)]  # first-appearance order; 3 and NULL gone
+
+    def test_error_on_a_row_the_join_drops_does_not_surface(self):
+        # v = 0 only on rows that reach the division *before* the join in
+        # group-first order; in join order key 3's rows are dropped first
+        sql = (
+            "SELECT f.k, SUM(10 / f.v) FROM f JOIN d ON d.k = f.k "
+            "WHERE f.k = 2 OR f.k = 3 GROUP BY f.k"
+        )
+        compiled, oracle = make_group_first(), make_group_first(compile=False)
+        assert "rewrite: group-before-join" in compiled.explain(sql)
+        assert compiled.execute_sql(sql).rows == oracle.execute_sql(sql).rows == [(2, 11)]
+        # and an error both orders hit is the same error
+        sql = "SELECT f.k, SUM(10 / f.v) FROM f JOIN d ON d.k = f.k GROUP BY f.k"
+        with pytest.raises(TypeSystemError) as want:
+            oracle.execute_sql(sql)
+        with pytest.raises(TypeSystemError) as got:
+            compiled.execute_sql(sql)
+        assert str(got.value) == str(want.value)

@@ -44,6 +44,42 @@ class TestDurabilityDirectory:
         assert loaded[0].meta == (("kind", "test"),)
         assert loaded[1].params == (["nested", "rows"],)  # tuples → lists
 
+    def test_record_bytes_are_the_fully_normalised_encoding(self, tmp_path):
+        # the writer walks a params tuple instead of copying it; the bytes
+        # must be what encoding the deep-normalised copy always produced
+        import json
+
+        def normalised(value):
+            if isinstance(value, (tuple, list)):
+                return [normalised(item) for item in value]
+            if isinstance(value, dict):
+                return {str(key): normalised(item) for key, item in value.items()}
+            return value
+
+        params = (
+            "s",
+            ((1, "x", None), (2.5, True, "y")),
+            {1: (1, 2), None: {"k": (3,)}, True: [], "plain": {2.0: "f"}},
+            [(), [(4,)]],
+        )
+        record = LogRecord(7, 70, "p", params, 0, 9, (("kind", "test"), ("n", (1, 2))))
+        directory = DurabilityDirectory(tmp_path)
+        directory.append_log_records([record])
+        expected = json.dumps(
+            {
+                "lsn": 7,
+                "txn_id": 70,
+                "procedure": "p",
+                "params": normalised(params),
+                "partition": 0,
+                "logical_time": 9,
+                "meta": normalised(record.meta),
+            },
+            separators=(",", ":"),
+        )
+        assert directory.log_path.read_text() == expected + "\n"
+        assert directory.load_log_records()[0].params[2]["None"] == {"k": [3]}
+
     def test_load_empty(self, tmp_path):
         assert DurabilityDirectory(tmp_path).load_log_records() == []
         assert DurabilityDirectory(tmp_path).load_latest_snapshot() is None

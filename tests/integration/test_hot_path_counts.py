@@ -1,0 +1,73 @@
+"""Count guards for the per-statement path (counts, not timings).
+
+What the schema, the plan or the deployment fixes is decided when those are
+built; a steady-state vote must not re-decide it.  These guards count the
+calls that used to happen per statement or per commit and pin them at zero,
+so a regression shows as a number on any machine, loaded or not.
+"""
+
+from __future__ import annotations
+
+import builtins
+import io
+
+import repro.core.engine as core_engine
+import repro.hstore.types as types
+from repro.apps.voter import VoterSStoreApp, VoterWorkload
+from repro.hstore.catalog import Column, Schema, TableEntry
+from repro.hstore.table import Table
+from repro.hstore.types import SqlType
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_steady_state_votes_reopen_recoerce_and_recheck_nothing(tmp_path, monkeypatch):
+    app = VoterSStoreApp()
+    app.engine.enable_durability(tmp_path)
+    requests = VoterWorkload(seed=11).generate(500)
+    app.submit(requests[:300])  # warm: every plan has run, the log is open
+    before = app.engine.stats.snapshot()
+
+    opens = _counted(monkeypatch, io, "open")
+    monkeypatch.setattr(builtins, "open", io.open)
+    coercions = _counted(monkeypatch, types, "coerce_value")
+    access_walks = _counted(monkeypatch, core_engine, "plan_table_access")
+    app.submit(requests[300:])
+
+    delta = app.engine.stats.delta(before)
+    assert delta["log_flushes"] == 200 and delta["ee_statements"] > 1000
+    assert opens == []  # one append handle, not one open() per commit
+    assert coercions == []  # Voter binds exact-typed values: fast path only
+    assert access_walks == []  # the access check passed these plans already
+
+
+def test_update_of_a_non_key_column_touches_no_index(monkeypatch):
+    schema = Schema(
+        [
+            Column("k", SqlType.INTEGER, nullable=False),
+            Column("tag", SqlType.VARCHAR),
+            Column("n", SqlType.INTEGER),
+        ]
+    )
+    table = Table(TableEntry("t", schema, primary_key=("k",)))
+    table.add_index("by_tag", ("tag",), unique=True)
+    rowid = table.insert((1, "a", 0))
+    touched = []
+    for index in table.indexes().values():
+        for method in ("insert", "remove", "would_violate", "lookup"):
+            touched.append(_counted(monkeypatch, index, method))
+    table.update(rowid, (1, "a", 5))
+    assert table.get(rowid) == (1, "a", 5)
+    assert all(calls == [] for calls in touched)
+    table.update(rowid, (1, "b", 5))  # a key column: only that index moves
+    assert sum(len(calls) for calls in touched) == 3  # would_violate, remove, insert

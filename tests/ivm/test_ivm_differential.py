@@ -234,3 +234,62 @@ def test_te_abort_rolls_view_back():
     assert eng.execute_sql(query).rows == before
     eng.ingest("s", [(3, 9)])
     assert eng.execute_sql(query).rows == [(3, 16, 2)]
+
+
+def test_group_before_join_reads_the_outer_side_from_the_view():
+    """A grouped unique-key join over a viewed window aggregates the window
+    first — through the delta view — then probes once per group; dropping
+    the view sends the same statement back to the window scan."""
+    ddl = "CREATE WINDOW w ON s ROWS 6 SLIDE 1"
+    eng = build_engine(ddl, view_sql="CREATE VIEW vw AS SELECT g, COUNT(*), SUM(v) FROM w GROUP BY g")
+    oracle = build_engine(ddl, compile=False)
+    query = (
+        "SELECT w.g, COUNT(*), SUM(w.v) FROM w JOIN live ON live.g = w.g "
+        "GROUP BY w.g ORDER BY w.g"
+    )
+    for e in (eng, oracle):
+        e.execute_ddl("CREATE TABLE live (g INTEGER NOT NULL, PRIMARY KEY (g))")
+        for g in (0, 2):
+            e.execute_sql("INSERT INTO live VALUES (?)", g)
+    assert "rewrite: group-before-join" in eng.explain(query)
+    for i in range(15):
+        row = (i, i % 3, i, None)
+        eng.ingest("s", [row])
+        oracle.ingest("s", [row])
+        hits = eng.stats.extra.get("ivm_view_hits", 0)
+        assert_rows_identical(
+            eng.execute_sql(query).rows, oracle.execute_sql(query).rows, f"row {i}"
+        )
+        assert eng.stats.extra.get("ivm_view_hits", 0) == hits + 1
+    eng.execute_ddl("DROP VIEW vw")
+    hits = eng.stats.extra.get("ivm_view_hits", 0)
+    assert eng.execute_sql(query).rows == oracle.execute_sql(query).rows
+    assert eng.stats.extra.get("ivm_view_hits", 0) == hits
+
+
+def test_view_ddl_relowers_a_registered_group_before_join_statement():
+    from repro.hstore.procedure import StoredProcedure
+
+    class Board(StoredProcedure):
+        name = "board"
+        statements = {
+            "top": "SELECT w.g, COUNT(*) FROM w JOIN live ON live.g = w.g GROUP BY w.g"
+        }
+
+        def run(self, ctx):
+            return ctx.execute("top").rows
+
+    eng = build_engine("CREATE WINDOW w ON s ROWS 4 SLIDE 1")
+    eng.execute_ddl("CREATE TABLE live (g INTEGER NOT NULL, PRIMARY KEY (g))")
+    eng.execute_sql("INSERT INTO live VALUES (1)")
+    eng.register_procedure(Board)
+    outer = eng.procedures["board"].plans["top"].compiled.group_first.outer
+    assert outer.view_read is None
+    for i in range(6):
+        eng.ingest("s", [(i, i % 2, i, None)])
+    eng.execute_ddl("CREATE VIEW vw AS SELECT g, COUNT(*) FROM w GROUP BY g")
+    assert outer.view_read is not None
+    assert eng.call_procedure("board").data == [(1, 2)]
+    eng.execute_ddl("DROP VIEW vw")
+    assert outer.view_read is None
+    assert eng.call_procedure("board").data == [(1, 2)]

@@ -166,3 +166,57 @@ def test_order_limit_equivalent(rows, where):
         f"ORDER BY a DESC, b, id LIMIT 4 OFFSET 1"
     )
     assert_equivalent(rows, sql)
+
+
+# -- group-before-join: aggregate-then-probe ≡ join-then-aggregate ------------
+
+GROUP_FIRST_DDL = [
+    "CREATE TABLE f (id INTEGER NOT NULL, k INTEGER, k2 INTEGER, v INTEGER, "
+    "PRIMARY KEY (id))",
+    "CREATE TABLE d (k INTEGER NOT NULL, w INTEGER, PRIMARY KEY (k))",
+    "CREATE TABLE d2 (k INTEGER NOT NULL, k2 INTEGER NOT NULL, PRIMARY KEY (k, k2))",
+]
+key = st.one_of(st.none(), st.integers(0, 3))
+fact_rows = st.lists(st.tuples(key, key, st.one_of(st.none(), st.integers(-3, 3))), max_size=14)
+GROUP_FIRST_SELECTS = [
+    ("f.k", "JOIN d ON d.k = f.k", "f.k"),
+    ("f.k, f.k2", "JOIN d2 ON d2.k = f.k AND d2.k2 = f.k2", "f.k, f.k2"),
+    ("f.k2, f.k", "JOIN d ON d.k = f.k JOIN d2 ON d2.k = f.k AND d2.k2 = f.k2", "f.k2, f.k"),
+]
+GROUP_FIRST_TAILS = [
+    "",
+    "HAVING COUNT(*) > 1",
+    "HAVING SUM(f.v) IS NOT NULL ORDER BY f.k DESC",
+    "ORDER BY COUNT(*) DESC, f.k LIMIT 2",
+    "ORDER BY f.k LIMIT 3 OFFSET 1",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    facts=fact_rows,
+    live=st.sets(st.integers(0, 3)),  # keys absent from the dims are "eliminated"
+    shape=st.sampled_from(GROUP_FIRST_SELECTS),
+    where=st.sampled_from(["", "WHERE f.v >= 0", "WHERE f.v IS NOT NULL AND f.k2 < 3"]),
+    tail=st.sampled_from(GROUP_FIRST_TAILS),
+)
+def test_group_before_join_equivalent(facts, live, shape, where, tail):
+    keys, joins, group_by = shape
+    sql = (
+        f"SELECT {keys}, COUNT(*), COUNT(f.v), SUM(f.v), MIN(f.v), MAX(f.v) "
+        f"FROM f {joins} {where} GROUP BY {group_by} {tail}"
+    )
+    compiled, interpreted = HStoreEngine(), HStoreEngine(compile=False)
+    for eng in (compiled, interpreted):
+        for ddl in GROUP_FIRST_DDL:
+            eng.execute_ddl(ddl)
+        for i, (k, k2, v) in enumerate(facts):
+            eng.execute_sql("INSERT INTO f VALUES (?, ?, ?, ?)", i, k, k2, v)
+        for k in sorted(live):
+            eng.execute_sql("INSERT INTO d VALUES (?, ?)", k, k)
+            for k2 in sorted(live):
+                if (k + k2) % 2 == 0:
+                    eng.execute_sql("INSERT INTO d2 VALUES (?, ?)", k, k2)
+    assert "rewrite: group-before-join" in compiled.explain(sql)
+    # exact lists: surviving groups keep their first-appearance order
+    assert outcome(compiled, sql) == outcome(interpreted, sql)
