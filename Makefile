@@ -68,12 +68,16 @@ bench:
 
 # end-to-end benchmark as a whole-stack check: the harness's self-test, then
 # a short run of all five workloads whose correctness references (season-
-# Voter model, acked => durable, recovered == live) must hold
+# Voter model, acked => durable, recovered == live) must hold; then a smoke
+# run of the sizing tool, whose probes name engine methods and fail loudly
+# (AttributeError) when one moves
 e2e:
 	$(PYTHON) benchmarks/e2e/run.py --selftest
 	$(PYTHON) benchmarks/e2e/run.py --quick
+	$(PYTHON) benchmarks/hotpath.py --ops 500
 
-# sizing tool: us/op per statement name, per emit, log append and system
-# transaction for Voter and BikeShare on the in-process loop
+# sizing tool: us/op per statement name, per emit, stream/window insert and
+# expiry, log append and transaction begin+commit for Voter and BikeShare on
+# the in-process loop
 hotpath:
 	$(PYTHON) benchmarks/hotpath.py

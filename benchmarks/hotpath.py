@@ -1,5 +1,6 @@
 """Where one op's time goes on the in-process loop: µs per statement name,
-per ``emit``, per log append and per system transaction.
+per ``emit``, per stream/window insert and expiry, per log append, and for
+beginning and ending a transaction.
 
     python benchmarks/hotpath.py                 # Voter and BikeShare
     python benchmarks/hotpath.py --app voter --ops 20000 --seed 3
@@ -10,9 +11,10 @@ outside (class-level wrappers, removed at exit) on the same deployments
 ``ingest``, and E8's BikeShare city, one simulation tick per op — with a
 durability directory attached.  The wrappers cost ~0.3 µs per probed call,
 so read the rows against each other and take end-to-end numbers from
-``benchmarks/e2e/run.py``.  Rows are disjoint; ``(unattributed)`` is the
-loop's time outside every probe: TE begin/commit, scheduling, trigger
-dispatch and the procedures' own Python.
+``benchmarks/e2e/run.py``.  A row is self time — a probe nested in another
+(a window's insert under the ``emit`` that slid it) is taken out of its
+parent — so rows are disjoint; ``(unattributed)`` is the loop's time outside
+every probe: scheduling, trigger dispatch and the procedures' own Python.
 """
 
 from __future__ import annotations
@@ -32,32 +34,47 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 import apps  # noqa: E402  (benchmarks/e2e/apps.py: the deployments)
 from repro.core.engine import SStoreEngine, StreamContext  # noqa: E402
 from repro.hstore.cmdlog import CommandLog  # noqa: E402
-from repro.hstore.engine import HStoreEngine  # noqa: E402
+from repro.hstore.engine import ADHOC_RECORD, HStoreEngine  # noqa: E402
+from repro.hstore.executor import ExecutionEngine  # noqa: E402
 
 WARMUP = {"voter": 1000, "bikeshare": 300}
 DEFAULT_OPS = {"voter": 10_000, "bikeshare": 1_500}
 
 
 class Probes:
-    """Accumulates (calls, ns) per row name; wraps methods in place."""
+    """Accumulates (calls, self ns) per row name; wraps methods in place."""
 
     def __init__(self) -> None:
         self.rows: dict[str, list[int]] = defaultdict(lambda: [0, 0])
         self._undo: list[tuple[type, str, Callable]] = []
+        #: ns spent in nested probes, one slot per probe now on the stack
+        self._nested: list[int] = []
 
-    def wrap(self, owner: type, attr: str, name_of: Callable[..., str]) -> None:
-        original = getattr(owner, attr)
+    def wrap(
+        self, owner: type, attr: str, name_of: Callable[..., str | None]
+    ) -> None:
+        """Probe ``owner.attr``; a ``None`` name hides the call's self time
+        from its parent without giving it a row (it stays unattributed)."""
+        original = getattr(owner, attr)  # AttributeError = the seam moved
         rows = self.rows
+        nested = self._nested
         clock = time.perf_counter_ns
 
         def probed(*args: Any, **kwargs: Any) -> Any:
+            nested.append(0)
             start = clock()
             try:
                 return original(*args, **kwargs)
             finally:
-                row = rows[name_of(*args)]
-                row[0] += 1
-                row[1] += clock() - start
+                elapsed = clock() - start
+                inner = nested.pop()
+                if nested:
+                    nested[-1] += elapsed
+                name = name_of(*args)
+                if name is not None:
+                    row = rows[name]
+                    row[0] += 1
+                    row[1] += elapsed - inner
 
         self._undo.append((owner, attr, original))
         setattr(owner, attr, probed)
@@ -76,9 +93,24 @@ def install() -> Probes:
     )
     probes.wrap(StreamContext, "emit", lambda ctx, stream, *_: f"emit {stream}")
     probes.wrap(CommandLog, "append", lambda *_: "log  append+flush")
-    probes.wrap(SStoreEngine, "_system_txn", lambda engine, name, *_: f"txn  {name}")
     probes.wrap(HStoreEngine, "_execute_sql", lambda *_: "sql  <adhoc>")
+    # stream and window rows going in (a border batch, a window admitting
+    # tuples) and out (in-TE expiry, window expiry, the <gc> fallback)
+    probes.wrap(ExecutionEngine, "insert_rows", lambda ee, txn, table, *_: f"in   {table}")
+    probes.wrap(ExecutionEngine, "delete_rows", lambda ee, txn, table, *_: f"del  {table}")
+    # begin + commit/abort of any transaction; the bodies are the procedures'
+    # own Python and stay unattributed, system transactions get their own row
+    probes.wrap(HStoreEngine, "_transact", _transaction_row)
+    probes.wrap(HStoreEngine, "_resolve", lambda *_: "txn  begin+commit")
+    probes.wrap(SStoreEngine, "_stream_te_body", lambda *_: None)
+    probes.wrap(HStoreEngine, "_run_procedure", lambda *_: None)
     return probes
+
+
+def _transaction_row(engine: Any, name: str, *_: Any) -> str:
+    if name == ADHOC_RECORD:
+        return "sql  <adhoc>"
+    return f"txn  {name}" if name.startswith("<") else "txn  begin+commit"
 
 
 def drive(app: str, ops: int, seed: int, directory: str) -> tuple[Probes, int, int]:

@@ -21,16 +21,17 @@ Batches carry two identifiers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import StreamingError
 
 __all__ = ["Batch", "BatchFactory"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Batch:
-    """An immutable batch of input tuples bound for one stored procedure."""
+    """A batch of input tuples bound for one stored procedure (treat as
+    immutable: the scheduler, the order digest and replay all share it)."""
 
     batch_id: int
     origin_batch_id: int
@@ -59,29 +60,24 @@ class BatchFactory:
         self._next_batch_id = 0
         self._next_origin_id = 0
 
-    def origin_batch(self, stream: str, rows: list[tuple[Any, ...]]) -> Batch:
+    def origin_batch(self, stream: str, rows: Iterable[Iterable[Any]]) -> Batch:
         """A new BSP input batch (becomes its own origin)."""
         origin_id = self._next_origin_id
         self._next_origin_id += 1
-        batch = Batch(
-            batch_id=self._next_batch_id,
-            origin_batch_id=origin_id,
-            stream=stream,
-            rows=tuple(tuple(row) for row in rows),
-        )
-        self._next_batch_id += 1
-        return batch
+        return self._batch(origin_id, stream, rows)
 
     def derived_batch(
-        self, origin: Batch, stream: str, rows: list[tuple[Any, ...]]
+        self, origin: Batch, stream: str, rows: Iterable[Iterable[Any]]
     ) -> Batch:
         """An ISP batch descending from ``origin`` (same pipeline instance)."""
-        batch = Batch(
-            batch_id=self._next_batch_id,
-            origin_batch_id=origin.origin_batch_id,
-            stream=stream,
-            rows=tuple(tuple(row) for row in rows),
-        )
+        return self._batch(origin.origin_batch_id, stream, rows)
+
+    def _batch(
+        self, origin_id: int, stream: str, rows: Iterable[Iterable[Any]]
+    ) -> Batch:
+        # tuple(row) hands a tuple back as is and copies only a list, so rows
+        # ingest and emit already made tuples are checked, not re-copied
+        batch = Batch(self._next_batch_id, origin_id, stream, tuple(map(tuple, rows)))
         self._next_batch_id += 1
         return batch
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.config import ObsConfig
@@ -42,7 +42,7 @@ from repro.core.gc import StreamGarbageCollector
 from repro.core.latency import LatencyTracker
 from repro.core.scheduler import StreamScheduler, StreamTask
 from repro.core.scope import WindowScopes
-from repro.core.stream import StreamRegistry
+from repro.core.stream import StreamInfo, StreamRegistry
 from repro.core.transaction import HISTORY_RING, TERecord
 from repro.core.triggers import EETrigger
 from repro.core.window import (
@@ -83,9 +83,11 @@ from repro.hstore.txn import TransactionContext
 
 __all__ = ["SStoreEngine", "StreamContext", "StreamProcedure"]
 
-#: pseudo-procedure names used in the command log for streaming records
+#: pseudo-procedure names (and metas) of the command log's streaming records
 _INGEST_RECORD = "<ingest>"
 _TICK_RECORD = "<tick>"
+_INGEST_META = (("kind", "ingest"),)
+_TICK_META = (("kind", "tick"),)
 
 
 def _select_stages(plan: Plan) -> list[SelectPlan]:
@@ -125,10 +127,17 @@ class StreamContext(ProcedureContext):
         txn: TransactionContext,
         partition_id: int,
         batch: Batch | None = None,
+        emits: frozenset[str] = frozenset(),
     ) -> None:
         super().__init__(engine, procedure, txn, partition_id)
         self._sstore = engine
         self._batch = batch
+        #: output streams the deployment already authorised this TE to emit to
+        self._emits = emits
+        # no DDL or re-scoping runs inside a transaction, so what decides a
+        # statement's access check is fixed for the life of this context
+        self._plans = procedure.plans
+        self._access_token = engine.access_token(procedure.name)
 
     @property
     def batch(self) -> Batch:
@@ -146,11 +155,17 @@ class StreamContext(ProcedureContext):
     # -- statement execution with S-Store access rules ------------------------
 
     def execute(self, statement_name: str, *params: Any) -> ResultSet | int:
-        plan = self._procedure.plans.get(statement_name)
+        plan = self._plans.get(statement_name)
         if plan is None:
             return super().execute(statement_name, *params)  # raises
-        self._sstore.check_plan_access(plan, self._procedure.name)
-        return self._run_plan(statement_name, plan, params)
+        if plan.access_pass != self._access_token:
+            self._sstore.check_plan_access(plan, self._procedure.name)
+        engine = self._engine
+        if engine.tracer.sql_spans:
+            return self._run_plan(statement_name, plan, params)
+        engine.stats.pe_ee_roundtrips += 1
+        txn = self._txn
+        return txn.ee.execute(plan, params, txn)
 
     # -- streaming -------------------------------------------------------------
 
@@ -173,16 +188,17 @@ class StreamContext(ProcedureContext):
                 f"{self._partition_id}; streaming state is single-sited on "
                 f"partition 0 — route emitting procedures there"
             )
-        self._sstore.authorize_emit(self._procedure, stream_name)
+        if stream_name not in self._emits:
+            self._sstore.authorize_emit(self._procedure, stream_name)
         self._engine.stats.pe_ee_roundtrips += 1
-        rowids = self._txn.ee.insert_rows(self._txn, stream_name, list(rows))
-        emissions = self._txn.notes.setdefault("emissions", {})
+        txn = self._txn
+        rowids, stored = txn.ee.store_rows(txn, stream_name, rows)
+        emissions = txn.notes.setdefault("emissions", {})
         record = emissions.setdefault(
             stream_name.lower(), {"rows": [], "high_rowid": -1}
         )
-        table = self._txn.ee.table(stream_name)
-        record["rows"].extend(tuple(table.get(rowid)) for rowid in rowids)
-        record["high_rowid"] = max(record["high_rowid"], max(rowids))
+        record["rows"].extend(stored)
+        record["high_rowid"] = max(record["high_rowid"], rowids[-1])
         self._engine.stats.bump("stream_tuples_emitted", len(rowids))
         return len(rowids)
 
@@ -201,6 +217,28 @@ class StreamContext(ProcedureContext):
                 f"maintained natively by the EE"
             )
         return super().insert_rows(table_name, rows)
+
+
+class _BoundNode:
+    """One deployed workflow node with what each of its TEs needs — the
+    procedure object, the input stream's cursor registry, the streams it may
+    emit to — resolved once at ``deploy_workflow``."""
+
+    __slots__ = ("procedure", "name", "node", "workflow", "info", "emits")
+
+    def __init__(
+        self,
+        procedure: StoredProcedure,
+        node: WorkflowNode,
+        workflow: str,
+        info: StreamInfo,
+    ) -> None:
+        self.procedure = procedure
+        self.name = procedure.name
+        self.node = node
+        self.workflow = workflow
+        self.info = info
+        self.emits = frozenset(node.output_streams)
 
 
 class SStoreEngine(HStoreEngine):
@@ -260,10 +298,13 @@ class SStoreEngine(HStoreEngine):
         #: currently propagating — lets the cluster worker loop attribute a
         #: serialized error to the batch that caused it
         self._failed_te: tuple[str, str, int] | None = None
-        #: procedure name → (workflow, node) for deployed workflow members
-        self._node_of: dict[str, tuple[WorkflowSpec, WorkflowNode]] = {}
+        #: procedure name → its bound node, for deployed workflow members
+        self._bound: dict[str, _BoundNode] = {}
+        #: stream → the nodes that consume it (None = on another cluster
+        #: worker); rebuilt by every deployment, see _bind_consumers
+        self._stream_consumers: dict[str, tuple[_BoundNode, ...] | None] = {}
         #: border stream → consuming BSP node
-        self._border_consumer: dict[str, tuple[WorkflowSpec, WorkflowNode]] = {}
+        self._border_consumer: dict[str, _BoundNode] = {}
         #: border stream → tuples awaiting batch formation
         self._ingest_buffers: dict[str, list[tuple[Any, ...]]] = {}
         self._ee_triggers: dict[str, list[EETrigger]] = {}
@@ -553,21 +594,24 @@ class SStoreEngine(HStoreEngine):
                         f"workflow {spec.name!r}: output stream {stream!r} "
                         f"does not exist"
                     )
-            if node.procedure_name in self._node_of:
+            if node.procedure_name in self._bound:
                 raise WorkflowError(
                     f"procedure {node.procedure_name!r} already belongs to a "
                     f"deployed workflow"
                 )
 
         for node in spec.nodes.values():
-            self._node_of[node.procedure_name] = (spec, node)
+            bound = self._bound[node.procedure_name] = _BoundNode(
+                self.procedures[node.procedure_name],
+                node,
+                spec.name,
+                self.streams.get(node.input_stream),
+            )
             # A node placed on another cluster worker keeps no local cursor:
             # its input stream's local copy then has no consumers, so GC
             # reclaims producer-side tuples immediately after each drain.
             if self._node_runs_locally(node):
-                self.streams.get(node.input_stream).add_consumer(
-                    node.procedure_name
-                )
+                bound.info.add_consumer(node.procedure_name)
             for stream in node.output_streams:
                 self.streams.set_producer(stream, node.procedure_name)
 
@@ -577,13 +621,28 @@ class SStoreEngine(HStoreEngine):
             if existing is not None:
                 raise WorkflowError(
                     f"border stream {node.input_stream!r} already feeds "
-                    f"{existing[1].procedure_name!r}; one BSP per border stream"
+                    f"{existing.name!r}; one BSP per border stream"
                 )
-            self._border_consumer[node.input_stream] = (spec, node)
+            self._border_consumer[node.input_stream] = self._bound[name]
             self._ingest_buffers.setdefault(node.input_stream, [])
 
         self.workflows[spec.name] = spec
+        self._bind_consumers()
         return spec
+
+    def _bind_consumers(self) -> None:
+        """Resolve every stream's consuming nodes, across all workflows.
+
+        Run again by each deployment (a later workflow may consume an
+        earlier one's stream) and by the cluster shard once it knows the
+        placement, so commit-time dispatch only reads the answer.
+        """
+        self._stream_consumers = {
+            info.name: tuple(self._consumers_of(info.name))
+            if self._stream_consumed_locally(info.name)
+            else None
+            for info in self.streams.all()
+        }
 
     # ------------------------------------------------------------------
     # Ingestion (the push-based client path)
@@ -599,8 +658,7 @@ class SStoreEngine(HStoreEngine):
         """
         self._require_alive()
         stream_name = stream_name.lower()
-        if not self.streams.has(stream_name):
-            raise UnknownObjectError(f"no stream named {stream_name!r}")
+        # (an unknown stream raises UnknownObjectError from the registry)
         if self.streams.get(stream_name).producer is not None:
             raise StreamingError(
                 f"stream {stream_name!r} is produced by a workflow procedure; "
@@ -608,7 +666,8 @@ class SStoreEngine(HStoreEngine):
             )
         if not rows:
             return 0
-        rows = [tuple(row) for row in rows]
+        # the one copy: the log record, the buffer and the batch share it
+        rows = tuple(map(tuple, rows))
 
         if self.tracer.enabled:
             # root span of the whole pipeline instance: in eager mode every
@@ -621,16 +680,16 @@ class SStoreEngine(HStoreEngine):
             self._ingest_body(stream_name, rows)
         return len(rows)
 
-    def _ingest_body(self, stream_name: str, rows: list[tuple[Any, ...]]) -> None:
+    def _ingest_body(self, stream_name: str, rows: tuple[tuple[Any, ...], ...]) -> None:
         if not self._replaying:
             self.stats.client_pe_roundtrips += 1
             self.command_log.append(
                 txn_id=self._next_txn_id,
                 procedure=_INGEST_RECORD,
-                params=(stream_name, tuple(rows)),
+                params=(stream_name, rows),
                 partition=0,
                 logical_time=self.clock.now,
-                meta={"kind": "ingest"},
+                meta=_INGEST_META,
             )
             self._next_txn_id += 1
 
@@ -642,13 +701,15 @@ class SStoreEngine(HStoreEngine):
             # counted after the work so an auto-snapshot covers this ingest
             self._note_logged_command()
 
-    def _buffer_and_cut(self, stream_name: str, rows: list[tuple[Any, ...]]) -> None:
+    def _buffer_and_cut(
+        self, stream_name: str, rows: Iterable[tuple[Any, ...]]
+    ) -> None:
         buffer = self._ingest_buffers.setdefault(stream_name, [])
         buffer.extend(rows)
-        consumer = self._border_consumer.get(stream_name)
-        if consumer is None:
+        bound = self._border_consumer.get(stream_name)
+        if bound is None:
             return  # no workflow deployed yet; tuples wait in the buffer
-        spec, node = consumer
+        node = bound.node
         # border TEs join the ingest's trace even when they run later
         # (non-eager mode drains the scheduler outside the ingest span)
         trace_ctx = (
@@ -660,13 +721,7 @@ class SStoreEngine(HStoreEngine):
             batch = self.batch_factory.origin_batch(stream_name, batch_rows)
             self.latency.record_enqueue(batch.origin_batch_id)
             self.scheduler.enqueue(
-                StreamTask(
-                    procedure_name=node.procedure_name,
-                    batch=batch,
-                    depth=node.depth,
-                    workflow_name=spec.name,
-                    trace_ctx=trace_ctx,
-                )
+                StreamTask(bound.name, batch, node.depth, bound.workflow, trace_ctx)
             )
 
     # ------------------------------------------------------------------
@@ -675,7 +730,8 @@ class SStoreEngine(HStoreEngine):
 
     def run_until_quiescent(self) -> int:
         """Process pending TEs (in the S-Store serializable order) until none
-        remain, then garbage-collect streams.  Returns TEs executed."""
+        remain, then garbage-collect whatever stream input the consuming TEs
+        could not expire themselves.  Returns TEs executed."""
         if self._in_drain:
             return 0
         self._in_drain = True
@@ -689,8 +745,9 @@ class SStoreEngine(HStoreEngine):
             self._in_drain = False
         if executed:
             self.latency.finalize()
-            self._system_txn("<gc>", self.gc.collect)
-            self.stats.bump("gc_passes")
+            if self.gc.has_garbage():
+                self._system_txn("<gc>", self.gc.collect)
+                self.stats.bump("gc_passes")
         return executed
 
     def _system_txn(self, name: str, body: Any, *args: Any) -> Any:
@@ -779,96 +836,90 @@ class SStoreEngine(HStoreEngine):
                 tracer.deactivate()
 
     def _run_stream_te(self, task: StreamTask) -> ProcedureResult:
-        procedure = self.procedure(task.procedure_name)
-        spec, node = self._node_of[task.procedure_name]
+        bound = self._bound[task.procedure_name]
+        batch = task.batch
+        # an interior batch's rows end at the rowid its emission recorded; a
+        # border TE inserts its own and notes where they end
+        high = self._batch_high_rowids.pop(batch.batch_id, -1)
         try:
             (txn,), _data, error = self._transact(
-                procedure.name, (0,), self._stream_te_body, procedure, task, node
+                bound.name, (0,), self._stream_te_body, bound, batch, high
             )
         except BaseException:
-            self._failed_te = (
-                procedure.name,
-                task.batch.stream,
-                task.batch.origin_batch_id,
-            )
+            self._failed_te = (bound.name, batch.stream, batch.origin_batch_id)
             raise
         # The batch is consumed even on abort (it will never be retried),
         # so the cursor still advances and GC can reclaim the tuples.
-        self._advance_input_cursor(task, node, txn.notes.get("input_high", -1))
+        notes = txn.notes
+        high = notes.get("input_high", high)
+        if high >= 0:
+            bound.info.advance_cursor(bound.name, high)
         if error is not None:
             self.stats.bump("stream_te_aborts")
             return ProcedureResult(success=False, error=str(error), txn_id=txn.txn_id)
-        self.latency.record_commit(task.batch.origin_batch_id)
+        self.latency.record_commit(batch.origin_batch_id)
         self.schedule_history.append(
             TERecord(
-                seq=self._commit_seq,
-                procedure=procedure.name,
-                origin_batch_id=task.batch.origin_batch_id,
-                depth=task.depth,
-                workflow=task.workflow_name,
+                self._commit_seq,
+                bound.name,
+                batch.origin_batch_id,
+                task.depth,
+                task.workflow_name,
             )
         )
         self._commit_seq += 1
-        batches, digest = self.stream_commits.get(node.input_stream, (0, 0))
-        self.stream_commits[node.input_stream] = (
+        input_stream = bound.info.name
+        batches, digest = self.stream_commits.get(input_stream, (0, 0))
+        self.stream_commits[input_stream] = (
             batches + 1,
-            zlib.crc32(repr(task.batch.rows).encode(), digest),
+            zlib.crc32(repr(batch.rows).encode(), digest),
         )
-        self._dispatch_emissions(txn, origin=task.batch)
+        emissions = notes.get("emissions")
+        if emissions:
+            self._dispatch_emissions(emissions, batch)
         return ProcedureResult(success=True, txn_id=txn.txn_id)
 
     def _stream_te_body(
-        self,
-        txn: TransactionContext,
-        procedure: StoredProcedure,
-        task: StreamTask,
-        node: WorkflowNode,
+        self, txn: TransactionContext, bound: _BoundNode, batch: Batch, high: int
     ) -> None:
-        if task.depth == 0 and node.input_stream == task.batch.stream:
+        info = bound.info
+        if bound.node.depth == 0 and info.name == batch.stream:
             # The border batch enters stream state transactionally at TE
             # start; EE hooks (windows, SQL triggers) fire inside this txn.
             self.stats.pe_ee_roundtrips += 1
-            rowids = txn.ee.insert_rows(
-                txn, node.input_stream, list(task.batch.rows)
-            )
-            txn.notes["input_high"] = max(rowids)
-        procedure.run(StreamContext(self, procedure, txn, 0, batch=task.batch))
-
-    def _advance_input_cursor(
-        self, task: StreamTask, node: WorkflowNode, border_high: int
-    ) -> None:
-        """Mark the TE's input batch consumed so GC can reclaim the tuples.
-
-        Border TEs know the rowids they inserted themselves; interior TEs
-        consume the rowids the upstream emission recorded for their batch.
-        """
-        info = self.streams.get(node.input_stream)
-        if border_high >= 0:
-            info.advance_cursor(node.procedure_name, border_high)
-            return
-        recorded = self._batch_high_rowids.pop(task.batch.batch_id, None)
-        if recorded is not None:
-            info.advance_cursor(node.procedure_name, recorded)
+            high = txn.ee.insert_rows(txn, info.name, batch.rows)[-1]
+            txn.notes["input_high"] = high
+        procedure = bound.procedure
+        procedure.run(StreamContext(self, procedure, txn, 0, batch, bound.emits))
+        if len(info.cursors) == 1:
+            # Sole consumer: the input expires with the TE that read it (the
+            # paper's "lifespan determined by the queries accessing it").  An
+            # abort restores the rows; the quiescence pass collects them.
+            rowids = txn.ee.table(info.name).rowids()
+            expired = [rowid for rowid in rowids if rowid <= high]
+            if expired:
+                txn.ee.delete_rows(txn, info.name, expired)
+                self.stats.stream_tuples_gced += len(expired)
 
     # ------------------------------------------------------------------
     # PE triggers: commit-time dispatch of emitted batches
     # ------------------------------------------------------------------
 
     def _dispatch_emissions(
-        self, txn: TransactionContext, origin: Batch | None
+        self, emissions: dict[str, dict[str, Any]], origin: Batch | None
     ) -> None:
-        emissions: dict[str, dict[str, Any]] = txn.notes.get("emissions", {})
         tracer = self.tracer
         for stream_name, record in emissions.items():
             rows = record["rows"]
             if not rows:
                 continue
-            if not self._stream_consumed_locally(stream_name):
+            consumers = self._stream_consumers.get(stream_name, ())
+            if consumers is None:
                 # the consuming node lives on another cluster worker: hand
                 # the batch to the dispatch buffer instead of the scheduler
                 self._dispatch_remote(stream_name, rows)
                 continue
-            for spec, node in self._consumers_of(stream_name):
+            for bound in consumers:
                 if origin is not None:
                     batch = self.batch_factory.derived_batch(
                         origin, stream_name, rows
@@ -877,35 +928,32 @@ class SStoreEngine(HStoreEngine):
                     batch = self.batch_factory.origin_batch(stream_name, rows)
                 self._batch_high_rowids[batch.batch_id] = record["high_rowid"]
                 self.stats.pe_trigger_firings += 1
-                trigger_span = None
+                trace_ctx = trigger_span = None
                 if tracer.enabled:
                     # the trigger span is the causal hinge: the downstream
                     # TE parents under it, tying the pipeline into one trace
                     trigger_span = tracer.start_span(
                         "trigger",
-                        f"pe:{stream_name}->{node.procedure_name}",
+                        f"pe:{stream_name}->{bound.name}",
                         {"tuples": len(rows)},
                     )
+                    trace_ctx = tracer.current_context()
                 self.scheduler.enqueue(
                     StreamTask(
-                        procedure_name=node.procedure_name,
-                        batch=batch,
-                        depth=node.depth,
-                        workflow_name=spec.name,
-                        trace_ctx=tracer.current_context()
-                        if trigger_span is not None
-                        else None,
+                        bound.name, batch, bound.node.depth, bound.workflow, trace_ctx
                     )
                 )
                 if trigger_span is not None:
                     tracer.end_span(trigger_span)
 
-    def _consumers_of(self, stream_name: str) -> list[tuple[WorkflowSpec, WorkflowNode]]:
-        result: list[tuple[WorkflowSpec, WorkflowNode]] = []
-        for spec in self.workflows.values():
-            for node in spec.consumers_of_stream(stream_name):
-                result.append((spec, node))
-        return result
+    def _consumers_of(self, stream_name: str) -> list[_BoundNode]:
+        """The deployed nodes reading ``stream_name`` — deploy-time work:
+        TEs read the answer from ``_stream_consumers``."""
+        return [
+            bound
+            for bound in self._bound.values()
+            if bound.node.input_stream == stream_name
+        ]
 
     # ------------------------------------------------------------------
     # Distribution hooks (repro.dstream overrides these)
@@ -939,13 +987,10 @@ class SStoreEngine(HStoreEngine):
 
     def authorize_emit(self, procedure: StoredProcedure, stream_name: str) -> None:
         stream_name = stream_name.lower()
-        if not self.streams.has(stream_name):
-            raise UnknownObjectError(f"no stream named {stream_name!r}")
-        info = self.streams.get(stream_name)
-        membership = self._node_of.get(procedure.name)
-        if membership is not None:
-            _spec, node = membership
-            if stream_name not in node.output_streams:
+        info = self.streams.get(stream_name)  # raises for an unknown stream
+        bound = self._bound.get(procedure.name)
+        if bound is not None:
+            if stream_name not in bound.emits:
                 raise StreamingError(
                     f"procedure {procedure.name!r} did not declare "
                     f"{stream_name!r} as an output stream"
@@ -966,7 +1011,7 @@ class SStoreEngine(HStoreEngine):
         check runs the first time and again after any DDL
         (``catalog.version``) or re-scoping (``scopes.epoch``).
         """
-        token = (self.scopes, procedure_name, self.catalog.version, self.scopes.epoch)
+        token = self.access_token(procedure_name)
         if plan.access_pass == token:
             return
         reads, writes = plan_table_access(plan)
@@ -987,6 +1032,11 @@ class SStoreEngine(HStoreEngine):
                     f"are maintained natively by the EE"
                 )
         plan.access_pass = token
+
+    def access_token(self, procedure_name: str | None) -> tuple:
+        """What a passed access check is remembered under: the scope table,
+        the procedure, and the two counters DDL and re-scoping advance."""
+        return (self.scopes, procedure_name, self.catalog.version, self.scopes.epoch)
 
     def _check_adhoc_plan(self, plan: Any) -> None:
         self.check_plan_access(plan, None)
@@ -1010,7 +1060,7 @@ class SStoreEngine(HStoreEngine):
                 params=(ticks,),
                 partition=0,
                 logical_time=now,
-                meta={"kind": "tick"},
+                meta=_TICK_META,
             )
             self._next_txn_id += 1
         self._slide_time_windows()
@@ -1055,7 +1105,9 @@ class SStoreEngine(HStoreEngine):
     def _after_commit(self, txn: TransactionContext) -> None:
         # An OLTP procedure that emitted into a border stream starts a fresh
         # pipeline instance (its own origin batch).
-        self._dispatch_emissions(txn, origin=None)
+        emissions = txn.notes.get("emissions")
+        if emissions:
+            self._dispatch_emissions(emissions, None)
 
     # ------------------------------------------------------------------
     # Durability: snapshots + upstream-backup replay
@@ -1076,12 +1128,25 @@ class SStoreEngine(HStoreEngine):
                 name: [list(row) for row in rows]
                 for name, rows in self._ingest_buffers.items()
             },
+            # the oracle's per-stream (batches, digest) and the TE count, not
+            # a per-TE ledger: the snapshot stays O(streams) however long the
+            # run, and a restart resumes the numbering replay then extends
+            "commit_digests": dict(self.stream_commits),
+            "commit_seq": self._commit_seq,
         }
 
     def _restore_extra(self, extra: dict[str, Any]) -> None:
         self.scheduler.clear()
         self._batch_high_rowids.clear()
-        self.stream_commits.clear()
+        # per-TE observations restart with the state: counts resume from the
+        # snapshot, the rings empty, and replay re-records the suffix
+        self.stream_commits = {
+            str(stream): (int(batches), int(digest))
+            for stream, (batches, digest) in extra.get("commit_digests", {}).items()
+        }
+        self._commit_seq = int(extra.get("commit_seq", 0))
+        self.schedule_history.clear()
+        self.latency.reset()
         self.streams.load_state(extra.get("streams", {}))
         window_states = extra.get("windows", {})
         for name, state in self.windows.items():

@@ -24,7 +24,7 @@ experiments E1/E2/E9 exploit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.batch import Batch
@@ -33,7 +33,7 @@ from repro.errors import SchedulingError
 __all__ = ["StreamTask", "StreamScheduler"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamTask:
     """One pending transaction execution."""
 
@@ -46,31 +46,26 @@ class StreamTask:
     trace_ctx: Any = None
 
 
-@dataclass(order=True)
-class _HeapEntry:
-    priority: tuple[int, int, int]
-    task: StreamTask = field(compare=False)
-
-
 class StreamScheduler:
     """Priority queue of pending stream TEs."""
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        #: ``(origin batch, depth, enqueue seq, task)``: the unique sequence
+        #: number settles every comparison before it reaches the task
+        self._heap: list[tuple[int, int, int, StreamTask]] = []
         self._enqueue_seq = 0
 
     def enqueue(self, task: StreamTask) -> None:
-        entry = _HeapEntry(
-            priority=(task.batch.origin_batch_id, task.depth, self._enqueue_seq),
-            task=task,
+        heapq.heappush(
+            self._heap,
+            (task.batch.origin_batch_id, task.depth, self._enqueue_seq, task),
         )
         self._enqueue_seq += 1
-        heapq.heappush(self._heap, entry)
 
     def pop_next(self) -> StreamTask:
         if not self._heap:
             raise SchedulingError("no pending transaction executions")
-        return heapq.heappop(self._heap).task
+        return heapq.heappop(self._heap)[3]
 
     @property
     def pending_count(self) -> int:
@@ -82,7 +77,7 @@ class StreamScheduler:
 
     def peek_priorities(self) -> list[tuple[int, int, int]]:
         """Sorted snapshot of pending priorities (test/debug helper)."""
-        return sorted(entry.priority for entry in self._heap)
+        return sorted(entry[:3] for entry in self._heap)
 
     def clear(self) -> int:
         dropped = len(self._heap)

@@ -32,7 +32,7 @@ __all__ = ["HISTORY_RING", "TERecord", "ScheduleViolation", "validate_schedule"]
 HISTORY_RING = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TERecord:
     """One committed transaction execution in a history."""
 
@@ -43,8 +43,8 @@ class TERecord:
     workflow: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "procedure", self.procedure.lower())
-        object.__setattr__(self, "workflow", self.workflow.lower())
+        self.procedure = self.procedure.lower()
+        self.workflow = self.workflow.lower()
 
 
 @dataclass(frozen=True)

@@ -222,9 +222,7 @@ class WindowState:
         else:
             admit = []
         if admit:
-            rowids = self._ee.insert_rows(
-                txn, self.spec.name, admit, fire_hooks=True
-            )
+            rowids = self._ee.insert_rows(txn, self.spec.name, admit)
             self._live_rowids.extend(rowids)
             for view in self.views:
                 view.apply(rowids, admit, 1)
@@ -267,9 +265,7 @@ class WindowState:
         self._stats.window_slides += 1
         if self._staging:
             staged = list(self._staging)
-            rowids = self._ee.insert_rows(
-                txn, self.spec.name, staged, fire_hooks=True
-            )
+            rowids = self._ee.insert_rows(txn, self.spec.name, staged)
             self._live_rowids.extend(rowids)
             self._staging = deque()  # replaced, not cleared: see _touch
             for view in self.views:

@@ -35,6 +35,7 @@ __all__ = ["StreamShardEngine", "_TASK_RECORD"]
 
 #: pseudo-procedure name for a received cross-worker stream task
 _TASK_RECORD = "<task>"
+_TASK_META = (("kind", "stream_task"),)
 
 
 class StreamShardEngine(SStoreEngine):
@@ -144,6 +145,7 @@ class StreamShardEngine(SStoreEngine):
 
         self._stream_worker.update(stream_worker)
         self._owned_tables.update(owned)
+        self._bind_consumers()  # again, now that stream authority is known
         return {
             "workflow": deployed.name,
             "border_streams": {
@@ -222,7 +224,7 @@ class StreamShardEngine(SStoreEngine):
                 params=(stream_name, token, tuple(rows)),
                 partition=0,
                 logical_time=self.clock.now,
-                meta={"kind": "stream_task"},
+                meta=_TASK_META,
             )
             self._next_txn_id += 1
         self._watermarks[stream_name] = token
@@ -242,19 +244,15 @@ class StreamShardEngine(SStoreEngine):
                 f"worker {self.worker_id} received a task for stream "
                 f"{stream_name!r} but consumes nothing from it (misrouted)"
             )
-        for _spec, node in consumers:
-            if not self._node_runs_locally(node):
+        for bound in consumers:
+            if not self._node_runs_locally(bound.node):
                 raise StreamingError(
                     f"stream task for {stream_name!r} routed to worker "
                     f"{self.worker_id}, but consumer "
-                    f"{node.procedure_name!r} lives on worker "
-                    f"{self._node_worker.get(node.procedure_name)}"
+                    f"{bound.name!r} lives on worker "
+                    f"{self._node_worker.get(bound.name)}"
                 )
-        interior = [
-            node
-            for _spec, node in consumers
-            if node.depth > 0 or node.input_stream != stream_name
-        ]
+        interior = [bound for bound in consumers if bound.node.depth > 0]
         if interior and len(interior) != len(consumers):
             raise StreamingError(
                 f"stream {stream_name!r} mixes border and interior consumers "
@@ -275,7 +273,7 @@ class StreamShardEngine(SStoreEngine):
         trace_ctx = (
             self.tracer.current_context() if self.tracer.enabled else None
         )
-        for spec, node in consumers:
+        for bound in consumers:
             batch = self.batch_factory.origin_batch(stream_name, rows)
             self.latency.record_enqueue(batch.origin_batch_id)
             if high_rowid is not None:
@@ -283,11 +281,7 @@ class StreamShardEngine(SStoreEngine):
             self.stats.pe_trigger_firings += 1
             self.scheduler.enqueue(
                 StreamTask(
-                    procedure_name=node.procedure_name,
-                    batch=batch,
-                    depth=node.depth,
-                    workflow_name=spec.name,
-                    trace_ctx=trace_ctx,
+                    bound.name, batch, bound.node.depth, bound.workflow, trace_ctx
                 )
             )
 
@@ -299,7 +293,7 @@ class StreamShardEngine(SStoreEngine):
     ) -> int:
         """Insert a received batch into its stream's backing, hooks and all."""
         self.stats.pe_ee_roundtrips += 1
-        return max(txn.ee.insert_rows(txn, stream_name, list(rows)))
+        return txn.ee.insert_rows(txn, stream_name, rows)[-1]
 
     def apply_tick(self, ticks: int, seq: int) -> int:
         """Apply a cluster-wide clock tick exactly once (broadcast dedup)."""
@@ -375,10 +369,6 @@ class StreamShardEngine(SStoreEngine):
                 for stream, token, rows in self.outbound
             ],
             "ticks_applied": self._ticks_applied,
-            # the oracle's per-stream (batches, digest), not a per-TE ledger:
-            # the snapshot stays O(streams) however long the run
-            "commit_digests": dict(self.stream_commits),
-            "commit_seq": self._commit_seq,
         }
         return extra
 
@@ -396,13 +386,6 @@ class StreamShardEngine(SStoreEngine):
             for stream, token, rows in state.get("outbound", [])
         ]
         self._ticks_applied = int(state.get("ticks_applied", 0))
-        self.stream_commits = {
-            str(stream): (int(batches), int(digest))
-            for stream, (batches, digest) in state.get("commit_digests", {}).items()
-        }
-        # the ring restarts with the numbering: replay appends the suffix
-        self.schedule_history.clear()
-        self._commit_seq = int(state.get("commit_seq", 0))
 
     def _replay_invocation(self, record: LogRecord) -> None:
         if record.procedure == _TASK_RECORD:

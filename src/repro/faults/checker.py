@@ -57,7 +57,8 @@ _RECORD_PER_OP = ("<ingest>", "<tick>")
 
 
 def full_fingerprint(engine: HStoreEngine) -> dict[str, Any]:
-    """Tables, windows, and the logical clock — everything equivalence means.
+    """Tables, windows, the logical clock and, on a streaming engine, each
+    stream's commit-order digest — everything equivalence means.
 
     Multi-process clusters (:class:`repro.parallel.ParallelHStoreEngine`)
     provide their own same-shaped digest via ``cluster_fingerprint()``
@@ -74,6 +75,8 @@ def full_fingerprint(engine: HStoreEngine) -> dict[str, Any]:
     for name, digest in window_fingerprint(engine).items():
         fingerprint[f"window:{name}"] = digest
     fingerprint["clock"] = engine.clock.now
+    for stream, commits in getattr(engine, "stream_commits", {}).items():
+        fingerprint[f"commits:{stream}"] = commits
     return fingerprint
 
 

@@ -30,9 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LogRecord", "CommandLog"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogRecord:
-    """One committed transaction's logical log entry."""
+    """One committed transaction's logical log entry (written once, then
+    only read: by the flush, by replay and by tests)."""
 
     lsn: int
     txn_id: int
@@ -40,7 +41,8 @@ class LogRecord:
     params: tuple[Any, ...]
     partition: int
     logical_time: int
-    #: extra payload the streaming layer attaches (batch ids etc.)
+    #: extra payload the streaming layer attaches, as key-sorted pairs —
+    #: callers pass module constants such as ``(("kind", "ingest"),)``
     meta: tuple[tuple[str, Any], ...] = ()
 
 
@@ -80,7 +82,7 @@ class CommandLog:
         params: tuple[Any, ...],
         partition: int,
         logical_time: int,
-        meta: dict[str, Any] | None = None,
+        meta: tuple[tuple[str, Any], ...] = (),
     ) -> LogRecord | None:
         if not self.enabled:
             return None
@@ -91,7 +93,7 @@ class CommandLog:
             params=tuple(params),
             partition=partition,
             logical_time=logical_time,
-            meta=tuple(sorted((meta or {}).items())),
+            meta=meta,
         )
         self._next_lsn += 1
         self._pending.append(record)

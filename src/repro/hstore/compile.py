@@ -527,9 +527,10 @@ class CompiledSelect:
     project: EvalFn
     #: pure-column projection: ext_row -> out tuple without any context
     row_project: Callable[[tuple], tuple] | None
-    #: ORDER BY sort-key builders + comparator over precomputed key tuples
+    #: ORDER BY sort-key builder + one stable sort pass per key over the
+    #: precomputed key tuples (see :func:`_order_passes`)
     order_keys: EvalFn | None
-    order_cmp: Callable[[Any, Any], int] | None
+    order_passes: tuple[tuple[Callable[[Any], Any], bool], ...]
     #: pure covered equality lookup: skip the scan pipeline entirely
     point_lookup: bool = False
     #: batch-at-a-time artifacts (repro.hstore.vector.VectorSelect) for
@@ -627,28 +628,23 @@ def _compile_access(access: Any, columns: dict[str, int]) -> CompiledAccess:
     return CompiledAccess(kind="seq")
 
 
-def _make_order_cmp(ascending: tuple[bool, ...]) -> Callable[[Any, Any], int]:
-    """Comparator over ``(key_tuple, ext_row, out)`` sort items.
+def _order_passes(
+    ascending: tuple[bool, ...]
+) -> tuple[tuple[Callable[[Any], Any], bool], ...]:
+    """``(key, reverse)`` per ORDER BY key, last key first, for stable
+    ``list.sort`` passes over ``(key_tuple, ext_row, out)`` sort items.
 
-    Same semantics as the interpreted ``_make_comparator``: NULLs sort last
-    regardless of direction, ties fall through to the next key.
+    Same order as the interpreted ``_make_comparator``: NULLs sort last in
+    both directions (the NULL flag leads each pass key and flips with
+    ``reverse``), and ties keep the order the later keys' passes left.
     """
-
-    def compare(left: Any, right: Any) -> int:
-        for a, b, asc in zip(left[0], right[0], ascending):
-            if a is None and b is None:
-                continue
-            if a is None:
-                return 1
-            if b is None:
-                return -1
-            if a == b:
-                continue
-            result = -1 if a < b else 1
-            return result if asc else -result
-        return 0
-
-    return compare
+    passes = []
+    for i in reversed(range(len(ascending))):
+        if ascending[i]:
+            passes.append((lambda item, i=i: ((v := item[0][i]) is None, v), False))
+        else:
+            passes.append((lambda item, i=i: ((v := item[0][i]) is not None, v), True))
+    return tuple(passes)
 
 
 def _compile_select(plan: SelectPlan) -> CompiledSelect:
@@ -704,12 +700,10 @@ def _compile_select(plan: SelectPlan) -> CompiledSelect:
                 for expr, _asc in plan.post_order
             )
         )
-        order_cmp = _make_order_cmp(
-            tuple(asc for _expr, asc in plan.post_order)
-        )
+        order_passes = _order_passes(tuple(asc for _expr, asc in plan.post_order))
     else:
         order_keys = None
-        order_cmp = None
+        order_passes = ()
 
     point_lookup = (
         isinstance(plan.access, IndexEqScan)
@@ -732,7 +726,7 @@ def _compile_select(plan: SelectPlan) -> CompiledSelect:
         project=project,
         row_project=row_project,
         order_keys=order_keys,
-        order_cmp=order_cmp,
+        order_passes=order_passes,
         point_lookup=point_lookup,
     )
 

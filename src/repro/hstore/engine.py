@@ -70,6 +70,7 @@ __all__ = ["HStoreEngine", "PreparedInvocation", "ADHOC_RECORD"]
 
 #: pseudo-procedure name for command-logged ad-hoc DML statements
 ADHOC_RECORD = "<adhoc>"
+_ADHOC_META = (("kind", "adhoc"),)
 
 
 @dataclass
@@ -735,7 +736,7 @@ class HStoreEngine:
                 params=(sql, tuple(params)),
                 partition=0,
                 logical_time=self.clock.now,
-                meta={"kind": "adhoc"},
+                meta=_ADHOC_META,
             )
             self._note_logged_command()
         return data[0]

@@ -795,14 +795,15 @@ class ExecutionEngine:
             produced = unique
 
         if c.order_keys is not None:
-            # evaluate each sort key once per row, then compare key tuples —
-            # the interpreted path re-evaluates per comparison
+            # evaluate each sort key once per row, then one stable sort pass
+            # per key — the interpreted path re-evaluates per comparison
             order_keys = c.order_keys
             keyed = []
             for ext_row, out in produced:
                 ctx.row = ext_row
                 keyed.append((order_keys(ctx), ext_row, out))
-            keyed.sort(key=functools.cmp_to_key(c.order_cmp))
+            for key, reverse in c.order_passes:
+                keyed.sort(key=key, reverse=reverse)
             rows = [out for _keys, _ext, out in keyed]
         else:
             rows = [out for _ext, out in produced]
@@ -1087,25 +1088,31 @@ class ExecutionEngine:
         txn: TransactionContext,
         table_name: str,
         rows: list[tuple[Any, ...]] | list[list[Any]],
-        *,
-        fire_hooks: bool = True,
     ) -> list[int]:
-        """Direct (non-SQL) bulk insert used by the streaming layer.
+        """Direct (non-SQL) bulk insert used by the streaming layer; returns
+        the new rowids (see :meth:`store_rows`)."""
+        return self.store_rows(txn, table_name, rows)[0]
 
-        Validates against the schema, records undo, optionally fires insert
-        hooks, and returns the new rowids.  Rides the bulk
-        :meth:`Table.insert_many` path: one validation pass, one uniqueness
-        pre-pass, one index batch — and atomicity for free (a violation
-        anywhere leaves the table untouched).
+    def store_rows(
+        self,
+        txn: TransactionContext,
+        table_name: str,
+        rows: list[tuple[Any, ...]] | list[list[Any]],
+    ) -> tuple[list[int], list[Row]]:
+        """The bulk insert behind :meth:`insert_rows`: validates against the
+        schema, records undo, fires insert hooks, and returns ``(new rowids,
+        the validated rows as stored)`` so ``emit`` need not read its tuples
+        back.  Rides :meth:`Table.store_many`: one validation pass, one
+        uniqueness pre-pass, one index batch — and atomicity for free (a
+        violation anywhere leaves the table untouched).
         """
         table = self.table(table_name)
-        new_rowids = table.insert_many(list(rows))
+        new_rowids, stored = table.store_many(rows)
         for rowid in new_rowids:
             txn.record_insert(table.name, rowid)
         self.stats.rows_inserted += len(new_rowids)
-        if fire_hooks:
-            self._fire_insert_hooks(txn, table.name, new_rowids)
-        return new_rowids
+        self._fire_insert_hooks(txn, table.name, new_rowids)
+        return new_rowids, stored
 
     def delete_rows(
         self, txn: TransactionContext, table_name: str, rowids: list[int]

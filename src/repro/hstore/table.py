@@ -102,6 +102,11 @@ class Table:
         self._ensure_sorted()
         return list(self._rows)
 
+    def first_rowid(self) -> int | None:
+        """The lowest live row id (``None`` when the table is empty)."""
+        self._ensure_sorted()
+        return next(iter(self._rows), None)
+
     def get(self, rowid: int) -> Row:
         try:
             return self._rows[rowid]
@@ -242,13 +247,20 @@ class Table:
     def insert_many(
         self, rows: list[list[Any] | tuple[Any, ...]]
     ) -> list[int]:
+        """Bulk insert; returns the new rowids (see :meth:`store_many`)."""
+        return self.store_many(rows)[0]
+
+    def store_many(
+        self, rows: list[list[Any] | tuple[Any, ...]]
+    ) -> tuple[list[int], list[Row]]:
         """Bulk insert: one validation pass, one uniqueness pre-pass, one
-        index batch.  Atomic — a violation anywhere leaves the table
-        untouched, raising the same error the single-row path would have
-        raised for the first offending row.
+        index batch; returns ``(rowids, the validated rows as stored)``.
+        Atomic — a violation anywhere leaves the table untouched, raising
+        the same error the single-row path would have raised for the first
+        offending row.
         """
         if not rows:
-            return []
+            return [], []
         validated = [self.validate_row(values) for values in rows]
         # Uniqueness pre-pass: against the live indexes AND against keys
         # staged earlier in this same batch (NULL-containing keys are
@@ -273,7 +285,7 @@ class Table:
             insert = index.insert
             for rowid, row in zip(rowids, validated):
                 insert(key_of(row), rowid)
-        return rowids
+        return rowids, validated
 
     def insert_with_rowid(self, rowid: int, values: list[Any] | tuple[Any, ...]) -> None:
         """Re-insert a row under a specific rowid (undo of a delete)."""

@@ -18,7 +18,6 @@ partitions for the duration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import NoActiveTransactionError
@@ -39,18 +38,28 @@ class TxnState(enum.Enum):
     ABORTED = "ABORTED"
 
 
-@dataclass
 class TransactionContext:
     """State of one in-flight transaction on one partition."""
 
-    txn_id: int
-    ee: "ExecutionEngine"
-    procedure_name: str = ""
-    state: TxnState = TxnState.ACTIVE
-    undo_log: list[tuple] = field(default_factory=list)
-    #: arbitrary per-transaction scratch used by the streaming layer
-    notes: dict[str, Any] = field(default_factory=dict)
-    partition_id: int = 0
+    __slots__ = (
+        "txn_id", "ee", "procedure_name", "state", "undo_log", "notes", "partition_id"
+    )
+
+    def __init__(
+        self,
+        txn_id: int,
+        ee: "ExecutionEngine",
+        procedure_name: str = "",
+        partition_id: int = 0,
+    ) -> None:
+        self.txn_id = txn_id
+        self.ee = ee
+        self.procedure_name = procedure_name
+        self.state = TxnState.ACTIVE
+        self.undo_log: list[tuple] = []
+        #: arbitrary per-transaction scratch used by the streaming layer
+        self.notes: dict[str, Any] = {}
+        self.partition_id = partition_id
 
     # -- undo recording -----------------------------------------------------
 

@@ -188,6 +188,103 @@ class TestGarbageCollection:
         assert pipeline.gc.live_tuples("numbers") == 0
 
 
+class TestInTeExpiry:
+    """A stream's sole consumer expires its input inside the TE that read
+    it; the ``<gc>`` pass only runs for what that could not reach."""
+
+    @staticmethod
+    def gc_passes(eng) -> int:
+        return eng.stats.extra.get("gc_passes", 0)
+
+    def test_sole_consumer_chain_never_opens_a_gc_transaction(self, pipeline):
+        for start in range(0, 20, 2):
+            pipeline.ingest("numbers", [(start,), (start + 1,)])
+            assert pipeline.gc.live_tuples("numbers") == 0
+            assert pipeline.gc.live_tuples("doubled") == 0
+        assert self.gc_passes(pipeline) == 0
+        assert pipeline.stats.stream_tuples_gced == 40  # 20 in, 20 doubled
+
+    def test_aborted_interior_te_leaves_its_input_to_one_gc_pass(self):
+        eng = SStoreEngine()
+        eng.execute_ddl("CREATE STREAM a (v INTEGER)")
+        eng.execute_ddl("CREATE STREAM b (v INTEGER)")
+        eng.execute_ddl("CREATE TABLE out (v INTEGER)")
+
+        class Forward(StreamProcedure):
+            name = "forward"
+            statements = {}
+
+            def run(self, ctx):
+                ctx.emit("b", list(ctx.batch))
+
+        class Picky(StreamProcedure):
+            name = "picky"
+            statements = {"ins": "INSERT INTO out VALUES (?)"}
+
+            def run(self, ctx):
+                for (v,) in ctx.batch:
+                    ctx.execute("ins", v)
+                    if v < 0:
+                        ctx.abort("negative input")
+
+        eng.register_procedure(Forward)
+        eng.register_procedure(Picky)
+        wf = WorkflowSpec("wf")
+        wf.add_node("forward", input_stream="a", batch_size=1, output_streams=("b",))
+        wf.add_node("picky", input_stream="b")
+        eng.deploy_workflow(wf)
+
+        eng.ingest("a", [(1,)])
+        assert self.gc_passes(eng) == 0
+        eng.ingest("a", [(-1,)])  # picky aborts: rollback restores b's tuple
+        assert eng.stats.extra.get("stream_te_aborts") == 1
+        assert eng.gc.live_tuples("a") == eng.gc.live_tuples("b") == 0
+        assert self.gc_passes(eng) == 1
+        # the cursor advanced past the aborted batch: the next one is clean
+        eng.ingest("a", [(2,)])
+        assert self.gc_passes(eng) == 1
+        assert eng.execute_sql("SELECT v FROM out ORDER BY v").rows == [(1,), (2,)]
+
+    def test_shared_stream_keeps_a_tuple_until_both_cursors_pass_it(self):
+        eng = SStoreEngine()
+        eng.execute_ddl("CREATE STREAM src (v INTEGER)")
+        eng.execute_ddl("CREATE STREAM fan (v INTEGER)")
+        eng.execute_ddl("CREATE TABLE seen (who VARCHAR(8), live INTEGER)")
+
+        class Split(StreamProcedure):
+            name = "split"
+            statements = {}
+
+            def run(self, ctx):
+                ctx.emit("fan", list(ctx.batch))
+
+        def reader(who):
+            class Reader(StreamProcedure):
+                name = who
+                statements = {"ins": "INSERT INTO seen VALUES (?, ?)"}
+
+                def run(self, ctx):
+                    ctx.execute("ins", who, eng.gc.live_tuples("fan"))
+
+            return Reader
+
+        eng.register_procedure(Split)
+        eng.register_procedure(reader("left"))
+        eng.register_procedure(reader("right"))
+        wf = WorkflowSpec("wf")
+        wf.add_node("split", input_stream="src", batch_size=1, output_streams=("fan",))
+        wf.add_node("left", input_stream="fan")
+        wf.add_node("right", input_stream="fan")
+        eng.deploy_workflow(wf)
+
+        eng.ingest("src", [(7,)])
+        # both consumers found the tuple live; only quiescence collected it
+        assert sorted(eng.table_rows("seen")) == [("left", 1), ("right", 1)]
+        assert eng.gc.live_tuples("fan") == 0
+        assert self.gc_passes(eng) == 1
+        assert eng.streams.get("fan").cursors == {"left": 0, "right": 0}
+
+
 class TestEmissionRules:
     def test_emit_undeclared_stream_rejected(self):
         eng = SStoreEngine()
@@ -512,6 +609,31 @@ class TestStreamingRecovery:
         assert observe() == before
         eng.ingest("s", [(7,)])  # the restored buffer completes batch 4
         assert eng.execute_sql("SELECT COUNT(*) FROM kept").scalar() == 8
+
+
+    def test_recover_restarts_per_te_observations(self, pipeline):
+        """crash(); recover() replays every TE: history, commit count and
+        latency must describe the replayed run, not both runs end to end."""
+        from repro.core.transaction import validate_schedule
+
+        for start in range(0, 40, 2):
+            pipeline.ingest("numbers", [(start,), (start + 1,)])
+        pipeline.ingest("numbers", [(99,)])  # half a batch: stays buffered
+        before = pipeline.workflow_status()
+        commits = dict(pipeline.stream_commits)
+        assert before["committed_tes"] == 40
+        pipeline.latency.record_enqueue(10_000)  # in flight when the crash hits
+        pipeline.crash()
+        pipeline.recover()
+        after = pipeline.workflow_status()
+        assert after["committed_tes"] == 40
+        assert [r.seq for r in pipeline.schedule_history] == list(range(40))
+        assert validate_schedule(
+            pipeline.schedule_history, pipeline.workflows["doubling"]
+        ) == []
+        assert pipeline.stream_commits == commits
+        assert pipeline.latency.completed_count == 20
+        assert pipeline.latency._in_flight == {}
 
 
 class TestBoundedProcessState:

@@ -138,6 +138,12 @@ def test_voter_differential(workers, batch_size):
         # the election-level view (ordered SELECTs over owned tables) agrees
         assert single.summary() == cluster.summary()
         assert single.leaderboards() == cluster.leaderboards()
+        # every TE expired its own input on both deployments: the same
+        # tuples collected, and no <gc> transaction anywhere
+        stats, reference = cluster_engine.stats, single.engine.stats
+        assert stats.stream_tuples_gced == reference.stream_tuples_gced > 0
+        assert stats.extra.get("gc_passes", 0) == 0
+        assert reference.extra.get("gc_passes", 0) == 0
     finally:
         cluster_engine.shutdown()
 

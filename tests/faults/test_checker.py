@@ -51,6 +51,16 @@ class TestEveryPointAndAction:
         assert report.equivalent
         assert report.crashes >= 1 and report.recoveries >= 1
 
+    def test_crash_past_the_snapshot_resumes_the_commit_digests(self, fault_seed):
+        # ingests 0-8 and the tick, the snapshot, then a crash between two
+        # later ingests: recovery is snapshot + suffix, and the report's
+        # fingerprint includes every stream's (batches, order digest)
+        plan = FaultPlan(fault_seed)
+        plan.add("log.flush", FaultAction.CRASH, at=14)
+        report = run_checker(plan)
+        assert report.equivalent, report.summary()
+        assert report.crashes == 1 and 0 < report.replayed_transactions < 10
+
     def test_torn_write_is_reported(self, fault_seed):
         plan = FaultPlan(fault_seed)
         plan.add("log.append", FaultAction.TORN_WRITE, at=5)

@@ -9,6 +9,7 @@ so a regression shows as a number on any machine, loaded or not.
 from __future__ import annotations
 
 import builtins
+import functools
 import io
 
 import repro.core.engine as core_engine
@@ -49,6 +50,34 @@ def test_steady_state_votes_reopen_recoerce_and_recheck_nothing(tmp_path, monkey
     assert opens == []  # one append handle, not one open() per commit
     assert coercions == []  # Voter binds exact-typed values: fast path only
     assert access_walks == []  # the access check passed these plans already
+
+
+def test_steady_state_votes_rebind_nothing_and_expire_their_own_input(monkeypatch):
+    """What ``deploy_workflow`` fixed stays fixed per TE: no consumer walk,
+    no comparator sort, one access token per transaction, no ``<gc>``."""
+    app = VoterSStoreApp()
+    engine = app.engine
+    requests = VoterWorkload(seed=11).generate(500)
+    app.submit(requests[:300])
+    before = engine.stats.snapshot()
+
+    consumer_walks = _counted(monkeypatch, core_engine.SStoreEngine, "_consumers_of")
+    comparator_sorts = _counted(monkeypatch, functools, "cmp_to_key")
+    tokens = _counted(monkeypatch, core_engine.SStoreEngine, "access_token")
+    system_txns = _counted(monkeypatch, core_engine.SStoreEngine, "_system_txn")
+    streams = [info.name for info in engine.streams.all()]
+    for request in requests[300:]:
+        app.submit([request])
+        assert [engine.gc.live_tuples(name) for name in streams] == [0] * len(streams)
+
+    delta = engine.stats.delta(before)
+    assert delta["txns_committed"] + delta["txns_aborted"] > 200
+    assert consumer_walks == [] and comparator_sorts == [] and system_txns == []
+    assert len(tokens) <= delta["txns_committed"] + delta["txns_aborted"]
+    assert delta.get("gc_passes", 0) == 0
+    assert delta["stream_tuples_gced"] == delta["stream_tuples_ingested"] + delta.get(
+        "stream_tuples_emitted", 0
+    )
 
 
 def test_update_of_a_non_key_column_touches_no_index(monkeypatch):

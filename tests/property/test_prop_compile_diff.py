@@ -220,3 +220,67 @@ def test_group_before_join_equivalent(facts, live, shape, where, tail):
     assert "rewrite: group-before-join" in compiled.explain(sql)
     # exact lists: surviving groups keep their first-appearance order
     assert outcome(compiled, sql) == outcome(interpreted, sql)
+
+
+# -- ORDER BY: stable per-key sort passes ≡ the interpreter's comparator ------
+
+ORDER_DDL = (
+    "CREATE TABLE o (id INTEGER NOT NULL, i INTEGER, f FLOAT, s VARCHAR(4), "
+    "PRIMARY KEY (id))"
+)
+#: few distinct values, so duplicate keys, NULLs and 1 == 1.0 ties are common
+order_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(-2, 2)),
+        st.one_of(st.none(), st.sampled_from([-1.5, -1.0, 0.0, 1.0, 2.5])),
+        st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b"])),
+    ),
+    max_size=12,
+)
+ORDER_KEYS = [
+    "i",
+    "f",
+    "s",
+    "i * f",
+    "COALESCE(f, i)",  # int or float, row by row
+    "(CASE WHEN id % 2 = 0 THEN i ELSE f END)",
+]
+order_by = st.lists(
+    st.tuples(st.sampled_from(ORDER_KEYS), st.sampled_from(["", " ASC", " DESC"])),
+    min_size=1,
+    max_size=3,
+).map(lambda keys: ", ".join(expr + direction for expr, direction in keys))
+ORDER_TAILS = ["", "LIMIT 3", "LIMIT 5 OFFSET 2", "LIMIT 1 OFFSET 20"]
+
+
+def order_pair(rows) -> tuple[HStoreEngine, HStoreEngine]:
+    compiled, interpreted = HStoreEngine(), HStoreEngine(compile=False)
+    for eng in (compiled, interpreted):
+        eng.execute_ddl(ORDER_DDL)
+        for n, (i, f, s) in enumerate(rows):
+            eng.execute_sql("INSERT INTO o VALUES (?, ?, ?, ?)", n, i, f, s)
+    return compiled, interpreted
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=order_rows, order=order_by, tail=st.sampled_from(ORDER_TAILS))
+def test_order_by_equivalent(rows, order, tail):
+    # no unique tie-breaker: rows the keys cannot tell apart must keep the
+    # scan order on both sides, so the lists are compared exactly
+    sql = f"SELECT id, i, f, s FROM o ORDER BY {order} {tail}"
+    compiled, interpreted = order_pair(rows)
+    assert outcome(compiled, sql) == outcome(interpreted, sql)
+
+
+@pytest.mark.parametrize("direction", ["ASC", "DESC"])
+def test_order_by_mixed_str_and_int_key_raises_the_same_error(direction):
+    sql = (
+        "SELECT id FROM o "
+        f"ORDER BY (CASE WHEN id = 0 THEN s ELSE i END) {direction}, id"
+    )
+    raised = []
+    for eng in order_pair([(1, None, "a"), (2, None, "b"), (None, None, None)]):
+        with pytest.raises(TypeError) as excinfo:
+            eng.execute_sql(sql)
+        raised.append(type(excinfo.value))
+    assert raised == [TypeError, TypeError]
