@@ -52,9 +52,10 @@ compile:
 net:
 	$(PYTHON) -m pytest -m net -q
 
-# columnar storage + vectorized execution: column-store layout units,
-# bulk-insert atomicity, EXPLAIN modes, and the hypothesis differential
-# oracle (vectorized vs row-compiled vs interpreter, bit-for-bit)
+# vectorized execution: column-cache units (lazy per-column build, dropped
+# by every write), bulk-insert atomicity, EXPLAIN lanes vs counters, and the
+# hypothesis differential oracle (vectorized vs row-compiled vs interpreter,
+# bit-for-bit, with writes, aborts, truncate and recovery between scans)
 columnar:
 	$(PYTHON) -m pytest -m columnar -q
 

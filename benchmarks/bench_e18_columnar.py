@@ -1,7 +1,7 @@
 """E18 — Columnar storage: vectorized full-scan analytics vs row-at-a-time.
 
 The claim (docs/INTERNALS.md §15): full-scan aggregates and filters over
-a :class:`~repro.hstore.columnar.ColumnStore` mirror run batch-at-a-time —
+:class:`~repro.hstore.columnar.ColumnCache` vectors run batch-at-a-time —
 one Python-level dispatch per *column expression* instead of one per row —
 so analytics over history tables get faster as tables grow, while point
 lookups keep taking the row-store fast lane untouched.
@@ -11,7 +11,8 @@ filtered aggregates, GROUP BY rollups, a predicate projection) at 1x, 10x
 and 100x table sizes on three engines that differ only in execution mode:
 
 * *vector*  — default: compiled plans + columnar batch evaluation;
-* *row*     — ``vectorize=False``: compiled closures, row-at-a-time;
+* *row*     — ``tests.lanes.compiled_row_arm``: the same compiled closures
+  with no statement lowered, row-at-a-time;
 * *interp*  — ``compile=False``: the tree-walking interpreter (oracle).
 
 All three must return identical rows.  Expectation: the vector/row ratio
@@ -28,6 +29,7 @@ import time
 
 from repro.bench import format_table, write_bench_json
 from repro.hstore.engine import HStoreEngine
+from tests.lanes import compiled_row_arm
 
 BASE_SIZE = 300
 SCALES = (1, 10, 100)
@@ -48,14 +50,14 @@ QUERIES = [
 ]
 
 ARMS = {
-    "vector": {},
-    "row": {"vectorize": False},
-    "interp": {"compile": False},
+    "vector": HStoreEngine,
+    "row": lambda: compiled_row_arm(HStoreEngine()),
+    "interp": lambda: HStoreEngine(compile=False),
 }
 
 
-def build(size: int, **kwargs) -> HStoreEngine:
-    eng = HStoreEngine(**kwargs)
+def build(size: int, make_engine=HStoreEngine) -> HStoreEngine:
+    eng = make_engine()
     eng.execute_ddl(
         "CREATE TABLE ride_history ("
         "ride_id INTEGER NOT NULL, station INTEGER NOT NULL, "
@@ -80,9 +82,9 @@ def build(size: int, **kwargs) -> HStoreEngine:
     return eng
 
 
-def run_point(size: int, **kwargs) -> tuple[float, list, dict[str, int]]:
+def run_point(size: int, make_engine) -> tuple[float, list, dict[str, int]]:
     """CPU seconds for QUERY_ROUNDS passes over the analytics mix."""
-    eng = build(size, **kwargs)
+    eng = build(size, make_engine)
     results = [eng.execute_sql(q).rows for q in QUERIES]  # warm plan cache
     gc.collect()
     started = time.process_time()
@@ -101,10 +103,10 @@ def test_e18_columnar_sweep(benchmark, save_report):
         for scale in SCALES:
             size = BASE_SIZE * scale
             reference = None
-            for arm, kwargs in ARMS.items():
+            for arm, make_engine in ARMS.items():
                 best = float("inf")
                 for _ in range(3):
-                    elapsed, results, stats = run_point(size, **kwargs)
+                    elapsed, results, stats = run_point(size, make_engine)
                     best = min(best, elapsed)
                 # correctness first: every arm answers identically
                 if reference is None:

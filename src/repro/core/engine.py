@@ -62,7 +62,7 @@ from repro.hstore.catalog import Schema, TableEntry, TableKind
 from repro.hstore.clock import LogicalClock
 from repro.hstore.cmdlog import LogRecord
 from repro.hstore.engine import HStoreEngine
-from repro.hstore.executor import VECTOR_MIN_ROWS, ResultSet
+from repro.hstore.executor import ResultSet
 from repro.hstore.parser import (
     CreateStreamStmt,
     CreateViewStmt,
@@ -256,8 +256,6 @@ class SStoreEngine(HStoreEngine):
         command_logging: bool = True,
         obs: "ObsConfig | None" = None,
         compile: bool = True,
-        vectorize: bool = True,
-        vector_min_rows: int = VECTOR_MIN_ROWS,
         plan_cache_size: int = 128,
     ) -> None:
         super().__init__(
@@ -269,8 +267,6 @@ class SStoreEngine(HStoreEngine):
             command_logging=command_logging,
             obs=obs,
             compile=compile,
-            vectorize=vectorize,
-            vector_min_rows=vector_min_rows,
             plan_cache_size=plan_cache_size,
         )
         self.streams = StreamRegistry()

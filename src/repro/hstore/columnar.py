@@ -1,165 +1,40 @@
-"""Structure-of-arrays column store: the analytics half of table storage.
+"""Column vectors derived from the row store on demand.
 
-The row store (``Table._rows``: rowid -> tuple) stays authoritative — txn
-undo, snapshots, recovery, and indexes all read and write it.  This module
-maintains a column-major *mirror* of the live rows so full scans and
-aggregates can run batch-at-a-time over flat vectors instead of walking
-row tuples.
-
-Layout per table:
-
-* one vector per column — an ``array``-module typed vector for NOT NULL
-  INTEGER/BIGINT/TIMESTAMP (``'q'``, int64) and FLOAT (``'d'``, C double),
-  a plain Python list for VARCHAR, BOOLEAN, and anything nullable (typed
-  arrays cannot hold ``None``, and BOOLEAN must round-trip ``bool`` —
-  an array would hand back ``int`` and break type fidelity);
-* a parallel ``'q'`` rowid vector, ascending at view time;
-* a rowid -> slot map for O(1) delete/update mirroring.
-
-Maintenance is *lazy* two ways.  First, the mirror is only built at all
-once a table is columnar-scanned (``Table.columnar_view``) — pure-OLTP
-tables pay a single ``is None`` branch per mutation and no memory.
-Second, deletes only tombstone a slot and out-of-order appends (txn-undo
-``insert_with_rowid``) only clear a sorted flag; the next ``view()`` call
-compacts live slots back into dense rowid-ascending vectors.  A view is
-therefore always dense and aligned with ``Table.storage()`` iteration
-order, which is what lets the executor pair a selection mask computed
-over column vectors with the row dict's values.
+The row store (``Table._rows``: rowid -> tuple) is the only store.  A batch
+scan that wants a column gets ``[row[offset] for row in rows.values()]``,
+transposed at C speed the first time the column is asked for and kept until
+the table next changes — :class:`~repro.hstore.table.Table` drops the whole
+cache wherever it mutates or rebinds its row dict.  Vectors are therefore in
+``Table.storage()`` order by construction (what lets the executor pair a
+selection mask with the row dict's values), only the columns a statement
+references are ever built, and a vector is never mutated in place, so a scan
+holding one mid-statement stays consistent.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Iterable, Sequence
+from operator import itemgetter
+from typing import Any
 
-from repro.hstore.types import SqlType
-
-__all__ = ["ColumnStore", "TYPED_CODES"]
-
-#: array-module typecodes for columns that qualify for typed vectors.
-#: int64 holds every INTEGER/BIGINT/TIMESTAMP the type system admits
-#: (INTEGER is range-checked to int32 at coercion, BIGINT/TIMESTAMP to
-#: int64); C double is exactly a Python float.  Only NOT NULL columns
-#: qualify — nullable ones fall back to plain lists.
-TYPED_CODES = {
-    SqlType.INTEGER: "q",
-    SqlType.BIGINT: "q",
-    SqlType.TIMESTAMP: "q",
-    SqlType.FLOAT: "d",
-}
+__all__ = ["ColumnCache"]
 
 
-class ColumnStore:
-    """Column-major mirror of one table's live rows."""
+class ColumnCache:
+    """The column vectors built so far over one unchanged row dict."""
 
-    __slots__ = (
-        "_codes",
-        "_rowids",
-        "_cols",
-        "_pos",
-        "_dead",
-        "_append_sorted",
-        "_tail",
-        "version",
-    )
+    __slots__ = ("_rows", "_cols")
 
-    def __init__(self, schema: Sequence[Any]) -> None:
-        self._codes: list[str | None] = [
-            None if col.nullable else TYPED_CODES.get(col.sql_type)
-            for col in schema
-        ]
-        self._rowids: array = array("q")
-        self._cols: list[Any] = [
-            array(code) if code else [] for code in self._codes
-        ]
-        self._pos: dict[int, int] = {}
-        self._dead: set[int] = set()
-        self._append_sorted = True
-        self._tail = -1
-        #: bumped on every logical content change (insert/delete/update);
-        #: lets callers detect staleness of anything derived from a view
-        self.version = 0
-
-    # ------------------------------------------------------------------
-    # mutation mirror — called from the Table funnel
-
-    def append(self, rowid: int, row: Sequence[Any]) -> None:
-        self._pos[rowid] = len(self._rowids)
-        self._rowids.append(rowid)
-        for col, value in zip(self._cols, row):
-            col.append(value)
-        if rowid < self._tail:
-            # txn-undo re-insert below the high-water mark: the next
-            # view() re-sorts by rowid
-            self._append_sorted = False
-        else:
-            self._tail = rowid
-        self.version += 1
-
-    def remove(self, rowid: int) -> None:
-        self._dead.add(self._pos.pop(rowid))
-        self.version += 1
-
-    def replace(self, rowid: int, row: Sequence[Any]) -> None:
-        slot = self._pos[rowid]
-        for col, value in zip(self._cols, row):
-            col[slot] = value
-        self.version += 1
-
-    def clear(self) -> None:
-        self._rowids = array("q")
-        self._cols = [array(code) if code else [] for code in self._codes]
-        self._pos = {}
-        self._dead = set()
-        self._append_sorted = True
-        self._tail = -1
-        self.version += 1
-
-    def rebuild(self, items: Iterable[tuple[int, Sequence[Any]]]) -> None:
-        """Reload from (rowid, row) pairs; order need not be sorted."""
-        self.clear()
-        for rowid, row in items:
-            self.append(rowid, row)
-
-    # ------------------------------------------------------------------
-    # read side
-
-    def view(self) -> "ColumnStore":
-        """Dense, rowid-ascending snapshot handle (self, compacted)."""
-        if self._dead or not self._append_sorted:
-            self._compact()
-        return self
+    def __init__(self, rows: dict[int, tuple[Any, ...]]) -> None:
+        self._rows = rows
+        self._cols: dict[int, list[Any]] = {}
 
     def size(self) -> int:
-        return len(self._rowids) - len(self._dead)
+        return len(self._rows)
 
-    def column(self, offset: int) -> Any:
-        """Raw column vector — only aligned after ``view()``."""
-        return self._cols[offset]
-
-    def rowid_vector(self) -> array:
-        return self._rowids
-
-    def typecode(self, offset: int) -> str | None:
-        return self._codes[offset]
-
-    def _compact(self) -> None:
-        dead = self._dead
-        rowids = self._rowids
-        if dead:
-            live = [slot for slot in range(len(rowids)) if slot not in dead]
-        else:
-            live = list(range(len(rowids)))
-        if not self._append_sorted:
-            live.sort(key=rowids.__getitem__)
-        self._rowids = array("q", map(rowids.__getitem__, live))
-        self._cols = [
-            array(code, map(col.__getitem__, live))
-            if code
-            else list(map(col.__getitem__, live))
-            for code, col in zip(self._codes, self._cols)
-        ]
-        self._pos = {rowid: slot for slot, rowid in enumerate(self._rowids)}
-        self._dead = set()
-        self._append_sorted = True
-        self._tail = self._rowids[-1] if self._rowids else -1
+    def column(self, offset: int) -> list[Any]:
+        col = self._cols.get(offset)
+        if col is None:
+            col = self._cols[offset] = list(
+                map(itemgetter(offset), self._rows.values())
+            )
+        return col

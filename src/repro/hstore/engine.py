@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.hstore.catalog import Catalog, IndexEntry, Schema, TableEntry, TableKind
 from repro.hstore.clock import LogicalClock
 from repro.hstore.cmdlog import CommandLog, LogRecord
-from repro.hstore.executor import VECTOR_MIN_ROWS, ResultSet
+from repro.hstore.executor import ResultSet
 from repro.hstore.parser import (
     CreateIndexStmt,
     CreateStreamStmt,
@@ -98,8 +98,6 @@ class HStoreEngine:
         command_logging: bool = True,
         obs: "ObsConfig | None" = None,
         compile: bool = True,
-        vectorize: bool = True,
-        vector_min_rows: int = VECTOR_MIN_ROWS,
         plan_cache_size: int = 128,
     ) -> None:
         if partitions < 1:
@@ -145,21 +143,13 @@ class HStoreEngine:
         self.clock = clock if clock is not None else LogicalClock()
         self.catalog = Catalog()
         #: compile=False keeps the tree-walking interpreter as the execution
-        #: path — slower, but the oracle the differential tests fuzz against;
-        #: vectorize=False keeps compiled plans row-at-a-time (no columnar
-        #: batch execution), the middle arm of the E18 comparison
-        self.planner = Planner(
-            self.catalog, compile_plans=compile, vectorize=vectorize
-        )
+        #: path — slower, but the oracle the differential tests fuzz against
+        self.planner = Planner(self.catalog, compile_plans=compile)
         #: LRU of ad-hoc statement plans; 0 disables caching entirely
         self.plan_cache = PlanCache(plan_cache_size) if plan_cache_size > 0 else None
         self.partitions = [
             Partition(pid, self.catalog, self.stats) for pid in range(partitions)
         ]
-        #: batch-execution floor: full scans over smaller tables stay on
-        #: the row loop (tests pin 0 to force the vector path on tiny data)
-        for p in self.partitions:
-            p.ee.vector_min_rows = vector_min_rows
         self.procedures: dict[str, StoredProcedure] = {}
         self.command_log = CommandLog(log_group_size, self.stats)
         self.command_log.tracer = self.tracer
@@ -1085,10 +1075,11 @@ class HStoreEngine:
         return "\n".join(lines)
 
     def explain(self, sql: str) -> str:
-        """Plan a statement and render the physical plan as text."""
+        """Plan a statement the way execution would (same lowering, same
+        lane) and render the physical plan as text."""
         from repro.hstore.explain import explain_plan
 
-        return explain_plan(self.planner.plan(parse(sql)))
+        return explain_plan(self._plan_statement(sql, "<explain>"))
 
     def explain_procedure(self, name: str) -> str:
         """Render every pre-planned statement of a registered procedure."""

@@ -21,8 +21,9 @@ from itertools import compress
 from typing import Any, Callable, Iterator
 
 from repro.errors import BindingError, StorageError
+from repro.hstore.aggregate import Accumulator, fold
 from repro.hstore.catalog import Catalog, TableEntry
-from repro.hstore.expression import AggregateCall, EvalContext
+from repro.hstore.expression import EvalContext
 from repro.hstore.planner import (
     AccessPath,
     DeletePlan,
@@ -37,12 +38,7 @@ from repro.hstore.planner import (
 from repro.hstore.stats import EngineStats
 from repro.hstore.table import Row, Table
 from repro.hstore.txn import TransactionContext
-from repro.hstore.vector import (
-    VectorContext,
-    agg_fold,
-    normalize_mask,
-    selected_values,
-)
+from repro.hstore.vector import VectorContext, normalize_mask, selected_values
 
 __all__ = ["ExecutionEngine", "ResultSet", "InsertHook", "bind_runner"]
 
@@ -94,14 +90,6 @@ class ResultSet:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
-#: full scans over tables smaller than this stay on the row loop: the
-#: batch setup cost (columnar mirror build/refresh after DML + one list
-#: allocation per column expression) outruns the per-row dispatch it
-#: saves until a few dozen rows, which makes update-heavy workloads over
-#: tiny hot tables (E13's BikeShare tick loop) net slower
-VECTOR_MIN_ROWS = 64
-
-
 class ExecutionEngine:
     """Storage + query execution for one partition."""
 
@@ -111,9 +99,6 @@ class ExecutionEngine:
         self._insert_hooks: dict[str, list[InsertHook]] = {}
         self._hook_depth = 0
         self.stats = stats if stats is not None else EngineStats()
-        #: per-engine override of the batch-execution floor (tests pin it
-        #: to 0 so tiny differential tables still take the vector path)
-        self.vector_min_rows = VECTOR_MIN_ROWS
 
     # -- storage management ----------------------------------------------------
 
@@ -351,7 +336,11 @@ class ExecutionEngine:
         rows: list[tuple[Any, ...]],
     ) -> list[tuple[Any, ...]]:
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
-        groups: dict[tuple[Any, ...], list[_Accumulator]] = {}
+        specs = [
+            (agg.name, agg.arg.eval if agg.arg is not None else None, agg.distinct)
+            for agg in plan.aggregates
+        ]
+        groups: dict[tuple[Any, ...], list[Accumulator]] = {}
         order: list[tuple[Any, ...]] = []
 
         for row in rows:
@@ -359,7 +348,7 @@ class ExecutionEngine:
             key = tuple(expr.eval(ctx) for expr in plan.group_exprs)
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = [_Accumulator(agg) for agg in plan.aggregates]
+                accumulators = [Accumulator(*spec) for spec in specs]
                 groups[key] = accumulators
                 order.append(key)
             for accumulator in accumulators:
@@ -367,7 +356,7 @@ class ExecutionEngine:
 
         # Global aggregation over an empty input still yields one row.
         if not groups and not plan.group_exprs:
-            groups[()] = [_Accumulator(agg) for agg in plan.aggregates]
+            groups[()] = [Accumulator(*spec) for spec in specs]
             order.append(())
 
         ext_rows: list[tuple[Any, ...]] = []
@@ -544,7 +533,7 @@ class ExecutionEngine:
             return self._select_compiled(plan, params)
         return self._project_compiled(plan, ctx, ext_rows)
 
-    # -- batch-at-a-time execution over the columnar mirror ------------------
+    # -- batch-at-a-time execution over column vectors ------------------------
 
     def _try_select_vector(
         self, plan: SelectPlan, c: Any, params: tuple[Any, ...]
@@ -561,13 +550,8 @@ class ExecutionEngine:
         aborts the attempt *before anything observable happened* and the
         caller re-runs the statement through the row closures, which raise
         (or don't) with oracle semantics.
-
-        Tables under ``vector_min_rows`` skip the attempt outright (no
-        fallback counter bump): batch setup only pays for itself at scale.
         """
         table = self.table(plan.access.table)
-        if table.row_count() < self.vector_min_rows:
-            return None
         try:
             view = table.columnar_view()
             n = view.size()
@@ -592,11 +576,11 @@ class ExecutionEngine:
                 if plan.limit is not None:
                     rows = rows[: plan.limit]
                 return ResultSet(columns=list(plan.output_names), rows=rows)
-            # ungrouped filter: pair the selection mask with the row dict —
-            # storage() iterates in rowid order, exactly the view's order
+            # ungrouped filter: pair the selection mask with the row dict the
+            # column vectors were transposed from
             source = table.storage()
             if len(source) != n:
-                raise StorageError("columnar mirror out of sync with row store")
+                raise StorageError("column cache out of sync with row store")
             if bmask is None:
                 return list(source.values())
             return list(compress(source.values(), bmask))
@@ -627,7 +611,7 @@ class ExecutionEngine:
                         if nsel
                         else []
                     )
-                    values.append(agg_fold(name, vals, distinct))
+                    values.append(fold(name, vals, distinct))
             return [tuple(values)]
 
         key_cols = [
@@ -648,55 +632,16 @@ class ExecutionEngine:
             if arg_fn is None:
                 tally = Counter(gidx)
                 agg_results.append([tally[g] for g in range(ngroups)])
-            elif distinct:
+            else:
+                # bucket the argument column by group, fold each bucket
                 vals = selected_values(arg_fn(vctx), bmask, n, nsel)
                 buckets: list[list[Any]] = [[] for _ in range(ngroups)]
                 appends = [bucket.append for bucket in buckets]
                 for slot, value in zip(gidx, vals):
                     appends[slot](value)
                 agg_results.append(
-                    [agg_fold(name, bucket, distinct) for bucket in buckets]
+                    [fold(name, bucket, distinct) for bucket in buckets]
                 )
-            else:
-                # single-pass per-group folds, each the row accumulator's
-                # exact recurrence (first-value seed, strict comparisons)
-                vals = selected_values(arg_fn(vctx), bmask, n, nsel)
-                if name == "count":
-                    counts = [0] * ngroups
-                    for slot, value in zip(gidx, vals):
-                        if value is not None:
-                            counts[slot] += 1
-                    agg_results.append(counts)
-                elif name == "sum" or name == "avg":
-                    totals: list[Any] = [None] * ngroups
-                    counts = [0] * ngroups
-                    for slot, value in zip(gidx, vals):
-                        if value is not None:
-                            counts[slot] += 1
-                            acc = totals[slot]
-                            totals[slot] = (
-                                value if acc is None else acc + value
-                            )
-                    if name == "sum":
-                        agg_results.append(totals)
-                    else:
-                        agg_results.append(
-                            [
-                                None if count == 0 else total / count
-                                for total, count in zip(totals, counts)
-                            ]
-                        )
-                else:  # min / max
-                    smaller = name == "min"
-                    best: list[Any] = [None] * ngroups
-                    for slot, value in zip(gidx, vals):
-                        if value is not None:
-                            acc = best[slot]
-                            if acc is None or (
-                                value < acc if smaller else value > acc
-                            ):
-                                best[slot] = value
-                    agg_results.append(best)
 
         if single:
             return [
@@ -707,43 +652,6 @@ class ExecutionEngine:
             key + tuple(res[g] for res in agg_results)
             for g, key in enumerate(order)
         ]
-
-    def _try_dml_vector(
-        self, table: Table, vec: Any, params: tuple[Any, ...], *, with_sets: bool
-    ) -> tuple[list[int], list[tuple[int, list[Any]]] | None] | None:
-        """Matched rowids (and SET value columns) for UPDATE/DELETE.
-
-        Everything is materialized before the caller mutates anything, so a
-        fallback (None) is always side-effect free and the apply loop can
-        tombstone colstore slots without invalidating these lists.
-        """
-        if table.row_count() < self.vector_min_rows:
-            return None
-        try:
-            view = table.columnar_view()
-            n = view.size()
-            vctx = VectorContext(view, params, n)
-            bmask = None
-            if vec.where is not None:
-                bmask = normalize_mask(vec.where(vctx), n)
-            rowid_vec = view.rowid_vector()
-            matches = (
-                list(rowid_vec)
-                if bmask is None
-                else list(compress(rowid_vec, bmask))
-            )
-            set_cols = None
-            if with_sets and vec.sets is not None:
-                nsel = len(matches)
-                set_cols = [
-                    (offset, selected_values(fn(vctx), bmask, n, nsel))
-                    for offset, fn in vec.sets
-                ]
-        except Exception:
-            self.stats.bump("vector_runtime_fallbacks")
-            return None
-        self.stats.bump("vector_scans")
-        return matches, set_cols
 
     def _project_compiled(
         self,
@@ -928,7 +836,7 @@ class ExecutionEngine:
                 key_order.append(())
             return [key + (counts[key],) * n_aggs for key in key_order]
 
-        groups: dict[tuple[Any, ...], list[_CompiledAccumulator]] = {}
+        groups: dict[tuple[Any, ...], list[Accumulator]] = {}
         order: list[tuple[Any, ...]] = []
         group_key = c.group_key
         agg_specs = c.agg_specs
@@ -938,20 +846,14 @@ class ExecutionEngine:
             key = group_key(ctx)
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = [
-                    _CompiledAccumulator(name, arg_fn, distinct)
-                    for name, arg_fn, distinct in agg_specs
-                ]
+                accumulators = [Accumulator(*spec) for spec in agg_specs]
                 groups[key] = accumulators
                 order.append(key)
             for accumulator in accumulators:
                 accumulator.feed(ctx)
 
         if not groups and not plan.group_exprs:
-            groups[()] = [
-                _CompiledAccumulator(name, arg_fn, distinct)
-                for name, arg_fn, distinct in agg_specs
-            ]
+            groups[()] = [Accumulator(*spec) for spec in agg_specs]
             order.append(())
 
         ext_rows: list[tuple[Any, ...]] = []
@@ -960,50 +862,38 @@ class ExecutionEngine:
             ext_rows.append(key + values)
         return ext_rows
 
+    def _matches_compiled(
+        self, plan: UpdatePlan | DeletePlan, ctx: EvalContext
+    ) -> list[int]:
+        """Rowids of the access path's rows that pass the compiled WHERE."""
+        c = plan.compiled
+        pairs = self._access_pairs_compiled(plan.access, c.access, ctx)
+        where = c.where
+        if where is None:
+            return [rowid for rowid, _row in pairs]
+        matches: list[int] = []
+        for rowid, row in pairs:
+            ctx.row = row
+            if where(ctx) is True:
+                matches.append(rowid)
+        return matches
+
     def _update_compiled(
         self, plan: UpdatePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
-        c = plan.compiled
         table = self.table(plan.table)
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
-        where = c.where
+        matches = self._matches_compiled(plan, ctx)
 
-        matches: list[int] | None = None
-        set_cols = None
-        if c.vector is not None:
-            prepared = self._try_dml_vector(table, c.vector, params, with_sets=True)
-            if prepared is not None:
-                matches, set_cols = prepared
-        if matches is None:
-            matches = []
-            for rowid, row in self._access_pairs_compiled(plan.access, c.access, ctx):
-                if where is None:
-                    matches.append(rowid)
-                else:
-                    ctx.row = row
-                    if where(ctx) is True:
-                        matches.append(rowid)
-
-        if set_cols is not None:
-            # SET values were evaluated batch-at-a-time against the
-            # pre-statement columns — identical to the row path, which also
-            # reads each row's old image
-            for k, rowid in enumerate(matches):
-                new_row = list(table.get(rowid))
-                for offset, vals in set_cols:
-                    new_row[offset] = vals[k]
-                before = table.update(rowid, new_row)
-                txn.record_update(plan.table, rowid, before)
-        else:
-            assignments = c.assignments
-            for rowid in matches:
-                old_row = table.get(rowid)
-                ctx.row = old_row
-                new_row = list(old_row)
-                for offset, fn in assignments:
-                    new_row[offset] = fn(ctx)
-                before = table.update(rowid, new_row)
-                txn.record_update(plan.table, rowid, before)
+        assignments = plan.compiled.assignments
+        for rowid in matches:
+            old_row = table.get(rowid)
+            ctx.row = old_row
+            new_row = list(old_row)
+            for offset, fn in assignments:
+                new_row[offset] = fn(ctx)
+            before = table.update(rowid, new_row)
+            txn.record_update(plan.table, rowid, before)
 
         self.stats.rows_updated += len(matches)
         return len(matches)
@@ -1011,25 +901,9 @@ class ExecutionEngine:
     def _delete_compiled(
         self, plan: DeletePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
-        c = plan.compiled
         table = self.table(plan.table)
         ctx = EvalContext(columns=plan.columns, params=params, executor=self)
-        where = c.where
-
-        matches: list[int] | None = None
-        if c.vector is not None:
-            prepared = self._try_dml_vector(table, c.vector, params, with_sets=False)
-            if prepared is not None:
-                matches = prepared[0]
-        if matches is None:
-            matches = []
-            for rowid, row in self._access_pairs_compiled(plan.access, c.access, ctx):
-                if where is None:
-                    matches.append(rowid)
-                else:
-                    ctx.row = row
-                    if where(ctx) is True:
-                        matches.append(rowid)
+        matches = self._matches_compiled(plan, ctx)
 
         for rowid in matches:
             before = table.delete(rowid)
@@ -1218,105 +1092,3 @@ def bind_runner(plan: Plan) -> None:
         plan.run = ee._update_interpreted if c is None else ee._update_compiled
     elif isinstance(plan, DeletePlan):
         plan.run = ee._delete_interpreted if c is None else ee._delete_compiled
-
-
-class _Accumulator:
-    """Incremental state for one aggregate call over one group."""
-
-    def __init__(self, agg: AggregateCall) -> None:
-        self._agg = agg
-        self._count = 0
-        self._sum: Any = None
-        self._min: Any = None
-        self._max: Any = None
-        self._distinct: set[Any] | None = set() if agg.distinct else None
-
-    def feed(self, row_ctx: EvalContext) -> None:
-        if self._agg.arg is None:  # COUNT(*)
-            self._count += 1
-            return
-        value = self._agg.arg.eval(row_ctx)
-        if value is None:
-            return  # SQL aggregates ignore NULLs
-        if self._distinct is not None:
-            if value in self._distinct:
-                return
-            self._distinct.add(value)
-        self._count += 1
-        self._sum = value if self._sum is None else self._sum + value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-
-    def result(self) -> Any:
-        name = self._agg.name
-        if name == "count":
-            return self._count
-        if name == "sum":
-            return self._sum
-        if name == "avg":
-            if self._count == 0:
-                return None
-            return self._sum / self._count
-        if name == "min":
-            return self._min
-        if name == "max":
-            return self._max
-        raise StorageError(f"unknown aggregate {name!r}")  # pragma: no cover
-
-
-class _CompiledAccumulator:
-    """Aggregate state fed by a compiled argument closure.
-
-    Mirrors :class:`_Accumulator` exactly (NULL-skip, DISTINCT via a set,
-    the same COUNT/SUM/AVG/MIN/MAX results) but evaluates the aggregate's
-    argument through one pre-compiled closure call instead of an AST walk.
-    """
-
-    __slots__ = ("_name", "_arg_fn", "_count", "_sum", "_min", "_max", "_distinct")
-
-    def __init__(
-        self, name: str, arg_fn: Callable[[EvalContext], Any] | None, distinct: bool
-    ) -> None:
-        self._name = name
-        self._arg_fn = arg_fn
-        self._count = 0
-        self._sum: Any = None
-        self._min: Any = None
-        self._max: Any = None
-        self._distinct: set[Any] | None = set() if distinct else None
-
-    def feed(self, ctx: EvalContext) -> None:
-        if self._arg_fn is None:  # COUNT(*)
-            self._count += 1
-            return
-        value = self._arg_fn(ctx)
-        if value is None:
-            return  # SQL aggregates ignore NULLs
-        if self._distinct is not None:
-            if value in self._distinct:
-                return
-            self._distinct.add(value)
-        self._count += 1
-        self._sum = value if self._sum is None else self._sum + value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-
-    def result(self) -> Any:
-        name = self._name
-        if name == "count":
-            return self._count
-        if name == "sum":
-            return self._sum
-        if name == "avg":
-            if self._count == 0:
-                return None
-            return self._sum / self._count
-        if name == "min":
-            return self._min
-        if name == "max":
-            return self._max
-        raise StorageError(f"unknown aggregate {name!r}")  # pragma: no cover

@@ -45,17 +45,32 @@ def _describe_access(access: AccessPath) -> str:
     return f"{type(access).__name__}({target})"  # pragma: no cover
 
 
-def _mode_line(plan: Plan, indent: str) -> list[str]:
-    """``mode: vector`` when the compiled plan carries batch artifacts.
+def _lane(plan: Plan) -> str:
+    """The lane ``plan`` executes on, read off the fields
+    :func:`repro.hstore.executor.bind_runner` and the compiled SELECT
+    pipeline dispatch on, in their order.
 
-    The annotation is best-effort truth: ``vector`` means the executor will
-    *attempt* the columnar path for this statement (it still falls back
-    row-at-a-time if a batch evaluation raises); ``row`` covers everything
-    else, including uncompiled (interpreter) plans.
+    ``vector`` is exact up to a counted run-time fallback
+    (``vector_runtime_fallbacks``): the executor leaves the lane only when
+    a batch evaluation raises.  Everything else is row-at-a-time.
     """
     compiled = getattr(plan, "compiled", None)
-    vector = getattr(compiled, "vector", None) is not None
-    return [f"{indent}mode: {'vector' if vector else 'row'}"]
+    if compiled is None:
+        return "row (interpreter)"
+    if isinstance(plan, SelectPlan):
+        if plan.view_read is not None:
+            return f"view({plan.view_read.view.name})"
+        if compiled.point_lookup:
+            return "row (point)"
+        if compiled.group_first is not None:
+            return f"group-first({_lane(compiled.group_first.outer)})"
+        if compiled.vector is not None:
+            return "vector"
+    return "row"
+
+
+def _mode_line(plan: Plan, indent: str) -> list[str]:
+    return [f"{indent}mode: {_lane(plan)}"]
 
 
 def _embedded_subplans(plan: SelectPlan) -> list:

@@ -243,17 +243,12 @@ class Planner:
         catalog: Catalog,
         *,
         compile_plans: bool = True,
-        vectorize: bool = True,
     ) -> None:
         self._catalog = catalog
         #: closure-compile every plan (repro.hstore.compile); False keeps
         #: the tree-walking interpreter as the execution path — the
         #: correctness oracle the differential tests compare against
         self.compile_plans = compile_plans
-        #: additionally attach batch-at-a-time artifacts to full-scan
-        #: plans (repro.hstore.vector); False pins compiled plans to the
-        #: row-at-a-time closures (the benchmark comparison arm)
-        self.vectorize = vectorize
 
     # -- public entry points -------------------------------------------------
 
@@ -290,7 +285,7 @@ class Planner:
         from repro.hstore.executor import bind_runner
 
         if self.compile_plans:
-            compile_plan(plan, vectorize=self.vectorize)
+            compile_plan(plan)
         bind_runner(plan)
 
     # -- scopes ---------------------------------------------------------------

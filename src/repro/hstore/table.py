@@ -16,12 +16,11 @@ that with ``_rows_sorted``: while the flag holds, ``scan``/``rowids``/
 ``rows`` stream the dict directly (no O(n log n) re-sort per scan); when an
 undo breaks it, the next read rebuilds the dict sorted once and the flag
 heals.  The same invariant is what lets the vectorized executor align a
-selection mask computed over :class:`~repro.hstore.columnar.ColumnStore`
+selection mask computed over :class:`~repro.hstore.columnar.ColumnCache`
 vectors with ``storage().values()``.
 
-The column store itself (:meth:`columnar_view`) is a lazily-built mirror:
-nothing is allocated until the first columnar scan, after which every
-mutation funnels through to it.
+Column vectors (:meth:`columnar_view`) are a cache over the row dict, not a
+second store: built per column on demand, dropped by every mutation.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import PrimaryKeyViolationError, StorageError, UniqueViolationError
 from repro.hstore.catalog import Schema, TableEntry, TableKind
-from repro.hstore.columnar import ColumnStore
+from repro.hstore.columnar import ColumnCache
 from repro.hstore.index import Key, make_index, _BaseIndex
 from repro.hstore.types import make_coercer
 
@@ -64,7 +63,9 @@ class Table:
         self._next_rowid = 0
         self._rows_sorted = True
         self._tail_rowid = -1
-        self._colstore: ColumnStore | None = None
+        #: column vectors over the current rows; every site that mutates or
+        #: rebinds ``_rows`` drops it
+        self._colstore: ColumnCache | None = None
         #: the row codec, fixed by the schema: one coercer per column
         self._coercers = tuple(
             make_coercer(column.sql_type, nullable=column.nullable)
@@ -96,6 +97,7 @@ class Table:
         if not self._rows_sorted:
             self._rows = dict(sorted(self._rows.items()))
             self._rows_sorted = True
+            self._colstore = None
 
     def rowids(self) -> list[int]:
         """All live row ids in insertion order."""
@@ -136,20 +138,18 @@ class Table:
         self._ensure_sorted()
         return list(self._rows.values())
 
-    # -- columnar mirror -------------------------------------------------
+    # -- column cache ----------------------------------------------------
 
-    def columnar_view(self) -> ColumnStore:
-        """Dense, rowid-ascending column vectors over the live rows.
+    def columnar_view(self) -> ColumnCache:
+        """Column vectors over the live rows, in :meth:`storage` order.
 
-        Built on first use (pure-OLTP tables never pay for the mirror);
-        afterwards kept in sync by the mutation funnel and re-compacted
-        lazily by :meth:`ColumnStore.view`.
+        Each column is transposed from the row dict the first time a batch
+        scan asks for it and kept until the table next changes.
         """
-        colstore = self._colstore
-        if colstore is None:
-            colstore = self._colstore = ColumnStore(self.schema)
-            colstore.rebuild(self.scan())
-        return colstore.view()
+        cache = self._colstore
+        if cache is None:
+            cache = self._colstore = ColumnCache(self.storage())
+        return cache
 
     # -- index plumbing --------------------------------------------------
 
@@ -222,8 +222,7 @@ class Table:
             self._rows_sorted = False
         else:
             self._tail_rowid = rowid
-        if self._colstore is not None:
-            self._colstore.append(rowid, row)
+        self._colstore = None
 
     def insert(self, values: list[Any] | tuple[Any, ...]) -> int:
         """Validate and insert a row; returns the new rowid.
@@ -303,8 +302,7 @@ class Table:
         for index, key_of in self._keyed:
             index.remove(key_of(row), rowid)
         del self._rows[rowid]
-        if self._colstore is not None:
-            self._colstore.remove(rowid)
+        self._colstore = None
         return row
 
     def update(self, rowid: int, new_values: list[Any] | tuple[Any, ...]) -> Row:
@@ -333,8 +331,7 @@ class Table:
             index.remove(old_key, rowid)
             index.insert(new_key, rowid)
         self._rows[rowid] = new_row
-        if self._colstore is not None:
-            self._colstore.replace(rowid, new_row)
+        self._colstore = None
         return old_row
 
     def truncate(self) -> int:
@@ -343,8 +340,7 @@ class Table:
         self._rows.clear()
         self._rows_sorted = True
         self._tail_rowid = -1
-        if self._colstore is not None:
-            self._colstore.clear()
+        self._colstore = None
         for index in self._indexes.values():
             index.clear()
         return count
@@ -361,9 +357,8 @@ class Table:
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore from :meth:`dump_state` output, rebuilding indexes.
 
-        Bulk path: rows land sorted by rowid in one pass, indexes are
-        rebuilt index-major, and the columnar mirror (if it exists) is
-        reloaded wholesale rather than row-at-a-time.
+        Bulk path: rows land sorted by rowid in one pass and indexes are
+        rebuilt index-major.
         """
         self._rows = dict(
             sorted((int(rowid), tuple(row)) for rowid, row in state["rows"].items())
@@ -371,8 +366,7 @@ class Table:
         self._next_rowid = int(state["next_rowid"])
         self._rows_sorted = True
         self._tail_rowid = next(reversed(self._rows), -1)
-        if self._colstore is not None:
-            self._colstore.rebuild(self._rows.items())
+        self._colstore = None
         for index, key_of in self._keyed:
             index.clear()
             for rowid, row in self._rows.items():

@@ -4,9 +4,9 @@ This is the vectorized twin of :func:`repro.hstore.compile.compile_expr`.
 Where the row compiler lowers an expression tree to a closure evaluated
 once per row, :func:`lower_expr` lowers it to a closure evaluated once per
 *statement*: it takes a :class:`VectorContext` over a table's
-:class:`~repro.hstore.columnar.ColumnStore` view and returns either a
-whole column of results or a :class:`Broadcast` (one value standing for
-the entire vector — literals, parameters, and constant folds).
+:class:`~repro.hstore.columnar.ColumnCache` and returns either a whole
+column of results or a :class:`Broadcast` (one value standing for the
+entire vector — literals, parameters, and constant folds).
 
 Semantics contract
 ------------------
@@ -17,11 +17,8 @@ The vector path must be *bit-identical* to the interpreter on success:
   element) and AND/OR implement the same three-valued logic as
   ``BooleanOp.eval`` — including its "falsy is false" treatment of
   non-boolean operands.
-* Aggregate folds reproduce the row accumulator exactly: SUM/AVG fold
-  left-to-right from the first non-NULL value (builtin ``sum`` switches
-  to compensated summation for floats on newer CPythons, so float sums
-  take an explicit naive fold), MIN/MAX keep the first of equals, and
-  DISTINCT collapses first-occurrence-wise via ``dict.fromkeys``.
+* Aggregates are :func:`repro.hstore.aggregate.fold` over the selected
+  argument column, the column form of the row accumulator.
 * Evaluation is *eager* — there is no per-row short-circuit, so an
   expression that the interpreter would never evaluate for some row
   (``x <> 0 AND 10 / x > 1``) can raise here.  Lowered closures therefore
@@ -37,11 +34,8 @@ stays on the row path at plan-compile time.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
-from math import copysign
 from operator import and_, eq, ge, gt, is_, is_not, le, lt, ne, or_
 from typing import Any, Callable, Sequence
 
@@ -72,23 +66,14 @@ __all__ = [
     "Broadcast",
     "VectorContext",
     "VectorSelect",
-    "VectorDml",
     "lower_expr",
     "lower_select",
-    "lower_update",
-    "lower_delete",
     "normalize_mask",
     "selected_values",
-    "agg_fold",
 ]
 
 #: aggregate names the columnar fold implements (== the planner's full set)
 VECTOR_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
-
-#: builtin sum is an uncompensated left fold before CPython 3.12 (Neumaier
-#: summation landed in 3.12) — when so, it can stand in for the row
-#: accumulator's fold on float data
-_NAIVE_BUILTIN_SUM = sys.version_info < (3, 12)
 
 #: operator-module twins of ``_COMPARATORS``: same semantics (same rich
 #: comparison, same TypeError on incomparables), but C-dispatchable by
@@ -124,7 +109,7 @@ class VectorContext:
         self.n = n
 
 
-#: a lowered expression: VectorContext -> column (list/array) | Broadcast
+#: a lowered expression: VectorContext -> column (a list) | Broadcast
 VecFn = Callable[[VectorContext], Any]
 
 
@@ -530,7 +515,7 @@ def _lower_coalesce(arg_fns: list[VecFn | None]) -> VecFn | None:
 
 
 # ----------------------------------------------------------------------
-# selection vectors and aggregate folds (used by the executor)
+# selection vectors (used by the executor)
 
 def normalize_mask(mask: Any, n: int) -> list[bool] | None:
     """Predicate result -> selection vector.
@@ -557,61 +542,6 @@ def selected_values(
     return list(compress(result, bmask))
 
 
-def _exact_sum(vals: Any) -> Any:
-    """Left-fold sum, bit-identical to the row accumulator.
-
-    Builtin ``sum`` is exact for ints (associative) but uses Neumaier
-    compensation for floats on CPython >= 3.12, which is *better* than the
-    row path's naive fold — and therefore wrong here.  Floats get the
-    explicit first-value-seeded loop the accumulator performs.
-    """
-    if type(vals) is array:
-        if vals.typecode == "q":
-            return sum(vals)
-    else:
-        # one C pass decides: an int total means no float ever entered the
-        # fold, so builtin sum was already exact (and already computed)
-        total = sum(vals)
-        if type(total) is not float:
-            return total
-        if _NAIVE_BUILTIN_SUM:
-            # pre-3.12 builtin sum IS the naive left fold, just seeded at
-            # 0 instead of the first value — identical bits unless that
-            # first addition rounds, which only -0.0 can make it do
-            first = vals[0]
-            if first != 0.0 or copysign(1.0, first) > 0.0:
-                return total
-    total = None
-    for x in vals:
-        total = x if total is None else total + x
-    return total
-
-
-def agg_fold(name: str, vals: Any, distinct: bool) -> Any:
-    """Fold one aggregate over the (selected) argument column.
-
-    ``vals`` may contain NULLs; they are skipped exactly as the row
-    accumulator skips them.  Returns NULL for empty SUM/AVG/MIN/MAX.
-    """
-    if None in vals:
-        vals = [x for x in vals if x is not None]
-    if distinct:
-        # first-occurrence order and 1 == 1.0 collapse, same as the
-        # accumulator's seen-set
-        vals = list(dict.fromkeys(vals))
-    if name == "count":
-        return len(vals)
-    if not len(vals):
-        return None
-    if name == "sum":
-        return _exact_sum(vals)
-    if name == "avg":
-        return _exact_sum(vals) / len(vals)
-    if name == "min":
-        return min(vals)
-    return max(vals)
-
-
 # ----------------------------------------------------------------------
 # statement-level lowering (attached to compiled plans)
 
@@ -629,14 +559,6 @@ class VectorSelect:
     group_keys: tuple[VecFn, ...]
     agg_specs: tuple[tuple[str, VecFn | None, bool], ...]
     outputs: tuple[VecFn, ...] | None = None
-
-
-@dataclass
-class VectorDml:
-    """Vector artifacts for a full-scan UPDATE/DELETE."""
-
-    where: VecFn | None
-    sets: tuple[tuple[int, VecFn], ...] | None
 
 
 def lower_select(plan: Any) -> VectorSelect | None:
@@ -687,35 +609,3 @@ def lower_select(plan: Any) -> VectorSelect | None:
         if out_fns is not None:
             outputs = tuple(out_fns)
     return VectorSelect(where_fn, tuple(group_fns), tuple(agg_specs), outputs)
-
-
-def lower_update(plan: Any) -> VectorDml | None:
-    """Vector artifacts for UPDATE: lowered WHERE and/or SET vectors."""
-    if not isinstance(plan.access, SeqScan):
-        return None
-    columns = plan.columns
-    where_fn = None
-    if plan.where is not None:
-        where_fn = lower_expr(plan.where, columns)
-        if where_fn is None:
-            return None
-    set_fns: list[tuple[int, VecFn]] | None = []
-    for offset, expr in plan.assignments:
-        fn = lower_expr(expr, columns)
-        if fn is None:
-            set_fns = None
-            break
-        set_fns.append((offset, fn))
-    if where_fn is None and set_fns is None:
-        return None
-    return VectorDml(where_fn, tuple(set_fns) if set_fns is not None else None)
-
-
-def lower_delete(plan: Any) -> VectorDml | None:
-    """Vector artifacts for DELETE (a lowered WHERE; no SET side)."""
-    if not isinstance(plan.access, SeqScan) or plan.where is None:
-        return None
-    where_fn = lower_expr(plan.where, plan.columns)
-    if where_fn is None:
-        return None
-    return VectorDml(where_fn, None)

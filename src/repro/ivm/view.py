@@ -12,8 +12,8 @@ path, which mirrors it) feeds each group's accumulator in *rowid order* —
 that is what a SeqScan produces — with ``value < min`` strict comparisons,
 so the first-encountered value wins ties, and float sums accumulate in scan
 order.  Every place this module cannot maintain a value incrementally it
-therefore falls back to recomputing **over the group's live rows in sorted
-rowid order**, which replays the oracle's exact fold:
+therefore falls back to refolding **the group's live values in sorted rowid
+order** with :func:`repro.hstore.aggregate.fold`, the oracle's exact fold:
 
 * MIN/MAX: deleting a row whose value equals the cached extreme (or is
   NaN) marks the group-aggregate *dirty*; the next read rescans that one
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import CatalogError
+from repro.hstore.aggregate import fold
 from repro.hstore.expression import AggregateCall, ColumnRef
 from repro.hstore.planner import SeqScan, SelectPlan
 
@@ -319,54 +320,22 @@ class DeltaView:
             return state.count
         if kind in ("sum", "avg"):
             if not state.exact:
-                total, count = self._recompute_sum(spec.offset, group)
-            elif state.count == 0:
+                return self._refold(kind, spec.offset, group)
+            if state.count == 0:
                 return None
-            else:
-                total, count = state.total, state.count
-            if kind == "sum":
-                return total
-            return None if count == 0 else total / count
+            return state.total if kind == "sum" else state.total / state.count
         # min / max
         if state.dirty:
-            state.extreme = self._repair_extreme(kind, spec.offset, group)
+            state.extreme = self._refold(kind, spec.offset, group)
             state.dirty = False
         return state.extreme
 
-    def _recompute_sum(self, offset: int, group: _Group) -> tuple[Any, int]:
-        """Oracle-order fold for groups holding non-int values."""
+    def _refold(self, kind: str, offset: int, group: _Group) -> Any:
+        """Recompute one aggregate of one group from its live rows, in rowid
+        order — the oracle's fold, for what cannot be retracted exactly."""
         self._note_repair()
-        total: Any = None
-        count = 0
         rows = group.rows
-        for rowid in sorted(rows):
-            value = rows[rowid][offset]
-            if value is None:
-                continue
-            total = value if total is None else total + value
-            count += 1
-        return total, count
-
-    def _repair_extreme(self, kind: str, offset: int, group: _Group) -> Any:
-        """Rescan one group in rowid order, exactly like the accumulator."""
-        self._note_repair()
-        extreme: Any = None
-        rows = group.rows
-        if kind == "min":
-            for rowid in sorted(rows):
-                value = rows[rowid][offset]
-                if value is None:
-                    continue
-                if extreme is None or value < extreme:
-                    extreme = value
-        else:
-            for rowid in sorted(rows):
-                value = rows[rowid][offset]
-                if value is None:
-                    continue
-                if extreme is None or value > extreme:
-                    extreme = value
-        return extreme
+        return fold(kind, [rows[rowid][offset] for rowid in sorted(rows)], False)
 
     def _note_repair(self) -> None:
         self._stats.bump("ivm_repairs")

@@ -24,13 +24,8 @@ def sengine() -> SStoreEngine:
 
 @pytest.fixture
 def people_engine() -> HStoreEngine:
-    """An engine pre-loaded with a small ``people`` table.
-
-    The batch-execution floor is pinned to 0 so full scans over this
-    five-row table still exercise the vector path (the default floor
-    would keep a table this small on the row loop).
-    """
-    eng = HStoreEngine(vector_min_rows=0)
+    """An engine pre-loaded with a small ``people`` table."""
+    eng = HStoreEngine()
     eng.execute_ddl(
         "CREATE TABLE people (id INTEGER NOT NULL, name VARCHAR(32), "
         "age INTEGER, city VARCHAR(32), PRIMARY KEY (id))"

@@ -1,14 +1,12 @@
-"""Columnar storage + batch-at-a-time execution units.
+"""Column cache + batch-at-a-time execution units.
 
-Covers the ColumnStore layout (typed vectors vs list fallback, tombstone
-compaction, lazy build), the Table satellites (`_rows_sorted` lazy heal,
-`insert_many` atomicity), vector execution parity against the
+Covers the per-table column cache (lazy per-column build, dropped by every
+mutation, aligned with the row dict), the Table satellites (`_rows_sorted`
+lazy heal, `insert_many` atomicity), vector execution parity against the
 interpreter, the runtime fallback seam, and the EXPLAIN mode annotation.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import pytest
 
@@ -18,10 +16,10 @@ from repro.errors import (
     UniqueViolationError,
 )
 from repro.hstore.catalog import Column, Schema, TableEntry
-from repro.hstore.columnar import ColumnStore
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.table import Table
 from repro.hstore.types import SqlType
+from tests.lanes import compiled_row_arm
 
 pytestmark = pytest.mark.columnar
 
@@ -45,22 +43,6 @@ def typed_table() -> Table:
 
 
 class TestColumnStoreLayout:
-    def test_typed_codes_and_list_fallback(self):
-        table = typed_table()
-        table.insert((1, 2**40, 1.5, 7, "x", None, True))
-        view = table.columnar_view()
-        # NOT NULL integrals and floats get typed vectors
-        assert isinstance(view.column(0), array) and view.column(0).typecode == "q"
-        assert isinstance(view.column(1), array) and view.column(1).typecode == "q"
-        assert isinstance(view.column(2), array) and view.column(2).typecode == "d"
-        assert isinstance(view.column(3), array) and view.column(3).typecode == "q"
-        # VARCHAR, nullable INTEGER, BOOLEAN stay plain lists
-        assert isinstance(view.column(4), list)
-        assert isinstance(view.column(5), list)
-        assert isinstance(view.column(6), list)
-        # BOOLEAN round-trips bool, not int
-        assert view.column(6) == [True]
-
     def test_round_trip_and_alignment(self):
         table = typed_table()
         int64_min, int64_max = -(2**63), 2**63 - 1
@@ -72,32 +54,42 @@ class TestColumnStoreLayout:
             table.insert(row)
         view = table.columnar_view()
         assert view.size() == 10
-        assert list(view.rowid_vector()) == table.rowids()
         for offset in range(7):
-            assert list(view.column(offset)) == [row[offset] for row in rows]
+            column = view.column(offset)
+            assert column == [row[offset] for row in rows]
+            # the cells are the row tuples' own objects: BOOLEAN stays bool,
+            # a FLOAT that holds an int-valued float stays float
+            assert all(a is b for a, b in zip(column, (r[offset] for r in table.rows())))
 
     def test_lazy_build(self):
         table = typed_table()
         table.insert((1, 1, 1.0, 1, None, None, False))
-        assert table._colstore is None  # no mirror until a columnar scan
-        table.columnar_view()
-        assert table._colstore is not None
+        assert table._colstore is None  # nothing until a columnar scan
+        view = table.columnar_view()
+        assert table._colstore is view and view._cols == {}
+        view.column(2)
+        assert list(view._cols) == [2]  # only the column that was asked for
+        assert view.column(2) is view.column(2)  # kept until the table changes
 
     def test_delete_tombstone_then_compact(self):
+        # (the name predates the cache: a delete now simply drops it)
         table = typed_table()
         rowids = [table.insert((i, i, float(i), i, None, None, False)) for i in range(6)]
-        view = table.columnar_view()
+        held = table.columnar_view().column(0)
         table.delete(rowids[1])
         table.delete(rowids[4])
+        assert table._colstore is None
         view = table.columnar_view()
         assert view.size() == 4
-        assert list(view.column(0)) == [0, 2, 3, 5]
-        assert list(view.rowid_vector()) == [rowids[0], rowids[2], rowids[3], rowids[5]]
+        assert view.column(0) == [0, 2, 3, 5]
+        assert list(table.storage()) == [rowids[0], rowids[2], rowids[3], rowids[5]]
+        # a vector handed out earlier is never mutated in place
+        assert held == [0, 1, 2, 3, 4, 5]
 
     def test_update_in_place(self):
         table = typed_table()
         rowid = table.insert((1, 1, 1.0, 1, "a", None, False))
-        table.columnar_view()
+        table.columnar_view().column(0)
         table.update(rowid, (9, 9, 9.5, 9, "z", 3, True))
         view = table.columnar_view()
         assert view.column(0)[0] == 9
@@ -108,52 +100,31 @@ class TestColumnStoreLayout:
     def test_truncate_clears(self):
         table = typed_table()
         table.insert((1, 1, 1.0, 1, None, None, False))
-        table.columnar_view()
+        table.columnar_view().column(0)
         table.truncate()
         assert table.columnar_view().size() == 0
+        assert table.columnar_view().column(0) == []
 
     def test_out_of_order_reinsert_resorts(self):
         # txn-undo path: insert_with_rowid below the high-water mark
         table = typed_table()
         rowids = [table.insert((i, i, float(i), i, None, None, False)) for i in range(4)]
-        table.columnar_view()
+        table.columnar_view().column(0)
         before = table.delete(rowids[1])
         table.insert_with_rowid(rowids[1], before)
         view = table.columnar_view()
-        assert list(view.rowid_vector()) == rowids
-        assert list(view.column(0)) == [0, 1, 2, 3]
+        assert list(table.storage()) == rowids
+        assert view.column(0) == [0, 1, 2, 3]
 
     def test_load_state_rebuilds_mirror(self):
         table = typed_table()
         for i in range(3):
             table.insert((i, i, float(i), i, None, None, False))
         state = table.dump_state()
-        table.columnar_view()
+        table.columnar_view().column(0)
         table.truncate()
         table.load_state(state)
-        view = table.columnar_view()
-        assert list(view.column(0)) == [0, 1, 2]
-
-
-class TestColumnStoreUnit:
-    def test_rebuild_sorts_by_rowid(self):
-        schema = Schema([Column("v", SqlType.INTEGER, nullable=False)])
-        store = ColumnStore(schema)
-        store.append(5, (50,))
-        store.append(2, (20,))
-        store.append(9, (90,))
-        view = store.view()
-        assert list(view.rowid_vector()) == [2, 5, 9]
-        assert list(view.column(0)) == [20, 50, 90]
-
-    def test_version_bumps_on_mutation(self):
-        schema = Schema([Column("v", SqlType.INTEGER, nullable=False)])
-        store = ColumnStore(schema)
-        v0 = store.version
-        store.append(0, (1,))
-        store.replace(0, (2,))
-        store.remove(0)
-        assert store.version > v0
+        assert table.columnar_view().column(0) == [0, 1, 2]
 
 
 class TestSortedFlagHeal:
@@ -311,7 +282,7 @@ class TestVectorExecution:
         assert people_engine.stats.snapshot().get("vector_runtime_fallbacks", 0) >= 1
 
     def test_vectorize_off_arm(self):
-        eng = HStoreEngine(vectorize=False)
+        eng = compiled_row_arm(HStoreEngine())
         eng.execute_ddl("CREATE TABLE t (v INTEGER)")
         for i in range(5):
             eng.execute_sql("INSERT INTO t VALUES (?)", i)
@@ -319,9 +290,12 @@ class TestVectorExecution:
         assert eng.stats.snapshot().get("vector_scans", 0) == 0
 
     def test_vector_update_and_delete_parity(self):
-        vec = HStoreEngine(vector_min_rows=0)
-        row = HStoreEngine(vectorize=False)
+        # full-scan UPDATE/DELETE between vector scans: same counts, same
+        # rows, and the scans after them see the writes
+        vec = HStoreEngine()
+        row = compiled_row_arm(HStoreEngine())
         counts = []
+        scan = "SELECT COUNT(*), SUM(v), MAX(f) FROM t WHERE f >= 0"
         for eng in (vec, row):
             eng.execute_ddl("CREATE TABLE t (id INTEGER NOT NULL, v INTEGER, f FLOAT, PRIMARY KEY (id))")
             for i in range(30):
@@ -329,6 +303,7 @@ class TestVectorExecution:
                     "INSERT INTO t VALUES (?, ?, ?)",
                     i, None if i % 7 == 0 else i, i * 0.5,
                 )
+            eng.execute_sql(scan)
             counts.append(
                 (
                     eng.execute_sql("UPDATE t SET v = v * 2, f = f + 1.0 WHERE v > 10"),
@@ -336,12 +311,11 @@ class TestVectorExecution:
                 )
             )
         assert counts[0] == counts[1] and counts[0][0] > 0 and counts[0][1] > 0
-        probe = "SELECT * FROM t ORDER BY id"
-        assert vec.execute_sql(probe).rows == row.execute_sql(probe).rows
-        assert vec.stats.snapshot().get("vector_scans", 0) >= 2
+        for probe in ("SELECT * FROM t ORDER BY id", scan):
+            assert vec.execute_sql(probe).rows == row.execute_sql(probe).rows
 
     def test_empty_table_aggregate(self):
-        eng = HStoreEngine(vector_min_rows=0)
+        eng = HStoreEngine()
         eng.execute_ddl("CREATE TABLE t (v INTEGER)")
         assert eng.execute_sql(
             "SELECT COUNT(*), SUM(v), AVG(v), MIN(v) FROM t WHERE v > 0"
@@ -349,7 +323,7 @@ class TestVectorExecution:
 
     def test_sum_type_fidelity(self):
         # SUM over ints is int; over floats stays float; AVG is float
-        eng = HStoreEngine(vector_min_rows=0)
+        eng = HStoreEngine()
         eng.execute_ddl("CREATE TABLE t (i INTEGER NOT NULL, f FLOAT NOT NULL)")
         for i in range(4):
             eng.execute_sql("INSERT INTO t VALUES (?, ?)", i, float(i))
@@ -361,7 +335,7 @@ class TestVectorExecution:
         assert ai == 1.5 and type(ai) is float
 
     def test_group_order_is_first_appearance(self):
-        eng = HStoreEngine(vector_min_rows=0)
+        eng = HStoreEngine()
         eng.execute_ddl("CREATE TABLE t (g VARCHAR, v INTEGER)")
         for g, v in [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5)]:
             eng.execute_sql("INSERT INTO t VALUES (?, ?)", g, v)
@@ -369,29 +343,6 @@ class TestVectorExecution:
             "SELECT g, SUM(v) FROM t WHERE v > 0 GROUP BY g"
         ).rows
         assert rows == [("b", 4), ("a", 7), ("c", 4)]
-
-    def test_small_tables_stay_on_row_loop_by_default(self):
-        # below the vector_min_rows floor the scan answers from the row
-        # loop and the columnar mirror is never even built — batch setup
-        # would cost more than it saves (the E13 BikeShare regression)
-        eng = HStoreEngine()
-        eng.execute_ddl("CREATE TABLE t (v INTEGER NOT NULL)")
-        for i in range(10):
-            eng.execute_sql("INSERT INTO t VALUES (?)", i)
-        assert eng.execute_sql("SELECT SUM(v) FROM t WHERE v > 3").rows == [(39,)]
-        assert eng.execute_sql("UPDATE t SET v = v + 1 WHERE v < 2") == 2
-        assert eng.stats.snapshot().get("vector_scans", 0) == 0
-        assert eng.partitions[0].ee.table("t")._colstore is None
-
-    def test_crossing_the_floor_engages_the_vector_path(self):
-        eng = HStoreEngine()  # default floor
-        floor = eng.partitions[0].ee.vector_min_rows
-        eng.execute_ddl("CREATE TABLE t (v INTEGER NOT NULL)")
-        table = eng.partitions[0].ee.table("t")
-        table.insert_many([(i,) for i in range(floor)])
-        want = sum(range(1, floor))
-        assert eng.execute_sql("SELECT SUM(v) FROM t WHERE v > 0").rows == [(want,)]
-        assert eng.stats.snapshot().get("vector_scans", 0) == 1
 
     def test_ivm_view_still_wins(self):
         # the IVM ViewRead path is checked before the vector path
@@ -423,17 +374,124 @@ class TestExplainMode:
         assert text.splitlines()[2].strip() == "mode: row"
 
     def test_vectorize_off_is_row(self):
-        eng = HStoreEngine(vectorize=False)
+        eng = compiled_row_arm(HStoreEngine())
         eng.execute_ddl("CREATE TABLE t (v INTEGER)")
         assert "mode: row" in eng.explain("SELECT COUNT(*) FROM t WHERE v > 0")
 
-    def test_dml_modes(self, people_engine):
-        assert "mode: vector" in people_engine.explain(
-            "UPDATE people SET age = age + 1 WHERE age < 40"
+
+def _mode(text: str) -> str:
+    """The lane EXPLAIN names for the top-level plan (its first mode line)."""
+    return next(
+        line.strip()[len("mode: "):]
+        for line in text.splitlines()
+        if line.strip().startswith("mode: ")
+    )
+
+
+LANE_COUNTERS = ("ivm_view_hits", "point_lookups", "vector_scans")
+
+
+class TestExplainLaneMatchesCounters:
+    """EXPLAIN plans the way execution does, so the lane it names is the
+    lane the counters record — one statement per lane."""
+
+    VIEW = "CREATE VIEW recent_by_g AS SELECT g, COUNT(*), SUM(v) FROM recent GROUP BY g"
+
+    def streaming(self, **kwargs):
+        from tests.ivm.conftest import build_engine
+
+        eng = build_engine(
+            "CREATE WINDOW recent ON s ROWS 10 SLIDE 1", view_sql=self.VIEW, **kwargs
         )
-        assert "mode: vector" in people_engine.explain(
-            "DELETE FROM people WHERE age IS NULL"
-        )
-        assert "mode: row" in people_engine.explain(
-            "DELETE FROM people WHERE id = 1"
-        )
+        eng.execute_ddl("CREATE TABLE d (g INTEGER NOT NULL, w INTEGER, PRIMARY KEY (g))")
+        eng.execute_sql("INSERT INTO d VALUES (0, 1), (1, 2)")
+        eng.ingest("s", [(i, i % 2, i, None) for i in range(6)])
+        return eng
+
+    def bumped(self, eng, sql, *params):
+        before = eng.stats.snapshot()
+        eng.execute_sql(sql, *params)
+        delta = eng.stats.delta(before)
+        return {name for name in LANE_COUNTERS if delta.get(name, 0)}
+
+    def test_view_served_scan_is_not_reported_as_vector(self):
+        # regression: explain() planned through planner.plan, which never
+        # attaches the delta view, and printed `mode: vector`
+        eng = self.streaming()
+        sql = "SELECT g, COUNT(*) FROM recent GROUP BY g"
+        assert _mode(eng.explain(sql)) == "view(recent_by_g)"
+        assert self.bumped(eng, sql) == {"ivm_view_hits"}
+
+    @pytest.mark.parametrize(
+        "sql, params, lane, counters",
+        [
+            ("SELECT w FROM d WHERE g = ?", (1,), "row (point)", {"point_lookups"}),
+            (
+                "SELECT recent.g, COUNT(*), SUM(recent.v) FROM recent "
+                "JOIN d ON d.g = recent.g GROUP BY recent.g",
+                (),
+                "group-first(view(recent_by_g))",
+                {"ivm_view_hits"},
+            ),
+            (
+                "SELECT recent.g, MAX(recent.v) FROM recent "
+                "JOIN d ON d.g = recent.g GROUP BY recent.g",
+                (),
+                "group-first(row)",
+                set(),
+            ),
+            ("SELECT g, MAX(v) FROM recent GROUP BY g", (), "vector", {"vector_scans"}),
+            ("SELECT COUNT(*) FROM recent WHERE v > ?", (2,), "vector", {"vector_scans"}),
+            ("SELECT * FROM recent", (), "row", set()),
+            (
+                "SELECT g FROM recent WHERE v > (SELECT MIN(w) FROM d)",
+                (),
+                "row",
+                {"vector_scans"},  # the nested plan's own lane, one scan per row
+            ),
+        ],
+    )
+    def test_one_statement_per_lane(self, sql, params, lane, counters):
+        eng = self.streaming()
+        assert _mode(eng.explain(sql)) == lane
+        assert self.bumped(eng, sql, *params) == counters
+
+    def test_interpreter_lane(self):
+        eng = self.streaming(compile=False)
+        for sql in (
+            "SELECT g, COUNT(*) FROM recent GROUP BY g",
+            "SELECT w FROM d WHERE g = 1",
+            "UPDATE d SET w = w + 1 WHERE g = 1",
+        ):
+            assert _mode(eng.explain(sql)) == "row (interpreter)"
+        assert self.bumped(eng, "SELECT g, COUNT(*) FROM recent GROUP BY g") == set()
+
+    def test_dml_is_row(self, people_engine):
+        for sql in (
+            "UPDATE people SET age = age + 1 WHERE age < 40",
+            "DELETE FROM people WHERE age IS NULL",
+            "DELETE FROM people WHERE id = 1",
+        ):
+            assert _mode(people_engine.explain(sql)) == "row"
+
+    def test_explain_procedure_names_the_view(self):
+        from repro.hstore.procedure import StoredProcedure
+
+        class Board(StoredProcedure):
+            name = "board"
+            statements = {
+                "by_group": "SELECT g, COUNT(*), SUM(v) FROM recent GROUP BY g",
+                "extremes": "SELECT g, MIN(v) FROM recent GROUP BY g",
+            }
+
+            def run(self, ctx):  # pragma: no cover
+                pass
+
+        eng = self.streaming()
+        eng.register_procedure(Board)
+        sections = eng.explain_procedure("board").split("-- ")
+        by_name = {s.split("\n", 1)[0]: s for s in sections if s}
+        assert _mode(by_name["by_group"]) == "view(recent_by_g)"
+        assert _mode(by_name["extremes"]) == "vector"
+        eng.execute_ddl("DROP VIEW recent_by_g")
+        assert "mode: view" not in eng.explain_procedure("board")

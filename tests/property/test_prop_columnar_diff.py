@@ -2,18 +2,20 @@
 
 Three engines run every generated statement over the same data:
 
-* *vector* — default engine: compiled plans, columnar mirror, batch
-  evaluation for full scans (with statement-level runtime fallback);
-* *row* — ``vectorize=False``: compiled closures, row-at-a-time only;
+* *vector* — default engine: compiled plans, batch evaluation over cached
+  column vectors for full scans (with statement-level runtime fallback);
+* *row* — :func:`tests.lanes.compiled_row_arm`: the compiled closures the
+  vector lane forks from, row-at-a-time only;
 * *interpreter* — ``compile=False``: the differential oracle.
 
 All three must agree **bit-for-bit**: same rows, same order, same Python
 types per cell (an int SUM must not come back as a float — float cells are
 compared by their IEEE-754 bit pattern).  The schema includes FLOAT and
-typed NOT NULL columns so the `array('q')`/`array('d')` vectors, the
-Neumaier-vs-naive summation trap, and NULL-heavy 3VL predicates all get
-exercised, and DML interleavings churn the columnar mirror (tombstones,
-in-place updates, compaction) between probes.
+NOT NULL columns so the Neumaier-vs-naive summation trap and NULL-heavy 3VL
+predicates get exercised, and every way a table can change — DML, an
+aborted transaction's undo, truncate, snapshot + crash + recover — is
+interleaved with the probes, so a column cache that outlived its rows would
+show as a stale answer.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.hstore.engine import HStoreEngine
+from repro.hstore.procedure import StoredProcedure
+from tests.lanes import compiled_row_arm
 
 pytestmark = pytest.mark.columnar
 
@@ -110,12 +114,10 @@ AGG = st.sampled_from(
 )
 
 
-def make_trio(rows) -> tuple[HStoreEngine, HStoreEngine, HStoreEngine]:
-    # floor pinned to 0: the generated tables are tiny, and the whole
-    # point is forcing them through the vector path anyway
-    vector = HStoreEngine(vector_min_rows=0)
-    row = HStoreEngine(vectorize=False)
-    interp = HStoreEngine(compile=False)
+def make_trio(rows, **kwargs) -> tuple[HStoreEngine, HStoreEngine, HStoreEngine]:
+    vector = HStoreEngine(**kwargs)
+    row = compiled_row_arm(HStoreEngine(**kwargs))
+    interp = HStoreEngine(compile=False, **kwargs)
     for eng in (vector, row, interp):
         eng.execute_ddl(DDL)
         for i, (a, f, s) in enumerate(rows):
@@ -195,23 +197,87 @@ def test_delete_equivalent(rows, where):
     assert_trio_equivalent(rows, sql)
 
 
-@settings(max_examples=30, deadline=None)
+class DeleteThenAbort(StoredProcedure):
+    """Deletes the low ids, then aborts: the undo re-inserts them below the
+    table's high-water mark (``insert_with_rowid`` -> ``_ensure_sorted``)."""
+
+    name = "delete_then_abort"
+    statements = {"del": "DELETE FROM t WHERE id <= ?"}
+
+    def run(self, ctx, pivot):
+        ctx.execute("del", pivot)
+        ctx.abort("undo the delete")
+
+
+def apply_step(eng: HStoreEngine, kind: str, arg, fresh_id: int):
+    """One way a table changes between scans; returns what the caller saw."""
+    if kind == "insert":
+        return outcome(eng, "INSERT INTO t VALUES (?, ?, ?, ?)", fresh_id, *arg)
+    if kind == "update":
+        return outcome(eng, f"UPDATE t SET a = a + 1, f = f WHERE {arg}")
+    if kind == "delete":
+        return outcome(eng, f"DELETE FROM t WHERE {arg}")
+    if kind == "abort":
+        return eng.call_procedure("delete_then_abort", arg).success
+    if kind == "truncate":
+        return eng.execute_ddl("TRUNCATE TABLE t")
+    if kind == "snapshot":
+        return eng.take_snapshot().through_lsn
+    # loses the pending half of a commit group, and a TRUNCATE (DDL is not
+    # logged): the recovered rows are not the rows the last scan saw
+    return (eng.crash(), eng.recover())
+
+
+step_strategy = st.one_of(
+    st.tuples(st.just("insert"), row_strategy),
+    st.tuples(st.just("update"), bool_expr(2)),
+    st.tuples(st.just("delete"), bool_expr(2)),
+    st.tuples(st.just("abort"), st.integers(0, 6)),
+    st.tuples(st.just("truncate"), st.none()),
+    st.tuples(st.just("snapshot"), st.none()),
+    st.tuples(st.just("recover"), st.none()),
+)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     rows=rows_strategy,
-    dml_where=bool_expr(2),
+    steps=st.lists(step_strategy, min_size=1, max_size=6),
     probe_where=bool_expr(2),
     arg=num_expr(1),
 )
-def test_dml_then_aggregate_equivalent(rows, dml_where, probe_where, arg):
-    # churn the columnar mirror (tombstones + in-place writes), then probe
-    vector, row, interp = make_trio(rows)
-    for sql in (
-        f"UPDATE t SET a = a + 1 WHERE {dml_where}",
-        f"DELETE FROM t WHERE {dml_where}",
+@example(
+    rows=[(1, 0.5, "a"), (2, None, "b")],
+    steps=[("snapshot", None), ("truncate", None), ("recover", None)],
+    probe_where="(id >= 0)",
+    arg="a",
+)
+@example(
+    rows=[(1, 0.5, "a"), (2, None, "b"), (3, 1.0, None)],
+    steps=[("abort", 1), ("snapshot", None), ("recover", None)],
+    probe_where="(id >= 0)",
+    arg="f",
+)
+def test_dml_then_aggregate_equivalent(rows, steps, probe_where, arg):
+    # every step invalidates whatever column vectors the scans before it
+    # built; the scans after it must answer from the rows as they are now
+    trio = make_trio(rows, log_group_size=2)
+    for eng in trio:
+        eng.register_procedure(DeleteThenAbort)
+    vector, row, interp = trio
+    probes = (
         f"SELECT COUNT(*), SUM({arg}), MIN(f), MAX(a) FROM t WHERE {probe_where}",
         "SELECT s, COUNT(*), AVG(f) FROM t GROUP BY s",
+        f"SELECT id, f FROM t WHERE {probe_where}",
         "SELECT * FROM t ORDER BY id",
-    ):
-        want = outcome(interp, sql)
-        assert outcome(vector, sql) == want, sql
-        assert outcome(row, sql) == want, sql
+    )
+    for number, (kind, step_arg) in enumerate([("scan", None)] + steps):
+        if kind != "scan":
+            fresh_id = 100 + number
+            want = apply_step(interp, kind, step_arg, fresh_id)
+            assert apply_step(vector, kind, step_arg, fresh_id) == want, kind
+            assert apply_step(row, kind, step_arg, fresh_id) == want, kind
+        for sql in probes:
+            want = outcome(interp, sql)
+            assert outcome(vector, sql) == want, (kind, sql)
+            assert outcome(row, sql) == want, (kind, sql)
