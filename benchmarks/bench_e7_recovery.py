@@ -6,7 +6,9 @@ transaction workflows."
 
 Measured: (a) recovered state is bit-identical to the pre-crash state, with
 and without snapshots; (b) recovery time scales with the replayed log suffix
-length, so snapshots shorten it; (c) only border inputs are logged (the
+length, so snapshots shorten it — in memory and from a durability directory,
+where a restore parses only the suffix past the snapshot's byte offset
+however long the checkpointed prefix; (c) only border inputs are logged (the
 upstream-backup property itself).
 """
 
@@ -20,9 +22,12 @@ from repro.apps.voter.sstore_app import VoterSStoreApp
 from repro.apps.voter.workload import VoterWorkload
 from repro.bench import format_table
 from repro.core.recovery import crash_and_recover_streaming
+from repro.hstore.cmdlog import LogRecord
 
 CONTESTANTS = 8
 VOTES = 400
+#: records logged after the snapshot in the directory-mode arm
+SUFFIX = 100
 
 
 def _prepared(snapshot_interval=None) -> VoterSStoreApp:
@@ -92,6 +97,69 @@ def test_e7_replay_scales_with_suffix(benchmark, save_report):
     save_report(
         "e7_replay_scaling",
         format_table(["workload fraction", "records replayed", "recovery time"], rows),
+    )
+
+
+def _durable_run(path, prefix: int):
+    """Log ``prefix`` records (one vote each) into ``path``, snapshot, log
+    ``SUFFIX`` more; returns (the snapshot, votes counted at the end)."""
+    app = VoterSStoreApp(num_contestants=CONTESTANTS)
+    app.engine.enable_durability(path)
+    requests = iter(
+        VoterWorkload(seed=709, num_contestants=CONTESTANTS).generate(prefix + SUFFIX)
+    )
+    log = app.engine.command_log
+    while log.durable_lsn < prefix:
+        app.submit([next(requests)])
+    snapshot = app.engine.take_snapshot()
+    while log.durable_lsn < prefix + SUFFIX:
+        app.submit([next(requests)])
+    votes = app.summary().total_votes
+    app.engine.shutdown()
+    return snapshot, votes
+
+
+def test_e7_directory_restore_reads_only_the_suffix(
+    benchmark, save_report, tmp_path, monkeypatch
+):
+    """Directory mode: the same suffix behind a 1x, 4x and 16x checkpointed
+    prefix parses the same records and takes about the same time."""
+    built: list[tuple] = []
+    init = LogRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    rows = []
+
+    def measure():
+        rows.clear()
+        for factor in (1, 4, 16):
+            path = tmp_path / f"prefix-{factor}x"
+            snapshot, votes = _durable_run(path, factor * SUFFIX)
+            fresh = VoterSStoreApp(num_contestants=CONTESTANTS)
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(LogRecord, "__init__", counting)
+                started = time.perf_counter()
+                replayed = fresh.engine.restore_from_disk(path)
+                elapsed = time.perf_counter() - started
+            assert fresh.summary().total_votes == votes
+            # parsed == replayed == the suffix, whatever the prefix
+            assert snapshot.through_lsn == factor * SUFFIX
+            assert len(built) == replayed == SUFFIX
+            assert len(fresh.engine.command_log) == snapshot.through_lsn + SUFFIX
+            fresh.engine.shutdown()
+            rows.append([f"{factor}x", snapshot.through_lsn, snapshot.log_offset,
+                         len(built), replayed, f"{elapsed * 1000:.1f}ms"])
+        return rows
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    save_report(
+        "e7_suffix_only",
+        format_table(["prefix", "prefix records", "log_offset (B)",
+                      "records parsed", "records replayed", "restore time"], rows),
     )
 
 

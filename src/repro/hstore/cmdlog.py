@@ -59,9 +59,9 @@ class CommandLog:
         self._pending: list[LogRecord] = []
         self._next_lsn = 0
         #: what the durable store holds — LSN up to which records are durable
-        #: (exclusive) and their count; advanced only after its write returned
+        #: (exclusive), advanced only after its write returned; LSNs are
+        #: dense from 0, so it is also the durable record count
         self.durable_lsn = 0
-        self._durable_count = 0
         self._stats = stats if stats is not None else EngineStats()
         #: the durable store once enable_durability/restore_from_disk set one
         self.directory: "DurabilityDirectory | None" = None
@@ -132,11 +132,12 @@ class CommandLog:
                 self.directory.append_log_records(flushed)
             except BaseException:
                 # part of the group may have landed before the failure:
-                # count what a restarted process would find, not a guess
+                # count what a restarted process would find, not a guess,
+                # and number on from there so LSNs stay dense
                 self._set_durable(self.directory.scan_log(repair=False)[0])
+                self._next_lsn = self.durable_lsn
                 raise
         self.durable_lsn = flushed[-1].lsn + 1
-        self._durable_count += len(flushed)
         if self.fault_injector is not None:
             self.fault_injector.fire("log.flush", stage="post")
         return len(flushed)
@@ -149,26 +150,38 @@ class CommandLog:
         self.directory = directory
         self._records = []
 
-    def reload(self) -> tuple[list[LogRecord], int]:
-        """What a restarted process finds: ``(durable records, torn count)``.
+    def reload(self, through_lsn: int, offset: int) -> tuple[list[LogRecord], int]:
+        """What a restarted process finds past a checkpoint:
+        ``(durable records from byte offset on, torn count)``.
 
-        Pending records are gone, a torn tail is repaired, and the counters
-        and the next LSN restart from what the store actually holds.
+        ``offset`` is a snapshot's ``log_offset``, where the record at its
+        ``through_lsn`` starts; nothing before it is read.  Offset 0 reads
+        the whole log (no snapshot, a snapshot written before offsets were
+        recorded, or memory mode).  Pending records are gone, a torn tail is
+        repaired, and the counters and the next LSN restart from what the
+        store actually holds.
         """
         self._pending = []
-        records, torn = self._scan(repair=True)
-        self._set_durable(records)
+        records, torn = self._scan(offset, repair=True)
+        if offset and records and records[0].lsn != through_lsn:
+            raise RecoveryError(
+                f"log record at byte {offset} has LSN {records[0].lsn}, but "
+                f"the snapshot through LSN {through_lsn} says it starts there"
+            )
+        self._set_durable(records, through_lsn if offset else 0)
         self._next_lsn = self.durable_lsn
         return records, torn
 
-    def _scan(self, repair: bool = False) -> tuple[list[LogRecord], int]:
+    def _scan(
+        self, offset: int = 0, repair: bool = False
+    ) -> tuple[list[LogRecord], int]:
         if self.directory is None:
             return self._records, 0
-        return self.directory.scan_log(repair=repair)
+        return self.directory.scan_log(offset, repair=repair)
 
-    def _set_durable(self, records: list[LogRecord]) -> None:
-        self._durable_count = len(records)
-        self.durable_lsn = records[-1].lsn + 1 if records else 0
+    def _set_durable(self, records: list[LogRecord], first_lsn: int = 0) -> None:
+        """Durable through ``records``, which start at ``first_lsn``."""
+        self.durable_lsn = records[-1].lsn + 1 if records else first_lsn
 
     # -- reading -------------------------------------------------------------
 
@@ -185,7 +198,7 @@ class CommandLog:
         return list(self._scan()[0])
 
     def __len__(self) -> int:
-        return self._durable_count
+        return self.durable_lsn
 
     # -- maintenance -----------------------------------------------------------
 

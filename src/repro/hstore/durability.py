@@ -11,7 +11,9 @@ so the engine survives a full process restart:
   the file for any reader (a second process, a second engine restoring
   while the writer lives) and a forked child inherits no buffered bytes;
 * ``<dir>/snapshots/<id>.json`` — one file per checkpoint, wrapped in a
-  checksummed envelope so bit rot and torn writes are detected on load.
+  checksummed envelope so bit rot and torn writes are detected on load;
+  each records ``log_offset``, the length of ``command.log`` when it was
+  written, which is where the record at its ``through_lsn`` starts.
 
 Usage::
 
@@ -25,17 +27,33 @@ JSON is the wire format, so tuples round-trip as lists; every load path in
 the engine re-normalizes (rowids via ``int()``, batch rows via ``tuple()``),
 which the durability tests verify end to end.
 
-Crash hardening (exercised by :mod:`repro.faults` and ``tests/faults``):
+Recovery reads the newest valid snapshot and the log from that snapshot's
+``log_offset`` on: ``scan_log(offset)`` seeks past the checkpointed prefix,
+which it never reads.  Offset 0 (no snapshot, or one written before
+snapshots recorded the offset) scans the whole file through the same code.
+The full-history readers (``scan_log()``, ``load_log_records``, the log's
+``all_records`` / ``records_from``) still read and check every byte.
+
+Crash hardening (exercised by :mod:`repro.faults` and ``tests/faults``),
+stated for the bytes a scan reads — the whole file, or the suffix from the
+offset:
 
 * a *torn* final log record — the file truncated at an arbitrary byte
   offset within the last record, as a mid-append crash leaves it — is
-  detected, dropped, and physically truncated away by :meth:`scan_log`,
-  with the drop count surfaced through ``RecoveryReport.torn_records``;
+  detected, dropped, and physically truncated away (at its absolute byte
+  offset) by :meth:`scan_log`, with the drop count surfaced through
+  ``RecoveryReport.torn_records``;
 * an unreadable or checksum-mismatched snapshot file is skipped and
-  recovery falls back to the previous snapshot (paying a longer replay)
-  via :meth:`scan_snapshots`;
-* corruption anywhere *before* the final log record is not survivable
+  recovery falls back to the previous snapshot, scanning from *its* offset
+  (a longer replay), via :meth:`scan_snapshots`;
+* a log shorter than the chosen snapshot's offset, or an offset that does
+  not start the record at its ``through_lsn``, raises :class:`RecoveryError`;
+* corruption anywhere *before* the final log record read is not survivable
   tearing but real damage, and still raises :class:`RecoveryError` loudly.
+  Each line is decoded strictly, so a flipped byte that leaves invalid
+  UTF-8 is caught.  A flip that stays valid UTF-8 *and* valid JSON is not:
+  that would take a per-record checksum, about 16 bytes on a Voter record
+  of 166, more than the log's size budget allows.
 """
 
 from __future__ import annotations
@@ -80,9 +98,9 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _snapshot_body(payload: dict[str, Any]) -> str:
-    """Canonical serialization the snapshot checksum is computed over."""
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+def _envelope_head(checksum: str) -> str:
+    """A snapshot file's bytes before its payload (one ``}`` follows it)."""
+    return f'{{"checksum":"{checksum}","payload":'
 
 
 class DurabilityDirectory:
@@ -175,10 +193,23 @@ class DurabilityDirectory:
         if handle is not None:
             handle.close()
 
-    def scan_log(self, *, repair: bool = True) -> tuple[list[LogRecord], int]:
-        """Read the durable log, tolerating a torn trailing record.
+    def log_size(self) -> int:
+        """Bytes in ``command.log`` (0 before the first append)."""
+        try:
+            return self.log_path.stat().st_size
+        except FileNotFoundError:
+            return 0
 
-        Returns ``(records, torn_records)``.  A final line with no trailing
+    def scan_log(
+        self, offset: int = 0, *, repair: bool = True
+    ) -> tuple[list[LogRecord], int]:
+        """Read the durable log from byte ``offset``, tolerating a torn
+        trailing record.
+
+        Returns ``(records, torn_records)`` for the records at or after
+        ``offset``, which must start a record (a snapshot's ``log_offset``);
+        the bytes before it are not read.  A file shorter than ``offset``
+        raises :class:`RecoveryError`.  A final line with no trailing
         newline that fails to parse is exactly what a crash mid-append
         leaves behind; it is dropped (and, with ``repair``, physically
         truncated off the file so later appends start clean).  An
@@ -188,9 +219,17 @@ class DurabilityDirectory:
         """
         if repair:
             self.close_log()  # never truncate or patch under an open handle
-        if not self.log_path.exists():
+        size = self.log_size()
+        if size < offset:
+            raise RecoveryError(
+                f"{self.log_path} holds {size} bytes, but the snapshot's "
+                f"replay suffix starts at byte {offset}"
+            )
+        if size == 0:
             return [], 0
-        raw = self.log_path.read_bytes()
+        with self.log_path.open("rb") as handle:
+            handle.seek(offset)
+            raw = handle.read()
         segments = raw.split(b"\n")
         terminated_tail = segments and segments[-1] == b""
         if terminated_tail:
@@ -198,17 +237,17 @@ class DurabilityDirectory:
 
         records: list[LogRecord] = []
         torn = 0
-        good_end = 0  # byte offset just past the last intact record
+        good_end = offset  # absolute byte offset just past the last intact record
         needs_newline = False
         for index, segment in enumerate(segments):
             is_last = index == len(segments) - 1
             has_newline = terminated_tail or not is_last
-            line = segment.decode("utf-8", errors="replace").strip()
-            if not line:
+            if not segment.strip():
                 good_end += len(segment) + (1 if has_newline else 0)
                 continue
             try:
-                payload = json.loads(line)
+                # the bytes themselves: invalid UTF-8 is a ValueError here
+                payload = json.loads(segment)
                 record = LogRecord(
                     lsn=int(payload["lsn"]),
                     txn_id=int(payload["txn_id"]),
@@ -220,12 +259,12 @@ class DurabilityDirectory:
                         (key, value) for key, value in payload.get("meta", [])
                     ),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 if is_last and not has_newline:
                     torn += 1
                     break
                 raise RecoveryError(
-                    f"corrupt log record at {self.log_path}:{index + 1}: {exc}"
+                    f"corrupt log record at {self.log_path} byte {good_end}: {exc}"
                 ) from exc
             records.append(record)
             good_end += len(segment) + (1 if has_newline else 0)
@@ -269,11 +308,12 @@ class DurabilityDirectory:
             "logical_time": snapshot.logical_time,
             "partition_state": _jsonable(snapshot.partition_state),
             "extra": _jsonable(snapshot.extra),
+            "log_offset": snapshot.log_offset,
         }
-        body = _snapshot_body(payload)
-        # the envelope embeds the canonical body: one encoding per snapshot
+        body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        # the envelope embeds the body as hashed: one encoding per snapshot
         checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        envelope = f'{{"checksum":"{checksum}","payload":{body}}}'
+        envelope = _envelope_head(checksum) + body + "}"
         with self.tracer.span(
             "snapshot", "write_file", snapshot_id=snapshot.snapshot_id
         ):
@@ -293,15 +333,19 @@ class DurabilityDirectory:
         (:meth:`scan_snapshots`) falls back to an older checkpoint.
         """
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raw = path.read_bytes()
+            data = json.loads(raw)
+        except (OSError, ValueError) as exc:
             raise RecoveryError(f"unreadable snapshot {path.name}: {exc}") from exc
         if not isinstance(data, dict):
             raise RecoveryError(f"malformed snapshot {path.name}: not an object")
         if "payload" in data:
             payload = data["payload"]
-            body = _snapshot_body(payload)
-            digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+            # the checksum covers the payload's bytes exactly as stored: any
+            # changed byte, inside the payload or around it, fails
+            head = _envelope_head(str(data.get("checksum"))).encode("utf-8")
+            body = raw[len(head) : -1] if raw.startswith(head) else raw
+            digest = hashlib.sha256(body).hexdigest()
             if digest != data.get("checksum"):
                 raise RecoveryError(
                     f"corrupt snapshot {path.name}: checksum mismatch "
@@ -322,6 +366,7 @@ class DurabilityDirectory:
                 logical_time=int(payload["logical_time"]),
                 partition_state=partition_state,
                 extra=payload.get("extra", {}),
+                log_offset=int(payload.get("log_offset", 0)),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise RecoveryError(

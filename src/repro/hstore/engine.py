@@ -944,19 +944,34 @@ class HStoreEngine:
         with or without a snapshot (without one, replay starts from an empty
         database at LSN 0).  Returns the number of replayed transactions and
         fills :attr:`last_recovery_report`.
-        """
-        with self.tracer.span("recovery", "replay") as span:
-            replayed = self._recover_body()
-            span.set(replayed=replayed)
-            return replayed
 
-    def _recover_body(self) -> int:
+        The snapshot is chosen first, so the log is read from its
+        ``log_offset`` on: a restore parses the records it replays and not
+        the checkpointed prefix before them.
+        """
         from repro.hstore.recovery import RecoveryReport
 
-        records, torn = self.command_log.reload()
-        found, skipped = self.snapshots.newest()
-        # no checkpoint = an empty one at LSN 0 (load_state({}) empties tables)
-        snapshot = found or Snapshot(-1, 0, self.clock.now, {})
+        with self.tracer.span("recovery", "replay") as span:
+            found, skipped = self.snapshots.newest()
+            # no checkpoint = an empty one at LSN 0 (load_state({}) empties tables)
+            snapshot = found or Snapshot(-1, 0, self.clock.now, {})
+            records, torn = self.command_log.reload(
+                snapshot.through_lsn, snapshot.log_offset
+            )
+            span.set(log_offset=snapshot.log_offset, records_scanned=len(records))
+            replayed = self._replay_from(snapshot, records)
+            span.set(replayed=replayed)
+        self.last_recovery_report = RecoveryReport(
+            lost_log_records=0,
+            replayed_transactions=replayed,
+            had_snapshot=found is not None,
+            torn_records=torn,
+            snapshots_skipped=skipped,
+        )
+        return replayed
+
+    def _replay_from(self, snapshot: Snapshot, records: list[LogRecord]) -> int:
+        """Load ``snapshot``, then replay the ``records`` past it."""
         for partition in self.partitions:
             partition.ee.load_state(
                 snapshot.partition_state.get(partition.partition_id, {})
@@ -978,13 +993,6 @@ class HStoreEngine:
                 replayed += 1
         finally:
             self._replaying = False
-        self.last_recovery_report = RecoveryReport(
-            lost_log_records=0,
-            replayed_transactions=replayed,
-            had_snapshot=found is not None,
-            torn_records=torn,
-            snapshots_skipped=skipped,
-        )
         return replayed
 
     def _replay_invocation(self, record: LogRecord) -> None:

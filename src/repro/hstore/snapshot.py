@@ -6,9 +6,11 @@ snapshot taken between transactions is trivially transaction-consistent.
 
 A snapshot is every partition's table state (rows only — indexes are rebuilt
 on load) plus any extra state the streaming layer registers (stream cursors,
-window metadata).  Where checkpoints live — the single newest one in memory,
-or one file each once a directory is attached — is tabulated in
-docs/INTERNALS.md §5 ("Where history lives").
+window metadata).  A file checkpoint also records ``log_offset``, the byte
+in ``command.log`` where its replay suffix begins, so recovery seeks past
+the checkpointed prefix instead of parsing it.  Where checkpoints live — the
+single newest one in memory, or one file each once a directory is attached
+— is tabulated in docs/INTERNALS.md §5 ("Where history lives").
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ class Snapshot:
     partition_state: dict[int, dict[str, Any]]
     #: opaque extra state (the streaming layer stores cursors/windows here)
     extra: dict[str, Any] = field(default_factory=dict)
+    #: byte offset in ``command.log`` where the record at ``through_lsn``
+    #: starts (the file's length when the checkpoint was written), so
+    #: recovery reads only the suffix; 0 = read the whole log (memory mode,
+    #: or a file written before snapshots recorded it)
+    log_offset: int = 0
 
 
 class SnapshotStore:
@@ -64,6 +71,9 @@ class SnapshotStore:
             logical_time=logical_time,
             partition_state=partition_state,
             extra=extra or {},
+            # take_snapshot flushed the group: the file ends where the
+            # record at through_lsn will start
+            log_offset=0 if self.directory is None else self.directory.log_size(),
         )
         self._next_id += 1
         if self.directory is not None:

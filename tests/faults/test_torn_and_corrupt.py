@@ -9,6 +9,8 @@ implement for `restore_from_disk` — and that a live engine's
 from __future__ import annotations
 
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -82,6 +84,31 @@ class TestTornLogTail:
         with pytest.raises(RecoveryError, match="corrupt log record"):
             directory.scan_log()
 
+    @pytest.mark.parametrize(
+        "victim,terminated", [(b'"v1"', True), (b'"v2"', False)],
+        ids=["mid-log", "unterminated-tail"],
+    )
+    def test_invalid_utf8_byte_is_never_read_as_data(
+        self, tmp_path, victim, terminated
+    ):
+        # decoding is strict: a flipped byte is corruption (or, in a final
+        # line without its newline, a torn tail) — never a U+FFFD replayed as
+        # a parameter that was never logged
+        directory = DurabilityDirectory(tmp_path)
+        write_records(directory, 3)
+        raw = bytearray(directory.log_path.read_bytes())
+        if not terminated:
+            raw.pop()
+        raw[raw.index(victim) + 1] = 0xFF
+        directory.log_path.write_bytes(bytes(raw))
+        if terminated:
+            with pytest.raises(RecoveryError, match="corrupt log record"):
+                directory.scan_log()
+        else:
+            records, torn = directory.scan_log()
+            assert torn == 1
+            assert [record.lsn for record in records] == [0, 1]
+
     def test_newline_terminated_garbage_tail_still_raises(self, tmp_path):
         # a torn write can never leave garbage *followed by a newline*, so
         # this is real corruption, not tearing
@@ -121,6 +148,21 @@ class TestSnapshotChecksums:
         index = data.find(b'"x"')
         data[index + 1 : index + 2] = b"y"
         path.write_bytes(bytes(data))
+        with pytest.raises(RecoveryError, match="checksum mismatch"):
+            directory.load_snapshot_file(path)
+
+    @pytest.mark.parametrize(
+        "old,new", [(b',"logical_time"', b', "logical_time"'), (b"}}", b"} }")],
+        ids=["inside-payload", "after-payload"],
+    )
+    def test_checksum_covers_the_stored_bytes(self, tmp_path, old, new):
+        # the same JSON value in other bytes still fails: the checksum is
+        # over the payload exactly as written, not a re-serialization of it
+        directory = DurabilityDirectory(tmp_path)
+        path = directory.write_snapshot(snapshot(0, 7))
+        data = path.read_bytes()
+        path.write_bytes(data.replace(old, new, 1))
+        assert json.loads(path.read_bytes()) == json.loads(data)
         with pytest.raises(RecoveryError, match="checksum mismatch"):
             directory.load_snapshot_file(path)
 
@@ -224,11 +266,227 @@ class TestOneStoreOneRecoveryPath:
         assert engine.last_recovery_report.had_snapshot
         assert engine.last_recovery_report.replayed_transactions == 1
 
+    def test_torn_tail_past_the_snapshot_is_cut_at_its_absolute_byte(self, tmp_path):
+        engine = build_t()
+        engine.enable_durability(tmp_path)
+        insert(engine, 1, 2, 3)
+        offset = engine.take_snapshot().log_offset
+        insert(engine, 4, 5)
+        raw = (tmp_path / "command.log").read_bytes()
+        last_start = raw[:-1].rfind(b"\n") + 1
+        assert 0 < offset < last_start  # the torn record is in the suffix
+
+        def tear(path):
+            (path / "command.log").write_bytes(raw[: last_start + 9])
+
+        durable = self.assert_both_paths_agree(
+            engine, tmp_path, 1, rows(1, 2, 3, 4), damage=tear
+        )
+        assert durable == 4
+        assert (tmp_path / "command.log").read_bytes() == raw[:last_start]
+        report = engine.last_recovery_report
+        assert (report.torn_records, report.replayed_transactions) == (1, 1)
+
+    def test_damaged_newest_snapshot_falls_back_to_the_previous_offset(
+        self, tmp_path, monkeypatch
+    ):
+        engine = build_t()
+        engine.enable_durability(tmp_path)
+        insert(engine, 1, 2)
+        engine.take_snapshot()  # through LSN 2
+        insert(engine, 3, 4)
+        newest = engine.take_snapshot()  # through LSN 4
+        insert(engine, 5)
+
+        def damage(path):
+            (path / "snapshots" / f"{newest.snapshot_id:08d}.json").write_bytes(
+                b"\x00torn"
+            )
+
+        built = count_log_records(monkeypatch)
+        durable = self.assert_both_paths_agree(
+            engine, tmp_path, 1, rows(1, 2, 3, 4, 5), damage=damage
+        )
+        assert durable == 5
+        report = engine.last_recovery_report
+        assert (report.snapshots_skipped, report.replayed_transactions) == (1, 3)
+        # each of the two recoveries parsed exactly the three records past
+        # the older snapshot's offset: not the prefix, not a full scan
+        assert len(built) == 2 * 3
+
+    def test_second_snapshot_after_a_restore(self, tmp_path):
+        first = build_t()
+        first.enable_durability(tmp_path)
+        insert(first, 1, 2)
+        first.take_snapshot()
+        insert(first, 3)
+        first.shutdown()
+
+        engine = build_t()
+        engine.restore_from_disk(tmp_path)
+        insert(engine, 4)
+        second = engine.take_snapshot()
+        insert(engine, 5)
+        lines = (tmp_path / "command.log").read_bytes().splitlines(keepends=True)
+        assert second.log_offset == sum(len(line) for line in lines[:4])
+
+        durable = self.assert_both_paths_agree(
+            engine, tmp_path, 1, rows(1, 2, 3, 4, 5)
+        )
+        assert durable == 5
+        report = engine.last_recovery_report
+        assert report.had_snapshot and report.replayed_transactions == 1
+
     @staticmethod
-    def assert_both_paths_agree(engine, path, group_size, expected):
+    def assert_both_paths_agree(engine, path, group_size, expected, damage=None):
+        """Crash ``engine``, apply ``damage`` to its files, then recover it in
+        place and restore a byte-identical copy into a fresh engine: rows,
+        report, repaired log and counters must agree.  Returns the durable
+        record count, which ``len``, ``durable_lsn`` and the next append's
+        LSN all equal."""
         engine.crash()
+        if damage is not None:
+            damage(path)
+        twin = path.parent / f"{path.name}-twin"
+        shutil.copytree(path, twin)
         engine.recover()
         fresh = build_t(group_size)
-        fresh.restore_from_disk(path)
+        fresh.restore_from_disk(twin)
         assert engine.table_rows("t") == fresh.table_rows("t") == expected
         assert engine.last_recovery_report == fresh.last_recovery_report
+        log_bytes = (path / "command.log").read_bytes()
+        assert log_bytes == (twin / "command.log").read_bytes()
+        live, restored = (
+            (len(log), log.durable_lsn, log.next_lsn)
+            for log in (engine.command_log, fresh.command_log)
+        )
+        fresh.shutdown()
+        assert live == restored == (live[0],) * 3
+        return live[0]
+
+
+def insert(engine: HStoreEngine, *keys: int) -> None:
+    for k in keys:
+        engine.execute_sql(f"INSERT INTO t VALUES ({k}, {k * 10})")
+
+
+def rows(*keys: int) -> list[tuple[int, int]]:
+    return [(k, k * 10) for k in keys]
+
+
+def count_log_records(monkeypatch) -> list:
+    """Collects one entry per :class:`LogRecord` built from here on — one per
+    log line a scan parses."""
+    built = []
+    init = LogRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LogRecord, "__init__", counting)
+    return built
+
+
+def snapshotted_run(path) -> Snapshot:
+    """Five inserts into ``t`` with a snapshot after the third (through LSN
+    3), the engine then shut down as an exiting process would; returns the
+    snapshot as loaded back from its file."""
+    engine = build_t()
+    engine.enable_durability(path)
+    insert(engine, 1, 2, 3)
+    engine.take_snapshot()
+    insert(engine, 4, 5)
+    engine.shutdown()
+    return DurabilityDirectory(path).load_latest_snapshot()
+
+
+class TestLogOffset:
+    """A snapshot's ``log_offset`` is trusted only as far as it checks out:
+    any corrupt byte recovery reads raises, and the bytes it skips are still
+    checked by every full-history reader."""
+
+    def test_snapshots_record_where_their_suffix_starts(self, tmp_path):
+        snapshot = snapshotted_run(tmp_path)
+        lines = (tmp_path / "command.log").read_bytes().splitlines(keepends=True)
+        assert snapshot.through_lsn == 3
+        assert snapshot.log_offset == sum(len(line) for line in lines[:3])
+
+    def test_log_shorter_than_the_offset_raises_naming_both_sizes(self, tmp_path):
+        snapshot = snapshotted_run(tmp_path)
+        log = tmp_path / "command.log"
+        short = snapshot.log_offset - 10
+        log.write_bytes(log.read_bytes()[:short])
+        with pytest.raises(
+            RecoveryError, match=f"holds {short} bytes.*byte {snapshot.log_offset}"
+        ):
+            build_t().restore_from_disk(tmp_path)
+
+    @pytest.mark.parametrize(
+        "where,message",
+        [
+            ("record-early", "has LSN 2, but the snapshot through LSN 3"),
+            ("mid-record", "corrupt log record"),
+        ],
+    )
+    def test_offset_off_the_record_at_through_lsn_raises(
+        self, tmp_path, where, message
+    ):
+        snapshot = snapshotted_run(tmp_path)
+        lines = (tmp_path / "command.log").read_bytes().splitlines(keepends=True)
+        # a record boundary, but LSN 2's; or one byte into LSN 3's record
+        if where == "record-early":
+            moved = snapshot.log_offset - len(lines[2])
+        else:
+            moved = snapshot.log_offset + 1
+        DurabilityDirectory(tmp_path).write_snapshot(
+            replace(snapshot, log_offset=moved)
+        )
+        with pytest.raises(RecoveryError, match=message):
+            build_t().restore_from_disk(tmp_path)
+
+    def test_snapshot_without_an_offset_recovers_through_a_full_scan(
+        self, tmp_path, monkeypatch
+    ):
+        snapshotted_run(tmp_path)
+        suffix = build_t()
+        suffix.restore_from_disk(tmp_path)
+        suffix.shutdown()
+        # rewrite it as the legacy test's file: no envelope, no log_offset
+        [path] = (tmp_path / "snapshots").glob("*.json")
+        payload = json.loads(path.read_bytes())["payload"]
+        del payload["log_offset"]
+        path.write_text(json.dumps(payload))
+
+        built = count_log_records(monkeypatch)
+        legacy = build_t()
+        legacy.restore_from_disk(tmp_path)
+        legacy.shutdown()
+        assert len(built) == 5  # every record parsed, two of them replayed
+        assert legacy.table_rows("t") == suffix.table_rows("t") == rows(1, 2, 3, 4, 5)
+        assert legacy.last_recovery_report == suffix.last_recovery_report
+        assert legacy.last_recovery_report.replayed_transactions == 2
+        for log in (legacy.command_log, suffix.command_log):
+            assert len(log) == log.durable_lsn == log.next_lsn == 5
+
+    def test_corruption_before_the_offset_is_left_to_full_history_readers(
+        self, tmp_path
+    ):
+        engine = build_t()
+        engine.enable_durability(tmp_path)
+        insert(engine, 1, 2, 3)
+        engine.take_snapshot()
+        insert(engine, 4, 5)
+        engine.crash()
+        log = tmp_path / "command.log"
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines[1] = b"#" * (len(lines[1]) - 1) + b"\n"  # same length: offsets hold
+        log.write_bytes(b"".join(lines))
+
+        assert engine.recover() == 2  # never read the damaged prefix
+        assert engine.table_rows("t") == rows(1, 2, 3, 4, 5)
+        with pytest.raises(RecoveryError, match="corrupt log record"):
+            DurabilityDirectory(tmp_path).scan_log()
+        with pytest.raises(RecoveryError, match="corrupt log record"):
+            engine.command_log.all_records()
+        engine.shutdown()

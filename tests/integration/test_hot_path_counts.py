@@ -17,6 +17,7 @@ import repro.hstore.columnar as columnar
 import repro.hstore.types as types
 from repro.apps.voter import VoterSStoreApp, VoterWorkload
 from repro.hstore.catalog import Column, Schema, TableEntry
+from repro.hstore.cmdlog import LogRecord
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.table import Table
 from repro.hstore.types import SqlType
@@ -80,6 +81,30 @@ def test_steady_state_votes_rebind_nothing_and_expire_their_own_input(monkeypatc
     assert delta["stream_tuples_gced"] == delta["stream_tuples_ingested"] + delta.get(
         "stream_tuples_emitted", 0
     )
+
+
+def test_restore_parses_only_the_records_it_replays(tmp_path, monkeypatch):
+    """A snapshot at record N - k leaves k records to replay, and a restore
+    builds exactly those k: the checkpointed prefix is skipped by offset,
+    not parsed and thrown away."""
+    total, suffix = 300, 7
+    engine = HStoreEngine()
+    engine.execute_ddl("CREATE TABLE t (k INTEGER NOT NULL, v INTEGER, PRIMARY KEY (k))")
+    engine.enable_durability(tmp_path)
+    for k in range(total):
+        if k == total - suffix:
+            engine.take_snapshot()
+        engine.execute_sql("INSERT INTO t VALUES (?, ?)", k, k)
+    engine.shutdown()
+
+    fresh = HStoreEngine()
+    fresh.execute_ddl("CREATE TABLE t (k INTEGER NOT NULL, v INTEGER, PRIMARY KEY (k))")
+    built = _counted(monkeypatch, LogRecord, "__init__")
+    assert fresh.restore_from_disk(tmp_path) == suffix
+    assert len(built) == suffix
+    assert len(fresh.command_log) == fresh.command_log.next_lsn == total
+    assert fresh.table_rows("t")[-1] == (total - 1, total - 1)
+    fresh.shutdown()
 
 
 def test_update_of_a_non_key_column_touches_no_index(monkeypatch):

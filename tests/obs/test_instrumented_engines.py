@@ -183,6 +183,23 @@ class TestHStoreInstrumentation:
         eng.take_snapshot()
         assert eng.tracer.collector.find(kind="snapshot", name="take")
 
+    def test_recovery_span_shows_what_it_read_and_replayed(self, tmp_path):
+        eng = self._engine()
+        eng.enable_durability(tmp_path)
+        for k in range(5):
+            if k == 3:
+                offset = eng.take_snapshot().log_offset
+            eng.call_procedure("tally", k, 10)
+        eng.shutdown()
+        fresh = self._engine(ObsConfig())
+        fresh.restore_from_disk(tmp_path)
+        [replay] = fresh.tracer.collector.find(kind="recovery", name="replay")
+        assert offset > 0
+        assert replay.attrs == {
+            "log_offset": offset, "records_scanned": 2, "replayed": 2
+        }
+        fresh.shutdown()
+
     def test_adhoc_sql_span(self):
         eng = self._engine(ObsConfig())
         eng.execute_sql("SELECT COUNT(*) FROM tally")
