@@ -34,16 +34,20 @@ dstream:
 	$(PYTHON) -m pytest -m dstream -q
 
 # incremental view maintenance: delta-view unit tests plus the hypothesis
-# differential sweep (view-backed reads vs the interpreter's full recompute)
+# differential sweep (view-backed reads vs the oracle's full recompute; the
+# oracle is the tree-walking interpreter in tests/oracle.py)
 ivm:
 	$(PYTHON) -m pytest -m ivm -q
 
-# closure-compiler suites: unit tests for compiled plans and the plan
-# cache, plus hypothesis differential fuzzing against the interpreter
+# expression lowering suites: every node's scalar and column form against
+# the oracle (tests/oracle.py), compiled plans and the plan cache, hypothesis
+# differential fuzzing of statements and both apps run whole against it
 compile:
-	$(PYTHON) -m pytest tests/hstore/test_compile.py \
+	$(PYTHON) -m pytest tests/hstore/test_expression.py \
+		tests/hstore/test_compile.py \
 		tests/hstore/test_plan_cache.py \
-		tests/property/test_prop_compile_diff.py -q
+		tests/property/test_prop_compile_diff.py \
+		tests/integration/test_apps_on_the_oracle.py -q
 
 # TCP front door: wire-protocol codec units + hypothesis garbage fuzzing,
 # typed-error round trips, and the asyncio server lifecycle/load suite
@@ -54,7 +58,7 @@ net:
 
 # vectorized execution: column-cache units (lazy per-column build, dropped
 # by every write), bulk-insert atomicity, EXPLAIN lanes vs counters, and the
-# hypothesis differential oracle (vectorized vs row-compiled vs interpreter,
+# hypothesis differential (vectorized vs row-compiled vs the oracle,
 # bit-for-bit, with writes, aborts, truncate and recovery between scans)
 columnar:
 	$(PYTHON) -m pytest -m columnar -q

@@ -13,7 +13,8 @@ and 100x table sizes on three engines that differ only in execution mode:
 * *vector*  — default: compiled plans + columnar batch evaluation;
 * *row*     — ``tests.lanes.compiled_row_arm``: the same compiled closures
   with no statement lowered, row-at-a-time;
-* *interp*  — ``compile=False``: the tree-walking interpreter (oracle).
+* *interp*  — ``tests.oracle.oracle_arm``: the tree-walking interpreter
+  (oracle).
 
 All three must return identical rows.  Expectation: the vector/row ratio
 grows with table size and clears 3x at 100x (the acceptance bar), with the
@@ -30,6 +31,7 @@ import time
 from repro.bench import format_table, write_bench_json
 from repro.hstore.engine import HStoreEngine
 from tests.lanes import compiled_row_arm
+from tests.oracle import oracle_arm
 
 BASE_SIZE = 300
 SCALES = (1, 10, 100)
@@ -52,7 +54,7 @@ QUERIES = [
 ARMS = {
     "vector": HStoreEngine,
     "row": lambda: compiled_row_arm(HStoreEngine()),
-    "interp": lambda: HStoreEngine(compile=False),
+    "interp": lambda: oracle_arm(HStoreEngine()),
 }
 
 

@@ -89,10 +89,9 @@ def run_voter_sstore(
     batch_size: int = 1,
     ingest_chunk: int = 1,
     model: LatencyModel | None = None,
-    compile: bool = True,
 ) -> VoterRunResult:
     model = model or LatencyModel()
-    engine = SStoreEngine(compile=compile)
+    engine = SStoreEngine()
     app = VoterSStoreApp(
         engine, num_contestants=num_contestants, batch_size=batch_size
     )

@@ -95,7 +95,7 @@ def _select_stages(plan: Plan) -> list[SelectPlan]:
     itself and, when it is lowered group-before-join, its outer side."""
     if not isinstance(plan, SelectPlan):
         return []
-    group_first = getattr(plan.compiled, "group_first", None)
+    group_first = plan.compiled.group_first
     return [plan] if group_first is None else [plan, group_first.outer]
 
 
@@ -255,7 +255,6 @@ class SStoreEngine(HStoreEngine):
         eager: bool = True,
         command_logging: bool = True,
         obs: "ObsConfig | None" = None,
-        compile: bool = True,
         plan_cache_size: int = 128,
     ) -> None:
         super().__init__(
@@ -266,7 +265,6 @@ class SStoreEngine(HStoreEngine):
             stats=stats,
             command_logging=command_logging,
             obs=obs,
-            compile=compile,
             plan_cache_size=plan_cache_size,
         )
         self.streams = StreamRegistry()
@@ -491,18 +489,15 @@ class SStoreEngine(HStoreEngine):
                         plan.view_read = None
 
     def _attach_view_read(self, plan: Plan) -> None:
-        """Lower an eligible compiled aggregate SELECT onto a delta view.
+        """Lower an eligible aggregate SELECT onto a delta view.
 
         Eligibility: a SeqScan over a viewed window, no joins or WHERE,
         grouped, group keys and aggregates matching what the view maintains.
-        The interpreter stays the differential oracle: with
-        ``compile=False`` plans are never lowered, so interpreted execution
-        always scans.
         """
         if not self._views_of_table:
             return
         for stage in _select_stages(plan):
-            if stage.compiled is None or stage.view_read is not None:
+            if stage.view_read is not None:
                 continue
             if stage.joins or stage.where is not None or not stage.grouped:
                 continue

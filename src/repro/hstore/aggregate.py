@@ -1,7 +1,7 @@
 """COUNT / SUM / AVG / MIN / MAX, written in two forms and nowhere else.
 
 * :class:`Accumulator` — the row form: fed one evaluation context at a time
-  by the interpreter and the compiled row closures.  It *is* the semantics:
+  by the row closures (and by the test oracle).  It *is* the semantics:
   NULLs are skipped, DISTINCT keeps the first occurrence (``1``, ``1.0`` and
   ``True`` collapse), SUM/AVG fold left-to-right seeded with the first
   value, MIN/MAX compare strictly so the first of equals wins.

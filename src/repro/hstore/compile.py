@@ -1,21 +1,22 @@
-"""Closure compilation: flatten expression ASTs into plain Python callables.
+"""Plan lowering: one node dispatch builds every expression evaluator.
 
-The interpreted evaluator (:mod:`repro.hstore.expression`) dispatches through
-one ``eval`` method per AST node *per row*.  For the streaming hot path —
-thousands of trigger firings per second, each running several statements —
-that dispatch dominates the per-tuple transaction cost the paper's throughput
-claims hinge on.  This module performs the dispatch exactly once, at plan
-time: :func:`compile_expr` walks the tree and returns a flat closure
-``fn(ctx) -> value`` whose column references are pre-resolved to row offsets
-(``ctx.row[7]`` instead of a dict lookup through ``ctx.resolve``).
+:func:`lower_expr` walks an expression tree once, at plan time, and builds
+its evaluator in one of two forms:
 
-Compiled closures are **semantics-identical** to the interpreted evaluator —
-including SQL three-valued logic, NULL propagation, ``BindingError`` on
-missing parameters, ``TypeSystemError`` on bad comparisons and division by
-zero.  The interpreted path stays available behind the engine's
-``compile=False`` switch as the correctness oracle; the hypothesis
-differential suite (``tests/property/test_prop_compile_diff.py``) fuzzes the
-two against each other.
+* :data:`SCALAR` — ``EvalFn``, a closure ``fn(ctx) -> value`` evaluated per
+  row, column references burned in as row offsets (``ctx.row[7]``);
+* :data:`repro.hstore.vector.COLUMN` — ``VecFn``, a closure over a whole
+  column batch, or ``None`` where the column form has no evaluator.
+
+Each node's semantics is written once, as a kernel in
+:mod:`repro.hstore.expression`; a form is a handful of primitives with no
+per-node code (the scalar form wraps a strict kernel in a NULL check
+specialised by arity, the column form lifts it elementwise).  The scalar
+closures are the engine's reference semantics — SQL three-valued logic,
+NULL propagation, ``BindingError`` on missing parameters and unresolvable
+columns, ``TypeSystemError`` on bad comparisons and division by zero — and
+the differential suites hold them, and the column form, to the
+tree-walking oracle in ``tests/oracle.py``.
 
 :func:`compile_plan` threads closures through a whole physical plan
 (:class:`CompiledSelect` / ``Insert`` / ``Update`` / ``Delete``), including:
@@ -28,24 +29,25 @@ two against each other.
   ``operator.itemgetter`` fast paths when every output is a plain column
   (projection) or every INSERT value is a plain parameter;
 * per-aggregate feed specs (name, compiled argument, DISTINCT) for
-  :class:`repro.hstore.aggregate.Accumulator`.
-
-Anything the compiler does not recognize falls back to the node's own bound
-``eval`` method — still one call, never a wrong answer.
+  :class:`repro.hstore.aggregate.Accumulator`;
+* the column program (:class:`~repro.hstore.vector.VectorSelect`) of a
+  full-scan SELECT whose expressions all have a column form.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
+from operator import neg, not_
 from typing import Any, Callable
 
-from repro.errors import BindingError, TypeSystemError
+from repro.errors import BindingError, PlanningError, TypeSystemError
 from repro.hstore.expression import (
     _ARITH,
     _COMPARATORS,
     _SCALAR_FUNCTIONS,
-    _like_match,
+    AggregateCall,
     Between,
     BinaryOp,
     BooleanOp,
@@ -53,9 +55,11 @@ from repro.hstore.expression import (
     ColumnRef,
     Comparison,
     EvalContext,
+    Exists,
     Expression,
     FunctionCall,
     InList,
+    InSubquery,
     IsNull,
     Like,
     Literal,
@@ -64,7 +68,14 @@ from repro.hstore.expression import (
     PlannedExists,
     PlannedInSubquery,
     PlannedScalarSubquery,
+    ScalarSubquery,
+    Star,
     UnaryOp,
+    _between,
+    _concat,
+    _like,
+    _not_between,
+    _not_like,
     walk,
 )
 from repro.hstore.planner import (
@@ -74,14 +85,17 @@ from repro.hstore.planner import (
     InsertPlan,
     Plan,
     SelectPlan,
+    SeqScan,
     UpdatePlan,
 )
 from repro.hstore.table import row_getter
-from repro.hstore.vector import lower_select
+from repro.hstore.vector import COLUMN, VectorSelect
 
 __all__ = [
     "EvalFn",
-    "compile_expr",
+    "SCALAR",
+    "lower_expr",
+    "lower_select",
     "compile_plan",
     "make_tuple_fn",
     "CompiledAccess",
@@ -93,38 +107,148 @@ __all__ = [
     "CompiledDelete",
 ]
 
-#: a compiled expression: one call per evaluation, zero AST dispatch
+#: a scalar evaluator: one call per evaluation, zero AST dispatch
 EvalFn = Callable[[EvalContext], Any]
 
 
 # ---------------------------------------------------------------------------
-# Expression compilation
+# The node dispatch
+# ---------------------------------------------------------------------------
+
+#: nodes the planner rewrites away before anything is evaluated
+_UNPLANNED = {
+    InSubquery: "IN (SELECT ...) must be planned before evaluation",
+    Exists: "EXISTS must be planned before evaluation",
+    ScalarSubquery: "scalar subquery must be planned before evaluation",
+    Star: "* must be expanded by the planner before evaluation",
+}
+
+
+def lower_expr(expr: Expression, columns: dict[str, int], form: Any) -> Any:
+    """Build ``expr``'s evaluator in ``form`` (:data:`SCALAR` or ``COLUMN``).
+
+    ``columns`` maps column keys to row offsets; offsets are burned into
+    the evaluator.  A node that can only raise — an unresolvable column,
+    an unknown operator or function, an aggregate outside GROUP BY —
+    lowers to an evaluator that raises the error when it is evaluated
+    (the column form has none: the statement stays on the row path).
+    """
+
+    def lower(node: Expression | None) -> Any:
+        return None if node is None else lower_expr(node, columns, form)
+
+    if isinstance(expr, Literal):
+        return form.const(expr.value)
+    if isinstance(expr, ColumnRef):
+        offset = columns.get(expr.key)
+        if offset is None:
+            return form.fail(
+                BindingError,
+                f"cannot resolve column {expr.key!r}; known: {sorted(columns)}",
+            )
+        return form.column(offset)
+    if isinstance(expr, Parameter):
+        return form.param(expr.index)
+    if isinstance(expr, Comparison):
+        if expr.op not in _COMPARATORS:
+            return form.fail(PlanningError, f"unknown comparator {expr.op!r}")
+        return form.compare(expr.op, lower(expr.left), lower(expr.right))
+    if isinstance(expr, BinaryOp):
+        kernel = _concat if expr.op == "||" else _ARITH.get(expr.op)
+        if kernel is None:
+            return form.fail(PlanningError, f"unknown binary operator {expr.op!r}")
+        return form.strict(kernel, lower(expr.left), lower(expr.right))
+    if isinstance(expr, UnaryOp):
+        if expr.op != "-":
+            return form.fail(PlanningError, f"unknown unary operator {expr.op!r}")
+        return form.strict(neg, lower(expr.operand))
+    if isinstance(expr, NotOp):
+        return form.strict(not_, lower(expr.operand))
+    if isinstance(expr, Between):
+        kernel = _not_between if expr.negated else _between
+        return form.strict(
+            kernel, lower(expr.operand), lower(expr.low), lower(expr.high)
+        )
+    if isinstance(expr, Like):
+        kernel = _not_like if expr.negated else _like
+        return form.strict(kernel, lower(expr.operand), lower(expr.pattern))
+    if isinstance(expr, FunctionCall):
+        name = expr.name.lower()
+        if name not in _SCALAR_FUNCTIONS:
+            return form.fail(PlanningError, f"unknown function {expr.name!r}")
+        args = [lower(arg) for arg in expr.args]
+        if name == "coalesce":
+            return form.coalesce(args)
+        return form.strict(_SCALAR_FUNCTIONS[name], *args)
+    if isinstance(expr, BooleanOp):
+        if expr.op not in ("AND", "OR"):
+            return form.fail(PlanningError, f"unknown boolean operator {expr.op!r}")
+        return form.boolean(expr.op == "AND", [lower(part) for part in expr.operands])
+    if isinstance(expr, IsNull):
+        return form.is_null(lower(expr.operand), expr.negated)
+    if isinstance(expr, InList):
+        options = [lower(option) for option in expr.options]
+        return form.in_list(lower(expr.operand), options, expr.negated)
+    if isinstance(expr, CaseExpr):
+        return form.case(
+            lower(expr.operand),
+            [(lower(when), lower(then)) for when, then in expr.whens],
+            lower(expr.default),
+        )
+    if isinstance(expr, PlannedInSubquery):
+        return form.in_subquery(
+            lower(expr.operand), expr.plan, expr.outer_offsets, expr.negated
+        )
+    if isinstance(expr, PlannedExists):
+        return form.exists(expr.plan, expr.outer_offsets)
+    if isinstance(expr, PlannedScalarSubquery):
+        return form.scalar_subquery(expr.plan, expr.outer_offsets)
+    if isinstance(expr, AggregateCall):
+        return form.fail(
+            PlanningError,
+            f"aggregate {expr.name.upper()} evaluated outside GROUP BY context",
+        )
+    return form.fail(PlanningError, _UNPLANNED[type(expr)])
+
+
+# ---------------------------------------------------------------------------
+# The scalar form
 # ---------------------------------------------------------------------------
 
 
-def compile_expr(expr: Expression, columns: dict[str, int]) -> EvalFn:
-    """Compile one expression tree against a column map into a closure.
+def _membership(value: Any, candidates: Any, negated: bool) -> Any:
+    """``value [NOT] IN candidates`` for a non-NULL ``value``: a match
+    decides, else a NULL candidate makes the answer NULL."""
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif candidate == value:
+            return not negated
+    return None if saw_null else negated
 
-    ``columns`` maps column keys to row offsets exactly as the plan's
-    ``EvalContext`` will at execution time; offsets are burned into the
-    closure so per-row resolution is a single indexed load.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
+
+def _inner_rows(plan: SelectPlan, outer_offsets: tuple[int, ...]) -> EvalFn:
+    """A planned subquery's rows for the current outer row: the statement
+    params extended with the correlated outer-column values."""
+
+    def run_inner(ctx: EvalContext) -> list[tuple[Any, ...]]:
+        params = tuple(ctx.params) + tuple(ctx.row[offset] for offset in outer_offsets)
+        return ctx.executor.execute_select_plan(plan, params).rows
+
+    return run_inner
+
+
+class _ScalarForm:
+    """The scalar form of :func:`lower_expr`: ``ctx -> value`` closures."""
+
+    def const(self, value: Any) -> EvalFn:
         return lambda ctx: value
 
-    if isinstance(expr, ColumnRef):
-        try:
-            offset = columns[expr.key]
-        except KeyError:
-            # unresolvable at compile time: let the interpreted node raise
-            # its BindingError at evaluation time, same as the oracle
-            return expr.eval
+    def column(self, offset: int) -> EvalFn:
         return lambda ctx: ctx.row[offset]
 
-    if isinstance(expr, Parameter):
-        index = expr.index
-
+    def param(self, index: int) -> EvalFn:
         def eval_param(ctx: EvalContext) -> Any:
             params = ctx.params
             if index >= len(params):
@@ -136,303 +260,188 @@ def compile_expr(expr: Expression, columns: dict[str, int]) -> EvalFn:
 
         return eval_param
 
-    if isinstance(expr, BinaryOp):
-        left_fn = compile_expr(expr.left, columns)
-        right_fn = compile_expr(expr.right, columns)
-        op = expr.op
-        if op == "||":
+    def fail(self, error: type[Exception], message: str) -> EvalFn:
+        def raise_error(ctx: EvalContext) -> Any:
+            raise error(message)
 
-            def eval_concat(ctx: EvalContext) -> Any:
-                left = left_fn(ctx)
-                right = right_fn(ctx)
-                if left is None or right is None:
+        return raise_error
+
+    def strict(self, kernel: Callable[..., Any], *fns: EvalFn) -> EvalFn:
+        """``kernel`` over the operands' values, NULL if any operand is NULL.
+
+        Every operand is evaluated before the NULL check, so an operand's
+        error surfaces even beside a NULL.
+        """
+        if len(fns) == 1:
+            (f0,) = fns
+
+            def strict1(ctx: EvalContext) -> Any:
+                a = f0(ctx)
+                return None if a is None else kernel(a)
+
+            return strict1
+        if len(fns) == 2:
+            f0, f1 = fns
+
+            def strict2(ctx: EvalContext) -> Any:
+                a = f0(ctx)
+                b = f1(ctx)
+                if a is None or b is None:
                     return None
-                return str(left) + str(right)
+                return kernel(a, b)
 
-            return eval_concat
-        if op not in _ARITH:
-            return expr.eval  # unknown operator: interpreted error path
-        arith = _ARITH[op]
-        if op in ("/", "%"):
+            return strict2
+        if len(fns) == 3:
+            f0, f1, f2 = fns
 
-            def eval_div(ctx: EvalContext) -> Any:
-                left = left_fn(ctx)
-                right = right_fn(ctx)
-                if left is None or right is None:
+            def strict3(ctx: EvalContext) -> Any:
+                a = f0(ctx)
+                b = f1(ctx)
+                c = f2(ctx)
+                if a is None or b is None or c is None:
                     return None
-                if right == 0:
-                    raise TypeSystemError("division by zero")
-                return arith(left, right)
+                return kernel(a, b, c)
 
-            return eval_div
+            return strict3
 
-        def eval_arith(ctx: EvalContext) -> Any:
-            left = left_fn(ctx)
-            right = right_fn(ctx)
-            if left is None or right is None:
-                return None
-            return arith(left, right)
+        def strictn(ctx: EvalContext) -> Any:
+            values = [fn(ctx) for fn in fns]
+            for value in values:
+                if value is None:
+                    return None
+            return kernel(*values)
 
-        return eval_arith
+        return strictn
 
-    if isinstance(expr, UnaryOp):
-        if expr.op != "-":
-            return expr.eval
-        operand_fn = compile_expr(expr.operand, columns)
+    def compare(self, op: str, left: EvalFn, right: EvalFn) -> EvalFn:
+        """A strict comparison whose ``TypeError`` becomes SQL's error."""
+        kernel = _COMPARATORS[op]
 
-        def eval_neg(ctx: EvalContext) -> Any:
-            value = operand_fn(ctx)
-            return None if value is None else -value
-
-        return eval_neg
-
-    if isinstance(expr, Comparison):
-        if expr.op not in _COMPARATORS:
-            return expr.eval
-        compare = _COMPARATORS[expr.op]
-        op = expr.op
-        left_fn = compile_expr(expr.left, columns)
-        right_fn = compile_expr(expr.right, columns)
-
-        def eval_cmp(ctx: EvalContext) -> Any:
-            left = left_fn(ctx)
-            right = right_fn(ctx)
-            if left is None or right is None:
+        def compare(ctx: EvalContext) -> Any:
+            a = left(ctx)
+            b = right(ctx)
+            if a is None or b is None:
                 return None
             try:
-                return compare(left, right)
+                return kernel(a, b)
             except TypeError:
-                raise TypeSystemError(
-                    f"cannot compare {left!r} {op} {right!r}"
-                ) from None
+                raise TypeSystemError(f"cannot compare {a!r} {op} {b!r}") from None
 
-        return eval_cmp
+        return compare
 
-    if isinstance(expr, BooleanOp):
-        fns = tuple(compile_expr(op_expr, columns) for op_expr in expr.operands)
-        if expr.op == "AND":
+    def boolean(self, conjunction: bool, fns: list[EvalFn]) -> EvalFn:
+        """N-ary AND / OR in three-valued logic, short-circuiting left to
+        right: the first falsy operand decides an AND, the first truthy one
+        an OR."""
 
-            def eval_and(ctx: EvalContext) -> Any:
-                saw_null = False
-                for fn in fns:
-                    value = fn(ctx)
-                    if value is None:
-                        saw_null = True
-                    elif not value:
-                        return False
-                return None if saw_null else True
+        def eval_boolean(ctx: EvalContext) -> Any:
+            saw_null = False
+            for fn in fns:
+                value = fn(ctx)
+                if value is None:
+                    saw_null = True
+                elif (not value) is conjunction:
+                    return not conjunction
+            return None if saw_null else conjunction
 
-            return eval_and
-        if expr.op == "OR":
+        return eval_boolean
 
-            def eval_or(ctx: EvalContext) -> Any:
-                saw_null = False
-                for fn in fns:
-                    value = fn(ctx)
-                    if value is None:
-                        saw_null = True
-                    elif value:
-                        return True
-                return None if saw_null else False
+    def is_null(self, operand: EvalFn, negated: bool) -> EvalFn:
+        if negated:
+            return lambda ctx: operand(ctx) is not None
+        return lambda ctx: operand(ctx) is None
 
-            return eval_or
-        return expr.eval
-
-    if isinstance(expr, NotOp):
-        operand_fn = compile_expr(expr.operand, columns)
-
-        def eval_not(ctx: EvalContext) -> Any:
-            value = operand_fn(ctx)
-            return None if value is None else not value
-
-        return eval_not
-
-    if isinstance(expr, InList):
-        operand_fn = compile_expr(expr.operand, columns)
-        option_fns = tuple(compile_expr(opt, columns) for opt in expr.options)
-        negated = expr.negated
-
+    def in_list(self, operand: EvalFn, options: list[EvalFn], negated: bool) -> EvalFn:
         def eval_in(ctx: EvalContext) -> Any:
-            value = operand_fn(ctx)
+            value = operand(ctx)
             if value is None:
                 return None
-            saw_null = False
-            for option_fn in option_fns:
-                candidate = option_fn(ctx)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+            return _membership(value, (option(ctx) for option in options), negated)
 
         return eval_in
 
-    if isinstance(expr, Between):
-        operand_fn = compile_expr(expr.operand, columns)
-        low_fn = compile_expr(expr.low, columns)
-        high_fn = compile_expr(expr.high, columns)
-        negated = expr.negated
+    def coalesce(self, fns: list[EvalFn]) -> EvalFn:
+        def eval_coalesce(ctx: EvalContext) -> Any:
+            for fn in fns:
+                value = fn(ctx)
+                if value is not None:
+                    return value
+            return None
 
-        def eval_between(ctx: EvalContext) -> Any:
-            value = operand_fn(ctx)
-            low = low_fn(ctx)
-            high = high_fn(ctx)
-            if value is None or low is None or high is None:
-                return None
-            result = low <= value <= high
-            return not result if negated else result
+        return eval_coalesce
 
-        return eval_between
-
-    if isinstance(expr, Like):
-        operand_fn = compile_expr(expr.operand, columns)
-        pattern_fn = compile_expr(expr.pattern, columns)
-        negated = expr.negated
-
-        def eval_like(ctx: EvalContext) -> Any:
-            value = operand_fn(ctx)
-            pattern = pattern_fn(ctx)
-            if value is None or pattern is None:
-                return None
-            result = _like_match(str(value), str(pattern))
-            return not result if negated else result
-
-        return eval_like
-
-    if isinstance(expr, IsNull):
-        operand_fn = compile_expr(expr.operand, columns)
-        if expr.negated:
-            return lambda ctx: operand_fn(ctx) is not None
-        return lambda ctx: operand_fn(ctx) is None
-
-    if isinstance(expr, FunctionCall):
-        name = expr.name.lower()
-        if name not in _SCALAR_FUNCTIONS:
-            return expr.eval  # unknown function: interpreted error path
-        fn = _SCALAR_FUNCTIONS[name]
-        arg_fns = tuple(compile_expr(arg, columns) for arg in expr.args)
-        if name == "coalesce":
-
-            def eval_coalesce(ctx: EvalContext) -> Any:
-                for arg_fn in arg_fns:
-                    value = arg_fn(ctx)
-                    if value is not None:
-                        return value
-                return None
-
-            return eval_coalesce
-
-        def eval_function(ctx: EvalContext) -> Any:
-            values = [arg_fn(ctx) for arg_fn in arg_fns]
-            if any(value is None for value in values):
-                return None
-            return fn(*values)
-
-        return eval_function
-
-    if isinstance(expr, CaseExpr):
-        when_fns = tuple(
-            (compile_expr(when, columns), compile_expr(then, columns))
-            for when, then in expr.whens
-        )
-        default_fn = (
-            compile_expr(expr.default, columns)
-            if expr.default is not None
-            else None
-        )
-        if expr.operand is not None:
-            operand_fn = compile_expr(expr.operand, columns)
+    def case(
+        self,
+        operand: EvalFn | None,
+        whens: list[tuple[EvalFn, EvalFn]],
+        default: EvalFn | None,
+    ) -> EvalFn:
+        """Simple CASE (operand = each WHEN value) or searched CASE (each
+        WHEN is a predicate that must be exactly TRUE)."""
+        if operand is not None:
 
             def eval_simple_case(ctx: EvalContext) -> Any:
-                subject = operand_fn(ctx)
-                for when_fn, then_fn in when_fns:
-                    candidate = when_fn(ctx)
+                subject = operand(ctx)
+                for when, then in whens:
+                    candidate = when(ctx)
                     if subject is not None and candidate == subject:
-                        return then_fn(ctx)
-                return default_fn(ctx) if default_fn is not None else None
+                        return then(ctx)
+                return default(ctx) if default is not None else None
 
             return eval_simple_case
 
         def eval_searched_case(ctx: EvalContext) -> Any:
-            for when_fn, then_fn in when_fns:
-                if when_fn(ctx) is True:
-                    return then_fn(ctx)
-            return default_fn(ctx) if default_fn is not None else None
+            for when, then in whens:
+                if when(ctx) is True:
+                    return then(ctx)
+            return default(ctx) if default is not None else None
 
         return eval_searched_case
 
-    if isinstance(expr, PlannedInSubquery):
-        operand_fn = compile_expr(expr.operand, columns)
-        inner_plan = expr.plan
-        outer_offsets = expr.outer_offsets
-        negated = expr.negated
+    def in_subquery(
+        self,
+        operand: EvalFn,
+        plan: SelectPlan,
+        outer_offsets: tuple[int, ...],
+        negated: bool,
+    ) -> EvalFn:
+        inner = _inner_rows(plan, outer_offsets)
 
         def eval_in_subquery(ctx: EvalContext) -> Any:
-            if ctx.executor is None:
-                return expr.eval(ctx)  # raises the interpreted PlanningError
-            value = operand_fn(ctx)
+            value = operand(ctx)
             if value is None:
                 return None
-            result = ctx.executor.execute_select_plan(
-                inner_plan,
-                tuple(ctx.params)
-                + tuple(ctx.row[offset] for offset in outer_offsets),
-            )
-            saw_null = False
-            for (candidate,) in result.rows:
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+            return _membership(value, (row[0] for row in inner(ctx)), negated)
 
         return eval_in_subquery
 
-    if isinstance(expr, PlannedExists):
-        inner_plan = expr.plan
-        outer_offsets = expr.outer_offsets
+    def exists(self, plan: SelectPlan, outer_offsets: tuple[int, ...]) -> EvalFn:
+        inner = _inner_rows(plan, outer_offsets)
+        return lambda ctx: bool(inner(ctx))
 
-        def eval_exists(ctx: EvalContext) -> Any:
-            if ctx.executor is None:
-                return expr.eval(ctx)
-            result = ctx.executor.execute_select_plan(
-                inner_plan,
-                tuple(ctx.params)
-                + tuple(ctx.row[offset] for offset in outer_offsets),
-            )
-            return bool(result.rows)
-
-        return eval_exists
-
-    if isinstance(expr, PlannedScalarSubquery):
-        inner_plan = expr.plan
-        outer_offsets = expr.outer_offsets
+    def scalar_subquery(
+        self, plan: SelectPlan, outer_offsets: tuple[int, ...]
+    ) -> EvalFn:
+        inner = _inner_rows(plan, outer_offsets)
 
         def eval_scalar_subquery(ctx: EvalContext) -> Any:
-            if ctx.executor is None:
-                return expr.eval(ctx)
-            result = ctx.executor.execute_select_plan(
-                inner_plan,
-                tuple(ctx.params)
-                + tuple(ctx.row[offset] for offset in outer_offsets),
-            )
-            if not result.rows:
+            rows = inner(ctx)
+            if not rows:
                 return None
-            if len(result.rows) > 1:
-                raise TypeSystemError(
-                    f"scalar subquery returned {len(result.rows)} rows"
-                )
-            return result.rows[0][0]
+            if len(rows) > 1:
+                raise TypeSystemError(f"scalar subquery returned {len(rows)} rows")
+            return rows[0][0]
 
         return eval_scalar_subquery
 
-    # AggregateCall, Star, unplanned subqueries, future node types: the
-    # interpreted eval raises the right error (or is never reached).
-    return expr.eval
+
+#: the scalar form of :func:`lower_expr`
+SCALAR = _ScalarForm()
+
+
+def _scalar(expr: Expression | None, columns: dict[str, int]) -> Any:
+    """``expr``'s scalar evaluator; None for an absent clause."""
+    return None if expr is None else lower_expr(expr, columns, SCALAR)
 
 
 def make_tuple_fn(fns: tuple[EvalFn, ...]) -> EvalFn:
@@ -528,10 +537,10 @@ class CompiledSelect:
     project: EvalFn
     #: pure-column projection: ext_row -> out tuple without any context
     row_project: Callable[[tuple], tuple] | None
-    #: ORDER BY sort-key builder + one stable sort pass per key over the
-    #: precomputed key tuples (see :func:`_order_passes`)
+    #: ORDER BY sort-key builder and the sort over the precomputed key
+    #: tuples (see :func:`_order_sort`)
     order_keys: EvalFn | None
-    order_passes: tuple[tuple[Callable[[Any], Any], bool], ...]
+    order_sort: Callable[[list], list] | None
     #: pure covered equality lookup: skip the scan pipeline entirely
     point_lookup: bool = False
     #: batch-at-a-time artifacts (repro.hstore.vector.VectorSelect) for
@@ -594,9 +603,44 @@ def compile_plan(plan: Plan) -> Plan:
     return plan
 
 
+def lower_select(plan: SelectPlan) -> VectorSelect | None:
+    """The column program of a single-table full-scan SELECT, or None when
+    its WHERE, GROUP BY keys or aggregate arguments have no column form."""
+    if not isinstance(plan.access, SeqScan) or plan.joins:
+        return None
+
+    def column(expr: Expression | None) -> Any:
+        return None if expr is None else lower_expr(expr, plan.columns, COLUMN)
+
+    where_fn = column(plan.where)
+    if plan.where is not None and where_fn is None:
+        return None
+    group_fns: list[Any] = []
+    agg_specs: list[tuple[str, Any, bool]] = []
+    if plan.grouped:
+        group_fns = [column(expr) for expr in plan.group_exprs]
+        agg_specs = [
+            (agg.name, column(agg.arg), agg.distinct) for agg in plan.aggregates
+        ]
+        if None in group_fns or any(
+            agg.arg is not None and fn is None
+            for agg, (_name, fn, _distinct) in zip(plan.aggregates, agg_specs)
+        ):
+            return None
+    elif where_fn is None:
+        # plain SELECT * full scan: the row path is already a dict copy
+        return None
+    outputs = None
+    if not plan.grouped and not plan.distinct and not plan.order_by:
+        out_fns = [column(expr) for expr in plan.output_exprs]
+        if None not in out_fns:
+            outputs = tuple(out_fns)
+    return VectorSelect(where_fn, tuple(group_fns), tuple(agg_specs), outputs)
+
+
 def _compile_access(access: Any, columns: dict[str, int]) -> CompiledAccess:
     if isinstance(access, IndexEqScan):
-        key_fns = tuple(compile_expr(expr, columns) for expr in access.key_exprs)
+        key_fns = tuple(_scalar(expr, columns) for expr in access.key_exprs)
         return CompiledAccess(
             kind="eq",
             key_fn=make_tuple_fn(key_fns),
@@ -605,29 +649,23 @@ def _compile_access(access: Any, columns: dict[str, int]) -> CompiledAccess:
     if isinstance(access, IndexRangeScan):
         return CompiledAccess(
             kind="range",
-            low_fn=(
-                compile_expr(access.low, columns)
-                if access.low is not None
-                else None
-            ),
-            high_fn=(
-                compile_expr(access.high, columns)
-                if access.high is not None
-                else None
-            ),
+            low_fn=_scalar(access.low, columns),
+            high_fn=_scalar(access.high, columns),
         )
     return CompiledAccess(kind="seq")
 
 
-def _order_passes(
-    ascending: tuple[bool, ...]
-) -> tuple[tuple[Callable[[Any], Any], bool], ...]:
-    """``(key, reverse)`` per ORDER BY key, last key first, for stable
-    ``list.sort`` passes over ``(key_tuple, ext_row, out)`` sort items.
+def _order_sort(ascending: tuple[bool, ...]) -> Callable[[list], list]:
+    """Sort ``(key_tuple, ext_row, out)`` items by the ORDER BY keys.
 
-    Same order as the interpreted ``_make_comparator``: NULLs sort last in
-    both directions (the NULL flag leads each pass key and flips with
-    ``reverse``), and ties keep the order the later keys' passes left.
+    The normal path is one stable ``list.sort`` pass per key, last key
+    first: each pass keys on ``(value is None, value)``, or ``(value is not
+    None, value)`` with ``reverse=True`` for DESC, so NULLs sort last in
+    both directions and ties keep the order the later keys' passes left.
+    A pass compares its key between any two rows, also rows an earlier key
+    already separates; when such a comparison raises ``TypeError`` the
+    items are sorted again by comparator, which compares a later key only
+    between rows the earlier keys tie on — the oracle's order and errors.
     """
     passes = []
     for i in reversed(range(len(ascending))):
@@ -635,7 +673,32 @@ def _order_passes(
             passes.append((lambda item, i=i: ((v := item[0][i]) is None, v), False))
         else:
             passes.append((lambda item, i=i: ((v := item[0][i]) is not None, v), True))
-    return tuple(passes)
+    (first_key, first_reverse), later = passes[0], passes[1:]
+
+    def compare(left: tuple, right: tuple) -> int:
+        for a, b, asc in zip(left[0], right[0], ascending):
+            if a is None and b is None:
+                continue
+            if a is None:
+                return 1  # NULLs sort last
+            if b is None:
+                return -1
+            if a == b:
+                continue
+            result = -1 if a < b else 1
+            return result if asc else -result
+        return 0
+
+    def sort(items: list) -> list:
+        try:
+            ordered = sorted(items, key=first_key, reverse=first_reverse)
+            for key, reverse in later:
+                ordered.sort(key=key, reverse=reverse)
+        except TypeError:
+            ordered = sorted(items, key=functools.cmp_to_key(compare))
+        return ordered
+
+    return sort
 
 
 def _compile_select(plan: SelectPlan) -> CompiledSelect:
@@ -646,22 +709,20 @@ def _compile_select(plan: SelectPlan) -> CompiledSelect:
     joins = [
         CompiledJoin(
             access=_compile_access(step.access, columns),
-            on=compile_expr(step.on, columns) if step.on is not None else None,
+            on=_scalar(step.on, columns),
         )
         for step in plan.joins
     ]
-    where_fn = (
-        compile_expr(plan.where, columns) if plan.where is not None else None
-    )
+    where_fn = _scalar(plan.where, columns)
 
     group_key = make_tuple_fn(
-        tuple(compile_expr(expr, columns) for expr in plan.group_exprs)
+        tuple(_scalar(expr, columns) for expr in plan.group_exprs)
     )
     group_offsets = _column_offsets(plan.group_exprs, columns)
     agg_specs = tuple(
         (
             agg.name,
-            compile_expr(agg.arg, columns) if agg.arg is not None else None,
+            _scalar(agg.arg, columns),
             agg.distinct,
         )
         for agg in plan.aggregates
@@ -671,13 +732,9 @@ def _compile_select(plan: SelectPlan) -> CompiledSelect:
         for name, arg_fn, distinct in agg_specs
     )
 
-    post_having_fn = (
-        compile_expr(plan.post_having, ext_columns)
-        if plan.post_having is not None
-        else None
-    )
+    post_having_fn = _scalar(plan.post_having, ext_columns)
     project = make_tuple_fn(
-        tuple(compile_expr(expr, ext_columns) for expr in plan.post_exprs)
+        tuple(_scalar(expr, ext_columns) for expr in plan.post_exprs)
     )
     output_offsets = _column_offsets(plan.post_exprs, ext_columns)
     row_project = (
@@ -687,14 +744,14 @@ def _compile_select(plan: SelectPlan) -> CompiledSelect:
     if plan.post_order:
         order_keys = make_tuple_fn(
             tuple(
-                compile_expr(expr, ext_columns)
+                _scalar(expr, ext_columns)
                 for expr, _asc in plan.post_order
             )
         )
-        order_passes = _order_passes(tuple(asc for _expr, asc in plan.post_order))
+        order_sort = _order_sort(tuple(asc for _expr, asc in plan.post_order))
     else:
         order_keys = None
-        order_passes = ()
+        order_sort = None
 
     point_lookup = (
         isinstance(plan.access, IndexEqScan)
@@ -717,7 +774,7 @@ def _compile_select(plan: SelectPlan) -> CompiledSelect:
         project=project,
         row_project=row_project,
         order_keys=order_keys,
-        order_passes=order_passes,
+        order_sort=order_sort,
         point_lookup=point_lookup,
     )
 
@@ -733,8 +790,8 @@ def _group_first(plan: SelectPlan) -> GroupFirst | None:
     table first and dropping the groups whose key misses yields the same
     groups, the same aggregates and the same first-appearance order — for
     one probe per group.  HAVING, projection and ORDER BY run over the
-    extended rows either way.  Compiled lowering only: ``compile=False``
-    keeps the join order as the oracle.
+    extended rows either way.  The oracle (``tests/oracle.py``) keeps the
+    join order.
 
     The outer side keeps the lanes the join plan had — a delta view when one
     matches, else the row closures.  It is not lowered to column vectors:
@@ -798,7 +855,7 @@ def _compile_insert(plan: InsertPlan) -> CompiledInsert:
     param_rows: list[Callable[[tuple], tuple]] | None = []
     for row in plan.rows:
         row_fns.append(
-            make_tuple_fn(tuple(compile_expr(expr, no_columns) for expr in row))
+            make_tuple_fn(tuple(_scalar(expr, no_columns) for expr in row))
         )
         if param_rows is not None and row and all(
             isinstance(expr, Parameter) for expr in row
@@ -822,13 +879,9 @@ def _compile_update(plan: UpdatePlan) -> CompiledUpdate:
     columns = plan.columns
     return CompiledUpdate(
         access=_compile_access(plan.access, columns),
-        where=(
-            compile_expr(plan.where, columns)
-            if plan.where is not None
-            else None
-        ),
+        where=_scalar(plan.where, columns),
         assignments=tuple(
-            (offset, compile_expr(expr, columns))
+            (offset, _scalar(expr, columns))
             for offset, expr in plan.assignments
         ),
     )
@@ -838,9 +891,5 @@ def _compile_delete(plan: DeletePlan) -> CompiledDelete:
     columns = plan.columns
     return CompiledDelete(
         access=_compile_access(plan.access, columns),
-        where=(
-            compile_expr(plan.where, columns)
-            if plan.where is not None
-            else None
-        ),
+        where=_scalar(plan.where, columns),
     )

@@ -97,7 +97,6 @@ class HStoreEngine:
         stats: EngineStats | None = None,
         command_logging: bool = True,
         obs: "ObsConfig | None" = None,
-        compile: bool = True,
         plan_cache_size: int = 128,
     ) -> None:
         if partitions < 1:
@@ -142,9 +141,7 @@ class HStoreEngine:
         self._txn_obs: list[tuple[str, float, bool]] | None = None
         self.clock = clock if clock is not None else LogicalClock()
         self.catalog = Catalog()
-        #: compile=False keeps the tree-walking interpreter as the execution
-        #: path — slower, but the oracle the differential tests fuzz against
-        self.planner = Planner(self.catalog, compile_plans=compile)
+        self.planner = Planner(self.catalog)
         #: LRU of ad-hoc statement plans; 0 disables caching entirely
         self.plan_cache = PlanCache(plan_cache_size) if plan_cache_size > 0 else None
         self.partitions = [

@@ -14,7 +14,6 @@ a given transaction execution" of the paper (§2), with no PE↔EE round trip.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
@@ -27,12 +26,9 @@ from repro.hstore.expression import EvalContext
 from repro.hstore.planner import (
     AccessPath,
     DeletePlan,
-    IndexEqScan,
-    IndexRangeScan,
     InsertPlan,
     Plan,
     SelectPlan,
-    SeqScan,
     UpdatePlan,
 )
 from repro.hstore.stats import EngineStats
@@ -180,232 +176,11 @@ class ExecutionEngine:
         self.stats.bump("subquery_executions")
         return plan.run(self, plan, params, None)
 
-    # -- access paths ------------------------------------------------------------
-
-    def _iter_access(
-        self,
-        access: AccessPath,
-        params: tuple[Any, ...],
-        outer_columns: dict[str, int] | None = None,
-        outer_row: tuple[Any, ...] = (),
-        probe_ctx: EvalContext | None = None,
-    ) -> Iterator[tuple[int, Row]]:
-        table = self.table(access.table)
-
-        if isinstance(access, SeqScan):
-            yield from table.scan()
-            return
-
-        if probe_ctx is None:
-            probe_ctx = EvalContext(
-                columns=outer_columns or {}, row=outer_row, params=params,
-                executor=self,
-            )
-
-        if isinstance(access, IndexEqScan):
-            key = tuple(expr.eval(probe_ctx) for expr in access.key_exprs)
-            index = table.index(access.index)
-            for rowid in sorted(index.lookup(key)):
-                yield rowid, table.get(rowid)
-            return
-
-        if isinstance(access, IndexRangeScan):
-            index = table.index(access.index)
-            low = (
-                (access.low.eval(probe_ctx),) if access.low is not None else None
-            )
-            high = (
-                (access.high.eval(probe_ctx),) if access.high is not None else None
-            )
-            # A NULL bound matches nothing (SQL comparison semantics).
-            if (access.low is not None and low == (None,)) or (
-                access.high is not None and high == (None,)
-            ):
-                return
-            for _key, rowids in index.range_scan(
-                low,
-                high,
-                low_inclusive=access.low_inclusive,
-                high_inclusive=access.high_inclusive,
-            ):
-                for rowid in sorted(rowids):
-                    yield rowid, table.get(rowid)
-            return
-
-        raise StorageError(f"unknown access path {type(access).__name__}")  # pragma: no cover
-
-    # -- SELECT -------------------------------------------------------------------
-
-    def _select_interpreted(
-        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
-    ) -> ResultSet:
-        combined_rows = self._combined_rows(plan, params)
-
-        if plan.grouped:
-            ext_rows = self._aggregate(plan, params, combined_rows)
-        else:
-            ext_rows = combined_rows
-
-        # one reusable context per statement: mutate .row instead of
-        # allocating a context per row (same trick as the compiled path)
-        ctx = EvalContext(columns=plan.ext_columns, params=params, executor=self)
-
-        if plan.post_having is not None:
-            filtered: list[tuple[Any, ...]] = []
-            for row in ext_rows:
-                ctx.row = row
-                if plan.post_having.eval(ctx) is True:
-                    filtered.append(row)
-            ext_rows = filtered
-
-        produced: list[tuple[tuple[Any, ...], tuple[Any, ...]]] = []
-        for ext_row in ext_rows:
-            ctx.row = ext_row
-            out = tuple(expr.eval(ctx) for expr in plan.post_exprs)
-            produced.append((ext_row, out))
-
-        if plan.distinct:
-            seen: set[tuple[Any, ...]] = set()
-            unique: list[tuple[tuple[Any, ...], tuple[Any, ...]]] = []
-            for ext_row, out in produced:
-                if out not in seen:
-                    seen.add(out)
-                    unique.append((ext_row, out))
-            produced = unique
-
-        if plan.post_order:
-            comparator = self._make_comparator(plan, params)
-            produced.sort(key=functools.cmp_to_key(comparator))
-
-        rows = [out for _ext, out in produced]
-        if plan.offset:
-            rows = rows[plan.offset :]
-        if plan.limit is not None:
-            rows = rows[: plan.limit]
-        return ResultSet(columns=list(plan.output_names), rows=rows)
-
-    def _combined_rows(
-        self, plan: SelectPlan, params: tuple[Any, ...]
-    ) -> list[tuple[Any, ...]]:
-        """Drive the scan + join pipeline; returns fully joined rows."""
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
-        rows: list[tuple[Any, ...]] = [
-            row for _rowid, row in self._iter_access(plan.access, params)
-        ]
-
-        # one reusable probe context per statement — index probes of inner
-        # join sides evaluate against the current outer row via .row
-        probe_ctx = EvalContext(
-            columns=plan.columns, params=params, executor=self
-        )
-        for step in plan.joins:
-            joined: list[tuple[Any, ...]] = []
-            null_pad = (None,) * step.inner_width
-            for outer in rows:
-                matched = False
-                probe_ctx.row = outer
-                for _rowid, inner in self._iter_access(
-                    step.access, params, probe_ctx=probe_ctx
-                ):
-                    candidate = outer + inner
-                    if step.on is not None:
-                        ctx.row = candidate
-                        if step.on.eval(ctx) is not True:
-                            continue
-                    matched = True
-                    joined.append(candidate)
-                if step.left_outer and not matched:
-                    joined.append(outer + null_pad)
-            rows = joined
-
-        if plan.where is not None:
-            filtered: list[tuple[Any, ...]] = []
-            for row in rows:
-                ctx.row = row
-                if plan.where.eval(ctx) is True:
-                    filtered.append(row)
-            rows = filtered
-        return rows
-
-    # -- aggregation ---------------------------------------------------------------
-
-    def _aggregate(
-        self,
-        plan: SelectPlan,
-        params: tuple[Any, ...],
-        rows: list[tuple[Any, ...]],
-    ) -> list[tuple[Any, ...]]:
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
-        specs = [
-            (agg.name, agg.arg.eval if agg.arg is not None else None, agg.distinct)
-            for agg in plan.aggregates
-        ]
-        groups: dict[tuple[Any, ...], list[Accumulator]] = {}
-        order: list[tuple[Any, ...]] = []
-
-        for row in rows:
-            ctx.row = row
-            key = tuple(expr.eval(ctx) for expr in plan.group_exprs)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [Accumulator(*spec) for spec in specs]
-                groups[key] = accumulators
-                order.append(key)
-            for accumulator in accumulators:
-                accumulator.feed(ctx)
-
-        # Global aggregation over an empty input still yields one row.
-        if not groups and not plan.group_exprs:
-            groups[()] = [Accumulator(*spec) for spec in specs]
-            order.append(())
-
-        ext_rows: list[tuple[Any, ...]] = []
-        for key in order:
-            values = tuple(acc.result() for acc in groups[key])
-            ext_rows.append(key + values)
-        return ext_rows
-
-    # -- ordering -------------------------------------------------------------------
-
-    def _make_comparator(
-        self, plan: SelectPlan, params: tuple[Any, ...]
-    ) -> Callable[[Any, Any], int]:
-        left_ctx = EvalContext(
-            columns=plan.ext_columns, params=params, executor=self
-        )
-        right_ctx = EvalContext(
-            columns=plan.ext_columns, params=params, executor=self
-        )
-        order = plan.post_order
-
-        def compare(
-            left: tuple[tuple[Any, ...], tuple[Any, ...]],
-            right: tuple[tuple[Any, ...], tuple[Any, ...]],
-        ) -> int:
-            left_ctx.row = left[0]
-            right_ctx.row = right[0]
-            for expr, ascending in order:
-                a = expr.eval(left_ctx)
-                b = expr.eval(right_ctx)
-                if a is None and b is None:
-                    continue
-                if a is None:
-                    return 1  # NULLs sort last
-                if b is None:
-                    return -1
-                if a == b:
-                    continue
-                result = -1 if a < b else 1
-                return result if ascending else -result
-            return 0
-
-        return compare
-
     # -- compiled execution (repro.hstore.compile) ---------------------------------
     #
-    # Same semantics as the interpreted paths above, but every expression is
-    # a pre-compiled closure and the per-row EvalContext allocation is gone:
-    # one context per statement, its ``.row`` mutated per row.
+    # Every expression is a closure lowered at plan time and no context is
+    # allocated per row: one context per statement, its ``.row`` mutated per
+    # row.
 
     def _access_rows_compiled(
         self, access: AccessPath, caccess: Any, ctx: EvalContext
@@ -472,14 +247,14 @@ class ExecutionEngine:
         pipeline, no residual predicate, no aggregate machinery."""
         self.stats.bump("point_lookups")
         c = plan.compiled
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        ctx = EvalContext(params=params, executor=self)
         rows = self._access_rows_compiled(plan.access, c.access, ctx)
         return self._project_compiled(plan, ctx, rows)
 
     def _select_compiled(
         self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
     ) -> ResultSet:
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        ctx = EvalContext(params=params, executor=self)
         ext_rows = self._ext_rows_compiled(plan, params, ctx)
         if type(ext_rows) is ResultSet:
             return ext_rows
@@ -518,7 +293,7 @@ class ExecutionEngine:
         table alone, then probe each join's unique index once per group and
         drop the groups that miss."""
         first = plan.compiled.group_first
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        ctx = EvalContext(params=params, executor=self)
         try:
             ext_rows = self._ext_rows_compiled(first.outer, params, ctx)
             for table_name, index_name, key_of in first.probes:
@@ -529,7 +304,7 @@ class ExecutionEngine:
             # the outer side was evaluated whole: an expression may have
             # raised on a row the join would have dropped first.  Nothing
             # observable happened; the join-order path raises (or doesn't)
-            # exactly as the interpreter does
+            # exactly as the oracle does
             return self._select_compiled(plan, params)
         return self._project_compiled(plan, ctx, ext_rows)
 
@@ -545,7 +320,7 @@ class ExecutionEngine:
         (the caller runs the compiled post-pipeline over them).
 
         Vector evaluation is eager (no per-row short-circuit), so any
-        exception here — division the interpreter would have skipped, an
+        exception here — division the row path would have skipped, an
         unbound parameter over a non-empty table, a comparison type error —
         aborts the attempt *before anything observable happened* and the
         caller re-runs the statement through the row closures, which raise
@@ -659,13 +434,9 @@ class ExecutionEngine:
         ctx: EvalContext,
         ext_rows: list[tuple[Any, ...]],
     ) -> ResultSet:
-        """HAVING → projection → DISTINCT → ORDER → LIMIT on extended rows.
-
-        ``ctx`` is the statement's one context: the scan stage is over, so
-        it is re-pointed at the extended-row columns rather than replaced.
-        """
+        """HAVING → projection → DISTINCT → ORDER → LIMIT on extended rows,
+        reusing the statement's one context."""
         c = plan.compiled
-        ctx.columns = plan.ext_columns
         if c.post_having is not None:
             having = c.post_having
             filtered: list[tuple[Any, ...]] = []
@@ -703,16 +474,13 @@ class ExecutionEngine:
             produced = unique
 
         if c.order_keys is not None:
-            # evaluate each sort key once per row, then one stable sort pass
-            # per key — the interpreted path re-evaluates per comparison
+            # evaluate each sort key once per row, then sort the key tuples
             order_keys = c.order_keys
             keyed = []
             for ext_row, out in produced:
                 ctx.row = ext_row
                 keyed.append((order_keys(ctx), ext_row, out))
-            for key, reverse in c.order_passes:
-                keyed.sort(key=key, reverse=reverse)
-            rows = [out for _keys, _ext, out in keyed]
+            rows = [out for _keys, _ext, out in c.order_sort(keyed)]
         else:
             rows = [out for _ext, out in produced]
 
@@ -882,7 +650,7 @@ class ExecutionEngine:
         self, plan: UpdatePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
         table = self.table(plan.table)
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        ctx = EvalContext(params=params, executor=self)
         matches = self._matches_compiled(plan, ctx)
 
         assignments = plan.compiled.assignments
@@ -902,7 +670,7 @@ class ExecutionEngine:
         self, plan: DeletePlan, params: tuple[Any, ...], txn: TransactionContext
     ) -> int:
         table = self.table(plan.table)
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
+        ctx = EvalContext(params=params, executor=self)
         matches = self._matches_compiled(plan, ctx)
 
         for rowid in matches:
@@ -923,20 +691,14 @@ class ExecutionEngine:
         if plan.select is not None:
             source = plan.select
             value_rows = list(source.run(self, source, params, None).rows)
-        elif compiled is not None:
-            if compiled.param_rows is not None:
-                value_rows = [get(params) for get in compiled.param_rows]
-            else:
-                ctx = EvalContext(columns={}, params=params, executor=self)
-                value_rows = [fn(ctx) for fn in compiled.row_fns]
+        elif compiled.param_rows is not None:
+            value_rows = [get(params) for get in compiled.param_rows]
         else:
-            ctx = EvalContext(columns={}, params=params, executor=self)
-            value_rows = [
-                tuple(expr.eval(ctx) for expr in row) for row in plan.rows
-            ]
+            ctx = EvalContext(params=params, executor=self)
+            value_rows = [fn(ctx) for fn in compiled.row_fns]
 
         new_rowids: list[int] = []
-        if compiled is not None and compiled.identity_slots:
+        if compiled.identity_slots:
             # every target column is supplied in order: the values tuple IS
             # the row, so skip the per-column slot/default resolution
             for values in value_rows:
@@ -999,59 +761,6 @@ class ExecutionEngine:
         self.stats.rows_deleted += len(rowids)
         return len(rowids)
 
-    # -- UPDATE --------------------------------------------------------------------
-
-    def _update_interpreted(
-        self, plan: UpdatePlan, params: tuple[Any, ...], txn: TransactionContext
-    ) -> int:
-        table = self.table(plan.table)
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
-
-        matches: list[int] = []
-        for rowid, row in self._iter_access(plan.access, params):
-            if plan.where is None:
-                matches.append(rowid)
-            else:
-                ctx.row = row
-                if plan.where.eval(ctx) is True:
-                    matches.append(rowid)
-
-        for rowid in matches:
-            old_row = table.get(rowid)
-            ctx.row = old_row
-            new_row = list(old_row)
-            for offset, expr in plan.assignments:
-                new_row[offset] = expr.eval(ctx)
-            before = table.update(rowid, new_row)
-            txn.record_update(plan.table, rowid, before)
-
-        self.stats.rows_updated += len(matches)
-        return len(matches)
-
-    # -- DELETE --------------------------------------------------------------------
-
-    def _delete_interpreted(
-        self, plan: DeletePlan, params: tuple[Any, ...], txn: TransactionContext
-    ) -> int:
-        table = self.table(plan.table)
-        ctx = EvalContext(columns=plan.columns, params=params, executor=self)
-
-        matches: list[int] = []
-        for rowid, row in self._iter_access(plan.access, params):
-            if plan.where is None:
-                matches.append(rowid)
-            else:
-                ctx.row = row
-                if plan.where.eval(ctx) is True:
-                    matches.append(rowid)
-
-        for rowid in matches:
-            before = table.delete(rowid)
-            txn.record_delete(plan.table, rowid, before)
-
-        self.stats.rows_deleted += len(matches)
-        return len(matches)
-
     # -- snapshot support -------------------------------------------------------------
 
     def dump_state(self) -> dict[str, Any]:
@@ -1076,19 +785,16 @@ def bind_runner(plan: Plan) -> None:
     on a statement's parameters.
     """
     ee = ExecutionEngine
-    c = plan.compiled
     if isinstance(plan, SelectPlan):
-        if c is None:
-            plan.run = ee._select_interpreted
-        elif c.point_lookup:
+        if plan.compiled.point_lookup:
             plan.run = ee._select_point
-        elif c.group_first is not None:
+        elif plan.compiled.group_first is not None:
             plan.run = ee._select_group_first
         else:
             plan.run = ee._select_compiled
     elif isinstance(plan, InsertPlan):
         plan.run = ee._execute_insert
     elif isinstance(plan, UpdatePlan):
-        plan.run = ee._update_interpreted if c is None else ee._update_compiled
+        plan.run = ee._update_compiled
     elif isinstance(plan, DeletePlan):
-        plan.run = ee._delete_interpreted if c is None else ee._delete_compiled
+        plan.run = ee._delete_compiled

@@ -54,10 +54,8 @@ def _lane(plan: Plan) -> str:
     (``vector_runtime_fallbacks``): the executor leaves the lane only when
     a batch evaluation raises.  Everything else is row-at-a-time.
     """
-    compiled = getattr(plan, "compiled", None)
-    if compiled is None:
-        return "row (interpreter)"
     if isinstance(plan, SelectPlan):
+        compiled = plan.compiled
         if plan.view_read is not None:
             return f"view({plan.view_read.view.name})"
         if compiled.point_lookup:
@@ -115,7 +113,7 @@ def _explain_select(plan: SelectPlan, indent: str) -> list[str]:
         group = ", ".join(expr.sql() for expr in plan.group_exprs) or "<global>"
         aggs = ", ".join(agg.sql() for agg in plan.aggregates)
         lines.append(f"{inner}aggregate: group by {group} computing [{aggs}]")
-        group_first = getattr(plan.compiled, "group_first", None)
+        group_first = plan.compiled.group_first
         if group_first is not None:
             probed = ", ".join(
                 f"{table} VIA {index}" for table, index, _key in group_first.probes

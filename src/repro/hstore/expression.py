@@ -1,21 +1,24 @@
-"""Expression AST and evaluation.
+"""Expression AST and the kernels that give it meaning.
 
 Expressions appear in SELECT lists, WHERE/HAVING clauses, UPDATE SET clauses
-and INSERT VALUES.  The AST is built by the parser and evaluated by the
-executor against an :class:`EvalContext` that resolves column references and
-statement parameters.
+and INSERT VALUES.  The parser builds the AST; the planner lowers each tree
+once into an evaluator (:func:`repro.hstore.compile.lower_expr`), so the
+nodes here carry structure and SQL rendering, not evaluation.
 
-SQL three-valued logic is honoured where it matters for the engine's
-workloads: any comparison or arithmetic with NULL yields NULL, and a WHERE
-predicate only accepts rows whose predicate is exactly TRUE.
+What an operator *means* is written here once, as a kernel over non-NULL
+operands: ``_ARITH``, ``_COMPARATORS``, ``_concat``, ``_between``,
+``_like`` and ``_SCALAR_FUNCTIONS``.  The lowering wraps each kernel in the
+NULL rule (a NULL operand yields NULL) for rows and for whole columns
+alike.  A WHERE predicate only accepts rows whose value is exactly TRUE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add, eq, ge, gt, le, lt, mul, ne, sub
 from typing import Any, Callable, Iterator
 
-from repro.errors import BindingError, PlanningError, TypeSystemError
+from repro.errors import TypeSystemError
 
 __all__ = [
     "EvalContext",
@@ -41,41 +44,20 @@ __all__ = [
 
 @dataclass
 class EvalContext:
-    """Everything an expression needs at evaluation time.
+    """Everything a lowered expression reads at evaluation time.
 
-    ``columns`` maps a fully-qualified column key (``"alias.column"``) and,
-    when unambiguous, the bare column name to its position in ``row``.
-    ``executor`` is the execution engine evaluating the statement; planned
-    subquery nodes run their inner plans through it.
+    Column offsets are bound into the evaluator when it is lowered, so the
+    context is only the current ``row``, the statement ``params`` and the
+    ``executor`` that planned subquery nodes run their inner plans through.
     """
 
-    columns: dict[str, int]
     row: tuple[Any, ...] = ()
     params: tuple[Any, ...] = ()
     executor: Any = None
 
-    def resolve(self, name: str) -> Any:
-        try:
-            return self.row[self.columns[name]]
-        except KeyError:
-            raise BindingError(
-                f"cannot resolve column {name!r}; known: {sorted(self.columns)}"
-            ) from None
-
-    def with_row(self, row: tuple[Any, ...]) -> "EvalContext":
-        return EvalContext(
-            columns=self.columns,
-            row=row,
-            params=self.params,
-            executor=self.executor,
-        )
-
 
 class Expression:
     """Base class for all expression nodes."""
-
-    def eval(self, ctx: EvalContext) -> Any:
-        raise NotImplementedError
 
     def children(self) -> tuple["Expression", ...]:
         return ()
@@ -95,9 +77,6 @@ def walk(expr: Expression) -> Iterator[Expression]:
 @dataclass(frozen=True)
 class Literal(Expression):
     value: Any
-
-    def eval(self, ctx: EvalContext) -> Any:
-        return self.value
 
     def sql(self) -> str:
         if self.value is None:
@@ -121,9 +100,6 @@ class ColumnRef(Expression):
     def key(self) -> str:
         return f"{self.table}.{self.name}" if self.table else self.name
 
-    def eval(self, ctx: EvalContext) -> Any:
-        return ctx.resolve(self.key)
-
     def sql(self) -> str:
         return self.key
 
@@ -134,33 +110,37 @@ class Parameter(Expression):
 
     index: int
 
-    def eval(self, ctx: EvalContext) -> Any:
-        if self.index >= len(ctx.params):
-            raise BindingError(
-                f"statement requires parameter #{self.index + 1}, "
-                f"only {len(ctx.params)} bound"
-            )
-        return ctx.params[self.index]
-
     def sql(self) -> str:
         return "?"
 
 
+def _div(a: Any, b: Any) -> Any:
+    """SQL division: integer division truncates toward zero."""
+    if b == 0:
+        raise TypeSystemError("division by zero")
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    quotient = abs(a) // abs(b)
+    return quotient if (a >= 0) == (b >= 0) else -quotient
+
+
+def _mod(a: Any, b: Any) -> Any:
+    if b == 0:
+        raise TypeSystemError("division by zero")
+    return a % b
+
+
 _ARITH: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b if isinstance(a, float) or isinstance(b, float) else _int_div(a, b),
-    "%": lambda a, b: a % b,
+    "+": add,
+    "-": sub,
+    "*": mul,
+    "/": _div,
+    "%": _mod,
 }
 
 
-def _int_div(a: int, b: int) -> int:
-    """SQL integer division truncates toward zero."""
-    if b == 0:
-        raise TypeSystemError("division by zero")
-    quotient = abs(a) // abs(b)
-    return quotient if (a >= 0) == (b >= 0) else -quotient
+def _concat(a: Any, b: Any) -> str:
+    return str(a) + str(b)
 
 
 @dataclass(frozen=True)
@@ -171,21 +151,6 @@ class BinaryOp(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
-
-    def eval(self, ctx: EvalContext) -> Any:
-        left = self.left.eval(ctx)
-        right = self.right.eval(ctx)
-        if left is None or right is None:
-            return None
-        if self.op == "||":
-            return str(left) + str(right)
-        try:
-            fn = _ARITH[self.op]
-        except KeyError:  # pragma: no cover - parser only emits known ops
-            raise PlanningError(f"unknown binary operator {self.op!r}") from None
-        if self.op in ("/", "%") and right == 0:
-            raise TypeSystemError("division by zero")
-        return fn(left, right)
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
@@ -199,26 +164,20 @@ class UnaryOp(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        if value is None:
-            return None
-        if self.op == "-":
-            return -value
-        raise PlanningError(f"unknown unary operator {self.op!r}")  # pragma: no cover
-
     def sql(self) -> str:
         return f"(-{self.operand.sql()})"
 
 
+#: the ``operator`` functions: C-dispatchable by ``map`` with no per-row
+#: Python frame; incomparable operands raise ``TypeError``
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": eq,
+    "<>": ne,
+    "!=": ne,
+    "<": lt,
+    "<=": le,
+    ">": gt,
+    ">=": ge,
 }
 
 
@@ -230,20 +189,6 @@ class Comparison(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
-
-    def eval(self, ctx: EvalContext) -> Any:
-        left = self.left.eval(ctx)
-        right = self.right.eval(ctx)
-        if left is None or right is None:
-            return None
-        try:
-            return _COMPARATORS[self.op](left, right)
-        except KeyError:  # pragma: no cover
-            raise PlanningError(f"unknown comparator {self.op!r}") from None
-        except TypeError:
-            raise TypeSystemError(
-                f"cannot compare {left!r} {self.op} {right!r}"
-            ) from None
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
@@ -259,20 +204,6 @@ class BooleanOp(Expression):
     def children(self) -> tuple[Expression, ...]:
         return self.operands
 
-    def eval(self, ctx: EvalContext) -> Any:
-        saw_null = False
-        for operand in self.operands:
-            value = operand.eval(ctx)
-            if value is None:
-                saw_null = True
-            elif self.op == "AND" and not value:
-                return False
-            elif self.op == "OR" and value:
-                return True
-        if saw_null:
-            return None
-        return self.op == "AND"
-
     def sql(self) -> str:
         joined = f" {self.op} ".join(part.sql() for part in self.operands)
         return f"({joined})"
@@ -284,12 +215,6 @@ class NotOp(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
-
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        if value is None:
-            return None
-        return not value
 
     def sql(self) -> str:
         return f"(NOT {self.operand.sql()})"
@@ -303,25 +228,6 @@ class InList(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand, *self.options)
-
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        if value is None:
-            return None
-        saw_null = False
-        found = False
-        for option in self.options:
-            candidate = option.eval(ctx)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                found = True
-                break
-        if found:
-            return not self.negated
-        if saw_null:
-            return None
-        return self.negated
 
     def sql(self) -> str:
         options = ", ".join(option.sql() for option in self.options)
@@ -339,18 +245,17 @@ class Between(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.operand, self.low, self.high)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        low = self.low.eval(ctx)
-        high = self.high.eval(ctx)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return not result if self.negated else result
-
     def sql(self) -> str:
         keyword = "NOT BETWEEN" if self.negated else "BETWEEN"
         return f"({self.operand.sql()} {keyword} {self.low.sql()} AND {self.high.sql()})"
+
+
+def _between(value: Any, low: Any, high: Any) -> bool:
+    return low <= value <= high
+
+
+def _not_between(value: Any, low: Any, high: Any) -> bool:
+    return not low <= value <= high
 
 
 @dataclass(frozen=True)
@@ -363,14 +268,6 @@ class Like(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand, self.pattern)
-
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        pattern = self.pattern.eval(ctx)
-        if value is None or pattern is None:
-            return None
-        result = _like_match(str(value), str(pattern))
-        return not result if self.negated else result
 
     def sql(self) -> str:
         keyword = "NOT LIKE" if self.negated else "LIKE"
@@ -401,6 +298,14 @@ def _like_match(value: str, pattern: str) -> bool:
     return p_idx == len(pattern)
 
 
+def _like(value: Any, pattern: Any) -> bool:
+    return _like_match(str(value), str(pattern))
+
+
+def _not_like(value: Any, pattern: Any) -> bool:
+    return not _like_match(str(value), str(pattern))
+
+
 @dataclass(frozen=True)
 class IsNull(Expression):
     operand: Expression
@@ -409,17 +314,9 @@ class IsNull(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        return (value is not None) if self.negated else (value is None)
-
     def sql(self) -> str:
         keyword = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.sql()} {keyword})"
-
-
-def _sql_abs(value: Any) -> Any:
-    return abs(value)
 
 
 def _sql_coalesce(*values: Any) -> Any:
@@ -430,7 +327,7 @@ def _sql_coalesce(*values: Any) -> Any:
 
 
 _SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
-    "abs": _sql_abs,
+    "abs": abs,
     "lower": lambda s: s.lower(),
     "upper": lambda s: s.upper(),
     "length": lambda s: len(s),
@@ -451,16 +348,6 @@ class FunctionCall(Expression):
     def children(self) -> tuple[Expression, ...]:
         return self.args
 
-    def eval(self, ctx: EvalContext) -> Any:
-        try:
-            fn = _SCALAR_FUNCTIONS[self.name.lower()]
-        except KeyError:
-            raise PlanningError(f"unknown function {self.name!r}") from None
-        values = [arg.eval(ctx) for arg in self.args]
-        if self.name.lower() != "coalesce" and any(value is None for value in values):
-            return None
-        return fn(*values)
-
     def sql(self) -> str:
         args = ", ".join(arg.sql() for arg in self.args)
         return f"{self.name.upper()}({args})"
@@ -474,7 +361,7 @@ class AggregateCall(Expression):
     """``COUNT(*)``, ``COUNT(x)``, ``SUM/AVG/MIN/MAX(expr)``.
 
     Aggregates never evaluate directly: the aggregate executor computes them
-    over a group and substitutes their value.  ``eval`` therefore raises.
+    over a group and substitutes their value.  Evaluating one raises.
     """
 
     name: str  # lower-cased
@@ -483,11 +370,6 @@ class AggregateCall(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.arg,) if self.arg is not None else ()
-
-    def eval(self, ctx: EvalContext) -> Any:
-        raise PlanningError(
-            f"aggregate {self.name.upper()} evaluated outside GROUP BY context"
-        )
 
     def sql(self) -> str:
         inner = "*" if self.arg is None else self.arg.sql()
@@ -513,9 +395,6 @@ class InSubquery(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
 
-    def eval(self, ctx: EvalContext) -> Any:  # pragma: no cover - planner bug
-        raise PlanningError("IN (SELECT ...) must be planned before evaluation")
-
     def sql(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
         return f"({self.operand.sql()} {keyword} (<subquery>))"
@@ -527,16 +406,8 @@ class Exists(Expression):
 
     select: Any  # SelectStmt
 
-    def eval(self, ctx: EvalContext) -> Any:  # pragma: no cover - planner bug
-        raise PlanningError("EXISTS must be planned before evaluation")
-
     def sql(self) -> str:
         return "(EXISTS (<subquery>))"
-
-
-def _subquery_params(ctx: EvalContext, outer_offsets: tuple[int, ...]) -> tuple:
-    """Statement params extended with the correlated outer-column values."""
-    return tuple(ctx.params) + tuple(ctx.row[offset] for offset in outer_offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,25 +427,6 @@ class PlannedInSubquery(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        if ctx.executor is None:
-            raise PlanningError("subquery evaluation requires an executor")
-        value = self.operand.eval(ctx)
-        if value is None:
-            return None
-        result = ctx.executor.execute_select_plan(
-            self.plan, _subquery_params(ctx, self.outer_offsets)
-        )
-        saw_null = False
-        for (candidate,) in result.rows:
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return not self.negated
-        if saw_null:
-            return None
-        return self.negated
-
     def sql(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
         return f"({self.operand.sql()} {keyword} (<subquery>))"
@@ -587,14 +439,6 @@ class PlannedExists(Expression):
     plan: Any  # SelectPlan
     outer_offsets: tuple[int, ...] = ()
 
-    def eval(self, ctx: EvalContext) -> Any:
-        if ctx.executor is None:
-            raise PlanningError("subquery evaluation requires an executor")
-        result = ctx.executor.execute_select_plan(
-            self.plan, _subquery_params(ctx, self.outer_offsets)
-        )
-        return bool(result.rows)
-
     def sql(self) -> str:
         return "(EXISTS (<subquery>))"
 
@@ -604,9 +448,6 @@ class ScalarSubquery(Expression):
     """``(SELECT ...)`` used as a value — parsed form."""
 
     select: Any  # SelectStmt
-
-    def eval(self, ctx: EvalContext) -> Any:  # pragma: no cover - planner bug
-        raise PlanningError("scalar subquery must be planned before evaluation")
 
     def sql(self) -> str:
         return "(<scalar subquery>)"
@@ -621,20 +462,6 @@ class PlannedScalarSubquery(Expression):
 
     plan: Any  # SelectPlan
     outer_offsets: tuple[int, ...] = ()
-
-    def eval(self, ctx: EvalContext) -> Any:
-        if ctx.executor is None:
-            raise PlanningError("subquery evaluation requires an executor")
-        result = ctx.executor.execute_select_plan(
-            self.plan, _subquery_params(ctx, self.outer_offsets)
-        )
-        if not result.rows:
-            return None
-        if len(result.rows) > 1:
-            raise TypeSystemError(
-                f"scalar subquery returned {len(result.rows)} rows"
-            )
-        return result.rows[0][0]
 
     def sql(self) -> str:
         return "(<scalar subquery>)"
@@ -663,21 +490,6 @@ class CaseExpr(Expression):
             nodes.append(self.default)
         return tuple(nodes)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        if self.operand is not None:
-            subject = self.operand.eval(ctx)
-            for when, then in self.whens:
-                candidate = when.eval(ctx)
-                if subject is not None and candidate == subject:
-                    return then.eval(ctx)
-        else:
-            for when, then in self.whens:
-                if when.eval(ctx) is True:
-                    return then.eval(ctx)
-        if self.default is not None:
-            return self.default.eval(ctx)
-        return None
-
     def sql(self) -> str:
         parts = ["CASE"]
         if self.operand is not None:
@@ -695,9 +507,6 @@ class Star(Expression):
     """``SELECT *`` (optionally ``alias.*``); expanded by the planner."""
 
     table: str | None = None
-
-    def eval(self, ctx: EvalContext) -> Any:  # pragma: no cover - planner expands
-        raise PlanningError("* must be expanded by the planner before evaluation")
 
     def sql(self) -> str:
         return f"{self.table}.*" if self.table else "*"

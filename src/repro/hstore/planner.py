@@ -179,8 +179,7 @@ class SelectPlan(Plan):
     post_having: Expression | None = None
     post_order: list[tuple[Expression, bool]] = dataclasses.field(default_factory=list)
     ext_columns: dict[str, int] = dataclasses.field(default_factory=dict)
-    #: closure-compiled artifact (repro.hstore.compile.CompiledSelect);
-    #: None = interpreted execution (the correctness oracle)
+    #: closure-compiled artifact (repro.hstore.compile.CompiledSelect)
     compiled: Any = None
     #: repro.ivm.ViewRead when this plan's scan+aggregate stage is served
     #: from a delta view (attached by the S-Store engine at plan time);
@@ -238,17 +237,8 @@ class DdlPlan(Plan):
 
 
 class Planner:
-    def __init__(
-        self,
-        catalog: Catalog,
-        *,
-        compile_plans: bool = True,
-    ) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        #: closure-compile every plan (repro.hstore.compile); False keeps
-        #: the tree-walking interpreter as the execution path — the
-        #: correctness oracle the differential tests compare against
-        self.compile_plans = compile_plans
 
     # -- public entry points -------------------------------------------------
 
@@ -284,8 +274,7 @@ class Planner:
         from repro.hstore.compile import compile_plan
         from repro.hstore.executor import bind_runner
 
-        if self.compile_plans:
-            compile_plan(plan)
+        compile_plan(plan)
         bind_runner(plan)
 
     # -- scopes ---------------------------------------------------------------

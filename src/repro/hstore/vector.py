@@ -1,92 +1,56 @@
-"""Batch-at-a-time (vectorized) expression evaluation over column vectors.
+"""The column form of the expression lowering: batch-at-a-time evaluation.
 
-This is the vectorized twin of :func:`repro.hstore.compile.compile_expr`.
-Where the row compiler lowers an expression tree to a closure evaluated
-once per row, :func:`lower_expr` lowers it to a closure evaluated once per
+:func:`repro.hstore.compile.lower_expr` is the one node dispatch; handed
+:data:`COLUMN` it builds, per expression, a closure evaluated once per
 *statement*: it takes a :class:`VectorContext` over a table's
 :class:`~repro.hstore.columnar.ColumnCache` and returns either a whole
 column of results or a :class:`Broadcast` (one value standing for the
-entire vector — literals, parameters, and constant folds).
+entire vector — literals, parameters, and constant folds).  The scalar
+form (:data:`repro.hstore.compile.SCALAR`) builds the per-row closure from
+the same node and the same kernel.
 
 Semantics contract
 ------------------
 
-The vector path must be *bit-identical* to the interpreter on success:
+The vector path must be *bit-identical* to the row path on success:
 
-* NULL propagation is elementwise (a NULL operand yields NULL for that
-  element) and AND/OR implement the same three-valued logic as
-  ``BooleanOp.eval`` — including its "falsy is false" treatment of
-  non-boolean operands.
-* Aggregates are :func:`repro.hstore.aggregate.fold` over the selected
-  argument column, the column form of the row accumulator.
-* Evaluation is *eager* — there is no per-row short-circuit, so an
-  expression that the interpreter would never evaluate for some row
-  (``x <> 0 AND 10 / x > 1``) can raise here.  Lowered closures therefore
-  make no attempt to replicate error channels: the executor catches any
-  exception from a vector evaluation *before* mutating anything and
-  re-runs the statement through the row-at-a-time path, which raises (or
-  doesn't) with oracle semantics.
+* a strict node's kernel is lifted elementwise (``_lift1`` / ``_lift2`` /
+  ``_liftn``: a NULL operand yields NULL for that element), and AND/OR
+  implement the same three-valued logic as the row form — including its
+  "falsy is false" treatment of non-boolean operands — with ``BoolVec``
+  tagging the vectors proven NULL-free;
+* aggregates are :func:`repro.hstore.aggregate.fold` over the selected
+  argument column, the column form of the row accumulator;
+* evaluation is *eager* — there is no per-row short-circuit, so an
+  expression that the row path would never evaluate for some row
+  (``x <> 0 AND 10 / x > 1``) can raise here.  Column closures therefore
+  make no attempt to replicate error channels (comparisons use the bare
+  ``operator`` kernels): the executor catches any exception from a vector
+  evaluation *before* mutating anything and re-runs the statement through
+  the row closures, which raise (or don't) with oracle semantics.
 
-Anything not lowerable — CASE, subqueries, unresolvable columns, unknown
-functions — returns ``None`` from ``lower_expr`` and the whole statement
-stays on the row path at plan-compile time.
+CASE, subqueries and nodes that only raise have no column form: lowering
+returns ``None`` and the whole statement stays on the row path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import and_, eq, ge, gt, is_, is_not, le, lt, ne, or_
+from operator import and_, is_, is_not, or_
 from typing import Any, Callable, Sequence
 
 from repro.errors import BindingError
-from repro.hstore.expression import (
-    _ARITH,
-    _COMPARATORS,
-    _SCALAR_FUNCTIONS,
-    Between,
-    BinaryOp,
-    BooleanOp,
-    ColumnRef,
-    Comparison,
-    Expression,
-    FunctionCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    NotOp,
-    Parameter,
-    UnaryOp,
-    _like_match,
-)
-from repro.hstore.planner import SeqScan
+from repro.hstore.expression import _COMPARATORS
 
 __all__ = [
+    "COLUMN",
     "Broadcast",
     "VectorContext",
     "VectorSelect",
-    "lower_expr",
-    "lower_select",
     "normalize_mask",
     "selected_values",
 ]
-
-#: aggregate names the columnar fold implements (== the planner's full set)
-VECTOR_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
-
-#: operator-module twins of ``_COMPARATORS``: same semantics (same rich
-#: comparison, same TypeError on incomparables), but C-dispatchable by
-#: ``map`` with no per-row Python frame
-_C_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": eq,
-    "<>": ne,
-    "!=": ne,
-    "<": lt,
-    "<=": le,
-    ">": gt,
-    ">=": ge,
-}
 
 
 class Broadcast:
@@ -228,10 +192,9 @@ def _expand(x: Any, n: int) -> Any:
 # ----------------------------------------------------------------------
 # node lowerers with bespoke NULL handling
 
-def _lower_bool(op: str, operands: list[VecFn | None]) -> VecFn | None:
+def _lower_bool(conjunction: bool, operands: list[VecFn | None]) -> VecFn | None:
     if any(fn is None for fn in operands):
         return None
-    conjunction = op == "AND"
 
     def run(v: VectorContext) -> Any:
         vals = [fn(v) for fn in operands]
@@ -365,128 +328,6 @@ def _lower_in_list(
     return run
 
 
-# ----------------------------------------------------------------------
-# the lowering entry point
-
-def lower_expr(expr: Expression, columns: dict[str, int]) -> VecFn | None:
-    """Lower ``expr`` to a batch evaluator, or ``None`` if it can't be.
-
-    ``columns`` maps column keys to offsets, exactly as for
-    :func:`repro.hstore.compile.compile_expr`.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda v: Broadcast(value)
-
-    if isinstance(expr, ColumnRef):
-        offset = columns.get(expr.key)
-        if offset is None:
-            return None
-        return lambda v: v.store.column(offset)
-
-    if isinstance(expr, Parameter):
-        index = expr.index
-
-        def run_param(v: VectorContext) -> Any:
-            params = v.params
-            if index >= len(params):
-                # executor falls back; the row path raises the canonical
-                # BindingError (or doesn't, if no row reaches the parameter)
-                raise BindingError(f"statement parameter ${index + 1} not bound")
-            return Broadcast(params[index])
-
-        return run_param
-
-    if isinstance(expr, Comparison):
-        scalar = _C_COMPARATORS.get(expr.op) or _COMPARATORS.get(expr.op)
-        if scalar is None:
-            return None
-        return _lift2(
-            scalar,
-            lower_expr(expr.left, columns),
-            lower_expr(expr.right, columns),
-            wrap=BoolVec,
-        )
-
-    if isinstance(expr, BinaryOp):
-        if expr.op == "||":
-            scalar = lambda x, y: str(x) + str(y)  # noqa: E731
-        else:
-            scalar = _ARITH.get(expr.op)
-            if scalar is None:
-                return None
-        return _lift2(
-            scalar,
-            lower_expr(expr.left, columns),
-            lower_expr(expr.right, columns),
-        )
-
-    if isinstance(expr, UnaryOp):
-        if expr.op != "-":
-            return None
-        return _lift1(lambda x: -x, lower_expr(expr.operand, columns))
-
-    if isinstance(expr, BooleanOp):
-        return _lower_bool(
-            expr.op, [lower_expr(part, columns) for part in expr.operands]
-        )
-
-    if isinstance(expr, NotOp):
-        return _lift1(lambda x: not x, lower_expr(expr.operand, columns))
-
-    if isinstance(expr, IsNull):
-        return _lower_is_null(lower_expr(expr.operand, columns), expr.negated)
-
-    if isinstance(expr, InList):
-        return _lower_in_list(
-            lower_expr(expr.operand, columns),
-            [lower_expr(option, columns) for option in expr.options],
-            expr.negated,
-        )
-
-    if isinstance(expr, Between):
-        negated = expr.negated
-
-        def scalar_between(value: Any, low: Any, high: Any) -> bool:
-            result = low <= value <= high
-            return not result if negated else result
-
-        return _liftn(
-            scalar_between,
-            [
-                lower_expr(expr.operand, columns),
-                lower_expr(expr.low, columns),
-                lower_expr(expr.high, columns),
-            ],
-        )
-
-    if isinstance(expr, Like):
-        negated = expr.negated
-
-        def scalar_like(value: Any, pattern: Any) -> bool:
-            result = _like_match(str(value), str(pattern))
-            return not result if negated else result
-
-        return _lift2(
-            scalar_like,
-            lower_expr(expr.operand, columns),
-            lower_expr(expr.pattern, columns),
-        )
-
-    if isinstance(expr, FunctionCall):
-        name = expr.name.lower()
-        scalar = _SCALAR_FUNCTIONS.get(name)
-        if scalar is None:
-            return None
-        arg_fns = [lower_expr(arg, columns) for arg in expr.args]
-        if name == "coalesce":
-            return _lower_coalesce(arg_fns)
-        return _liftn(scalar, arg_fns)
-
-    # CASE, subqueries, aggregates, Star, anything future: row path
-    return None
-
-
 def _lower_coalesce(arg_fns: list[VecFn | None]) -> VecFn | None:
     if any(fn is None for fn in arg_fns):
         return None
@@ -512,6 +353,60 @@ def _lower_coalesce(arg_fns: list[VecFn | None]) -> VecFn | None:
         return out
 
     return run
+
+
+# ----------------------------------------------------------------------
+# the column form: what repro.hstore.compile.lower_expr builds from
+
+class _ColumnForm:
+    """The column form of :func:`repro.hstore.compile.lower_expr`:
+    ``VectorContext -> column | Broadcast`` closures, or ``None``."""
+
+    boolean = staticmethod(_lower_bool)
+    is_null = staticmethod(_lower_is_null)
+    in_list = staticmethod(_lower_in_list)
+    coalesce = staticmethod(_lower_coalesce)
+
+    def const(self, value: Any) -> VecFn:
+        return lambda v: Broadcast(value)
+
+    def column(self, offset: int) -> VecFn:
+        return lambda v: v.store.column(offset)
+
+    def param(self, index: int) -> VecFn:
+        def run_param(v: VectorContext) -> Any:
+            params = v.params
+            if index >= len(params):
+                # executor falls back; the row path raises the canonical
+                # BindingError (or doesn't, if no row reaches the parameter)
+                raise BindingError(f"statement parameter ${index + 1} not bound")
+            return Broadcast(params[index])
+
+        return run_param
+
+    def strict(
+        self, kernel: Callable[..., Any], *operands: VecFn | None
+    ) -> VecFn | None:
+        if len(operands) == 1:
+            return _lift1(kernel, operands[0])
+        if len(operands) == 2:
+            return _lift2(kernel, *operands)
+        return _liftn(kernel, list(operands))
+
+    def compare(
+        self, op: str, left: VecFn | None, right: VecFn | None
+    ) -> VecFn | None:
+        return _lift2(_COMPARATORS[op], left, right, wrap=BoolVec)
+
+    def case(self, *_args: Any) -> None:
+        """CASE, subqueries and raising nodes have no column form."""
+        return None
+
+    in_subquery = exists = scalar_subquery = fail = case
+
+
+#: the column form of :func:`repro.hstore.compile.lower_expr`
+COLUMN = _ColumnForm()
 
 
 # ----------------------------------------------------------------------
@@ -559,53 +454,3 @@ class VectorSelect:
     group_keys: tuple[VecFn, ...]
     agg_specs: tuple[tuple[str, VecFn | None, bool], ...]
     outputs: tuple[VecFn, ...] | None = None
-
-
-def lower_select(plan: Any) -> VectorSelect | None:
-    """Attach a vector plan to a single-table full-scan SELECT, or None."""
-    if not isinstance(plan.access, SeqScan) or plan.joins:
-        return None
-    columns = plan.columns
-    where_fn = None
-    if plan.where is not None:
-        where_fn = lower_expr(plan.where, columns)
-        if where_fn is None:
-            return None
-    group_fns: list[VecFn] = []
-    agg_specs: list[tuple[str, VecFn | None, bool]] = []
-    if plan.grouped:
-        for expr in plan.group_exprs:
-            fn = lower_expr(expr, columns)
-            if fn is None:
-                return None
-            group_fns.append(fn)
-        for agg in plan.aggregates:
-            if agg.name not in VECTOR_AGGREGATES:
-                return None
-            arg_fn = None
-            if agg.arg is not None:
-                arg_fn = lower_expr(agg.arg, columns)
-                if arg_fn is None:
-                    return None
-            agg_specs.append((agg.name, arg_fn, agg.distinct))
-    elif where_fn is None:
-        # plain SELECT * full scan: the row path is already a dict copy
-        return None
-    outputs = None
-    if (
-        not plan.grouped
-        and not plan.distinct
-        and not plan.order_by
-        and plan.post_having is None
-        and plan.ext_columns is plan.columns
-    ):
-        out_fns: list[VecFn] | None = []
-        for expr in plan.output_exprs:
-            fn = lower_expr(expr, columns)
-            if fn is None:
-                out_fns = None
-                break
-            out_fns.append(fn)
-        if out_fns is not None:
-            outputs = tuple(out_fns)
-    return VectorSelect(where_fn, tuple(group_fns), tuple(agg_specs), outputs)

@@ -7,8 +7,8 @@ fold is exact and O(1) per tuple for COUNT/``COUNT(*)`` and for SUM/AVG over
 ints (Python ints are arbitrary-precision, so addition/subtraction is
 order-independent); MIN/MAX cache the current extreme and repair lazily.
 
-**Oracle parity rule.**  The tree-walking interpreter (and the compiled
-path, which mirrors it) feeds each group's accumulator in *rowid order* —
+**Oracle parity rule.**  The row closures (and the tree-walking oracle in
+``tests/oracle.py``) feed each group's accumulator in *rowid order* —
 that is what a SeqScan produces — with ``value < min`` strict comparisons,
 so the first-encountered value wins ties, and float sums accumulate in scan
 order.  Every place this module cannot maintain a value incrementally it
@@ -23,7 +23,7 @@ order** with :func:`repro.hstore.aggregate.fold`, the oracle's exact fold:
   recompute-on-read (float addition does not commute bit-for-bit, so
   incremental subtraction would drift).  Int-only groups never repair.
 
-Group emission order also matches the oracle: the interpreter emits groups
+Group emission order also matches the oracle: a row scan emits groups
 in first-appearance order of the rowid-ordered scan, i.e. ordered by each
 group's minimum live rowid.  Rowids are assigned monotonically and admits
 arrive in increasing rowid order, so each group's insertion-ordered row

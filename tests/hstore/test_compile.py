@@ -3,10 +3,10 @@
 The compiler (:mod:`repro.hstore.compile`) turns a planned statement's
 expressions into flat closures once, at plan time.  These tests pin down:
 
-* every planned DML statement carries a compiled artifact when compilation
-  is on, and none does when it is off;
+* every planned DML statement carries a compiled artifact;
 * the point-lookup fast path triggers exactly when eligible (and counts);
-* representative queries return identical results compiled vs. interpreted;
+* representative queries return identical results compiled vs. the
+  interpreter (:func:`tests.oracle.oracle_arm`);
 * compiled expressions preserve interpreted error semantics (binding
   errors, type errors, division by zero).
 """
@@ -17,15 +17,18 @@ import pytest
 
 from repro.errors import BindingError, TypeSystemError
 from repro.hstore.compile import (
+    SCALAR,
     CompiledDelete,
     CompiledInsert,
     CompiledSelect,
     CompiledUpdate,
-    compile_expr,
+    lower_expr,
 )
 from repro.hstore.engine import HStoreEngine
+from repro.hstore.executor import ExecutionEngine
 from repro.hstore.expression import EvalContext
 from repro.hstore.parser import parse
+from tests.oracle import oracle_arm
 
 
 PEOPLE_DDL = (
@@ -41,8 +44,8 @@ PEOPLE_ROWS = [
 ]
 
 
-def make_people(compile: bool = True) -> HStoreEngine:
-    eng = HStoreEngine(compile=compile)
+def make_people(oracle: bool = False) -> HStoreEngine:
+    eng = oracle_arm(HStoreEngine()) if oracle else HStoreEngine()
     eng.execute_ddl(PEOPLE_DDL)
     for row in PEOPLE_ROWS:
         eng.execute_sql("INSERT INTO people VALUES (?, ?, ?, ?)", *row)
@@ -60,11 +63,6 @@ class TestArtifacts:
         assert isinstance(plan.compiled, CompiledUpdate)
         plan = eng.planner.plan(parse("DELETE FROM people WHERE id = 1"))
         assert isinstance(plan.compiled, CompiledDelete)
-
-    def test_compile_off_leaves_plans_uncompiled(self):
-        eng = make_people(compile=False)
-        plan = eng.planner.plan(parse("SELECT name FROM people"))
-        assert plan.compiled is None
 
     def test_subquery_plans_are_compiled_too(self):
         eng = make_people()
@@ -139,7 +137,7 @@ class TestPointLookupFastPath:
         assert not plan.compiled.point_lookup
 
     def test_point_lookup_results_match_interpreter(self):
-        compiled, interpreted = make_people(), make_people(compile=False)
+        compiled, interpreted = make_people(), make_people(oracle=True)
         for key in (0, 1, 3, 5, 99):
             sql = "SELECT * FROM people WHERE id = ?"
             assert (
@@ -188,21 +186,21 @@ PARITY_QUERIES = [
 class TestCompiledInterpretedParity:
     @pytest.mark.parametrize("sql,params", PARITY_QUERIES)
     def test_select_parity(self, sql, params):
-        compiled, interpreted = make_people(), make_people(compile=False)
+        compiled, interpreted = make_people(), make_people(oracle=True)
         got = compiled.execute_sql(sql, *params)
         want = interpreted.execute_sql(sql, *params)
         assert got.rows == want.rows
         assert got.columns == want.columns
 
     def test_update_parity(self):
-        compiled, interpreted = make_people(), make_people(compile=False)
+        compiled, interpreted = make_people(), make_people(oracle=True)
         sql = "UPDATE people SET age = age + 1, city = 'x' WHERE age >= 30"
         assert compiled.execute_sql(sql) == interpreted.execute_sql(sql)
         probe = "SELECT * FROM people ORDER BY id"
         assert compiled.execute_sql(probe).rows == interpreted.execute_sql(probe).rows
 
     def test_delete_parity(self):
-        compiled, interpreted = make_people(), make_people(compile=False)
+        compiled, interpreted = make_people(), make_people(oracle=True)
         sql = "DELETE FROM people WHERE age IS NULL OR city = 'boston'"
         assert compiled.execute_sql(sql) == interpreted.execute_sql(sql)
         probe = "SELECT * FROM people ORDER BY id"
@@ -213,7 +211,7 @@ class TestCompiledInterpretedParity:
             "CREATE TABLE ages (id INTEGER NOT NULL, age INTEGER, "
             "PRIMARY KEY (id))"
         )
-        compiled, interpreted = make_people(), make_people(compile=False)
+        compiled, interpreted = make_people(), make_people(oracle=True)
         for eng in (compiled, interpreted):
             eng.execute_ddl(ddl)
             eng.execute_sql(
@@ -225,7 +223,7 @@ class TestCompiledInterpretedParity:
 
 class TestCompiledErrorSemantics:
     def test_unbound_parameter_message_matches_interpreter(self):
-        compiled, interpreted = make_people(), make_people(compile=False)
+        compiled, interpreted = make_people(), make_people(oracle=True)
         sql = "SELECT name FROM people WHERE id = ?"
         with pytest.raises(BindingError) as compiled_err:
             compiled.execute_sql(sql)
@@ -253,28 +251,28 @@ class TestCompiledErrorSemantics:
 class TestCompileExprUnit:
     def test_comparison_compiles_to_closure(self):
         expr = parse("SELECT id + 1 FROM t WHERE id = 1").where
-        fn = compile_expr(expr, {"id": 0})
-        ctx = EvalContext(columns={"id": 0}, row=(1,))
+        fn = lower_expr(expr, {"id": 0}, SCALAR)
+        ctx = EvalContext(row=(1,))
         assert fn(ctx) is True
         ctx.row = (2,)
         assert fn(ctx) is False
 
-    def test_unresolvable_column_falls_back_to_bound_eval(self):
+    def test_unresolvable_column_raises_when_evaluated(self):
         expr = parse("SELECT 1 FROM t WHERE id = 1").where
-        fn = compile_expr(expr, {})  # offset unknown at compile time
-        ctx = EvalContext(columns={"id": 0}, row=(1,))
-        assert fn(ctx) is True  # resolved dynamically through the context
+        fn = lower_expr(expr, {"x": 0}, SCALAR)  # lowering itself succeeds
+        with pytest.raises(BindingError, match=r"cannot resolve column 'id'; known: \['x'\]"):
+            fn(EvalContext(row=(1,)))
 
     def test_three_valued_logic_and_or(self):
         columns = {"a": 0, "b": 1}
         stmt = parse("SELECT 1 FROM t WHERE a < 1 OR b < 1")
-        fn = compile_expr(stmt.where, columns)
-        ctx = EvalContext(columns=columns, row=(None, 0))
+        fn = lower_expr(stmt.where, columns, SCALAR)
+        ctx = EvalContext(row=(None, 0))
         assert fn(ctx) is True  # NULL OR TRUE = TRUE
         ctx.row = (None, 5)
         assert fn(ctx) is None  # NULL OR FALSE = NULL
         stmt = parse("SELECT 1 FROM t WHERE a < 1 AND b < 1")
-        fn = compile_expr(stmt.where, columns)
+        fn = lower_expr(stmt.where, columns, SCALAR)
         ctx.row = (None, 5)
         assert fn(ctx) is False  # NULL AND FALSE = FALSE
         ctx.row = (None, 0)
@@ -294,8 +292,8 @@ GROUP_FIRST_DDL = [
 ]
 
 
-def make_group_first(compile: bool = True) -> HStoreEngine:
-    eng = HStoreEngine(compile=compile)
+def make_group_first(oracle: bool = False) -> HStoreEngine:
+    eng = oracle_arm(HStoreEngine()) if oracle else HStoreEngine()
     for ddl in GROUP_FIRST_DDL:
         eng.execute_ddl(ddl)
     # keys 1 and 2 join, 3 was "eliminated" from d, NULL never joins
@@ -342,14 +340,14 @@ class TestGroupBeforeJoin:
 
     @pytest.mark.parametrize("sql", FIRES)
     def test_fires_named_in_explain_and_matches_the_interpreter(self, sql):
-        compiled, oracle = make_group_first(), make_group_first(compile=False)
+        compiled, oracle = make_group_first(), make_group_first(oracle=True)
         assert "rewrite: group-before-join" in compiled.explain(sql)
-        assert "group-before-join" not in oracle.explain(sql)
+        assert oracle.planner.plan(parse(sql)).run is not ExecutionEngine._select_group_first
         assert compiled.execute_sql(sql).rows == oracle.execute_sql(sql).rows
 
     @pytest.mark.parametrize("sql", MUST_NOT_FIRE)
     def test_must_not_fire(self, sql):
-        compiled, oracle = make_group_first(), make_group_first(compile=False)
+        compiled, oracle = make_group_first(), make_group_first(oracle=True)
         assert "group-before-join" not in compiled.explain(sql)
         assert compiled.execute_sql(sql).rows == oracle.execute_sql(sql).rows
 
@@ -365,7 +363,7 @@ class TestGroupBeforeJoin:
             "SELECT f.k, SUM(10 / f.v) FROM f JOIN d ON d.k = f.k "
             "WHERE f.k = 2 OR f.k = 3 GROUP BY f.k"
         )
-        compiled, oracle = make_group_first(), make_group_first(compile=False)
+        compiled, oracle = make_group_first(), make_group_first(oracle=True)
         assert "rewrite: group-before-join" in compiled.explain(sql)
         assert compiled.execute_sql(sql).rows == oracle.execute_sql(sql).rows == [(2, 11)]
         # and an error both orders hit is the same error

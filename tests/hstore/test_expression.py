@@ -1,8 +1,14 @@
-"""Unit tests for expression evaluation (including SQL three-valued logic)."""
+"""Unit tests for expression evaluation (including SQL three-valued logic).
+
+Every case runs through the ``ev`` fixture, i.e. through all three
+evaluators of one expression: the oracle's tree walk, the scalar form and
+the column form over a one-row batch (see ``ev``).
+"""
 
 import pytest
 
 from repro.errors import BindingError, PlanningError, TypeSystemError
+from repro.hstore.compile import SCALAR, lower_expr
 from repro.hstore.expression import (
     AggregateCall,
     Between,
@@ -10,7 +16,6 @@ from repro.hstore.expression import (
     BooleanOp,
     ColumnRef,
     Comparison,
-    EvalContext,
     FunctionCall,
     InList,
     IsNull,
@@ -23,10 +28,65 @@ from repro.hstore.expression import (
     find_parameters,
     walk,
 )
+from repro.hstore.vector import COLUMN, Broadcast, VectorContext
+from tests.oracle import OracleContext, evaluate
 
 
 def ctx(row=(), columns=None, params=()):
-    return EvalContext(columns=columns or {}, row=row, params=params)
+    return OracleContext(columns=columns or {}, row=row, params=params)
+
+
+class _OneRow:
+    """A column store holding one row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def column(self, offset):
+        return [self.row[offset]]
+
+
+def _column_form(expr, context):
+    """The column form's value over a one-row batch; ``None`` when the
+    expression has no column form or its evaluation raised (the executor
+    falls back to the row path on either)."""
+    fn = lower_expr(expr, context.columns, COLUMN)
+    if fn is None:
+        return None
+    try:
+        result = fn(VectorContext(_OneRow(context.row), context.params, 1))
+    except Exception:
+        return None
+    return (result.value if type(result) is Broadcast else result[0],)
+
+
+@pytest.fixture
+def ev():
+    """``evaluate`` that holds the scalar and the column form to the oracle.
+
+    The scalar form must return the oracle's value, or raise its error with
+    its text.  The column form may have no evaluator or raise, but a value
+    it returns must be the oracle's, in value and type.
+    """
+
+    def evaluate_all(expr, context):
+        scalar = lower_expr(expr, context.columns, SCALAR)
+        column = _column_form(expr, context)
+        try:
+            want = evaluate(expr, context)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                scalar(context)
+            assert str(got.value) == str(exc)
+            assert column is None, f"column form answered {column} where the oracle raised"
+            raise
+        got = scalar(context)
+        assert (got, type(got)) == (want, type(want))
+        if column is not None:
+            assert (column[0], type(column[0])) == (want, type(want))
+        return want
+
+    return evaluate_all
 
 
 def lit(value):
@@ -34,127 +94,135 @@ def lit(value):
 
 
 class TestAtoms:
-    def test_literal(self):
-        assert lit(5).eval(ctx()) == 5
+    def test_literal(self, ev):
+        assert ev(lit(5), ctx()) == 5
 
-    def test_column_ref(self):
+    def test_column_ref(self, ev):
         context = ctx(row=(10, 20), columns={"a": 0, "b": 1})
-        assert ColumnRef("b").eval(context) == 20
+        assert ev(ColumnRef("b"), context) == 20
 
-    def test_qualified_column_ref(self):
+    def test_qualified_column_ref(self, ev):
         context = ctx(row=(10,), columns={"t.a": 0})
-        assert ColumnRef("a", table="t").eval(context) == 10
+        assert ev(ColumnRef("a", table="t"), context) == 10
 
-    def test_unresolvable_column_raises(self):
+    def test_unresolvable_column_raises(self, ev):
         with pytest.raises(BindingError):
-            ColumnRef("ghost").eval(ctx())
+            ev(ColumnRef("ghost"), ctx())
 
-    def test_parameter(self):
-        assert Parameter(1).eval(ctx(params=(5, 7))) == 7
+    def test_unresolvable_column_is_an_error_built_at_lowering(self, ev):
+        # the map the expression is lowered against lacks the column: the
+        # scalar form raises the oracle's error, text and all, per row
+        context = ctx(row=(1, 2), columns={"a": 0, "t.a": 0})
+        with pytest.raises(BindingError, match=r"known: \['a', 't.a'\]"):
+            ev(ColumnRef("b"), context)
+        assert lower_expr(ColumnRef("b"), context.columns, COLUMN) is None
 
-    def test_missing_parameter_raises(self):
+    def test_parameter(self, ev):
+        assert ev(Parameter(1), ctx(params=(5, 7))) == 7
+
+    def test_missing_parameter_raises(self, ev):
         with pytest.raises(BindingError):
-            Parameter(0).eval(ctx())
+            ev(Parameter(0), ctx())
 
 
 class TestArithmetic:
-    def test_basic_ops(self):
-        assert BinaryOp("+", lit(2), lit(3)).eval(ctx()) == 5
-        assert BinaryOp("-", lit(2), lit(3)).eval(ctx()) == -1
-        assert BinaryOp("*", lit(4), lit(3)).eval(ctx()) == 12
+    def test_basic_ops(self, ev):
+        assert ev(BinaryOp("+", lit(2), lit(3)), ctx()) == 5
+        assert ev(BinaryOp("-", lit(2), lit(3)), ctx()) == -1
+        assert ev(BinaryOp("*", lit(4), lit(3)), ctx()) == 12
 
-    def test_integer_division_truncates_toward_zero(self):
-        assert BinaryOp("/", lit(7), lit(2)).eval(ctx()) == 3
-        assert BinaryOp("/", lit(-7), lit(2)).eval(ctx()) == -3
+    def test_integer_division_truncates_toward_zero(self, ev):
+        assert ev(BinaryOp("/", lit(7), lit(2)), ctx()) == 3
+        assert ev(BinaryOp("/", lit(-7), lit(2)), ctx()) == -3
 
-    def test_float_division(self):
-        assert BinaryOp("/", lit(7.0), lit(2)).eval(ctx()) == 3.5
+    def test_float_division(self, ev):
+        assert ev(BinaryOp("/", lit(7.0), lit(2)), ctx()) == 3.5
 
-    def test_division_by_zero(self):
+    def test_division_by_zero(self, ev):
         with pytest.raises(TypeSystemError):
-            BinaryOp("/", lit(1), lit(0)).eval(ctx())
+            ev(BinaryOp("/", lit(1), lit(0)), ctx())
 
-    def test_modulo(self):
-        assert BinaryOp("%", lit(7), lit(3)).eval(ctx()) == 1
+    def test_modulo(self, ev):
+        assert ev(BinaryOp("%", lit(7), lit(3)), ctx()) == 1
 
-    def test_concat(self):
-        assert BinaryOp("||", lit("a"), lit("b")).eval(ctx()) == "ab"
+    def test_concat(self, ev):
+        assert ev(BinaryOp("||", lit("a"), lit("b")), ctx()) == "ab"
 
-    def test_null_propagates(self):
-        assert BinaryOp("+", lit(None), lit(3)).eval(ctx()) is None
+    def test_null_propagates(self, ev):
+        assert ev(BinaryOp("+", lit(None), lit(3)), ctx()) is None
 
-    def test_unary_minus(self):
-        assert UnaryOp("-", lit(5)).eval(ctx()) == -5
-        assert UnaryOp("-", lit(None)).eval(ctx()) is None
+    def test_unary_minus(self, ev):
+        assert ev(UnaryOp("-", lit(5)), ctx()) == -5
+        assert ev(UnaryOp("-", lit(None)), ctx()) is None
 
 
 class TestComparison:
-    def test_operators(self):
-        assert Comparison("=", lit(1), lit(1)).eval(ctx()) is True
-        assert Comparison("<>", lit(1), lit(2)).eval(ctx()) is True
-        assert Comparison("<", lit(1), lit(2)).eval(ctx()) is True
-        assert Comparison(">=", lit(2), lit(2)).eval(ctx()) is True
+    def test_operators(self, ev):
+        assert ev(Comparison("=", lit(1), lit(1)), ctx()) is True
+        assert ev(Comparison("<>", lit(1), lit(2)), ctx()) is True
+        assert ev(Comparison("<", lit(1), lit(2)), ctx()) is True
+        assert ev(Comparison(">=", lit(2), lit(2)), ctx()) is True
 
-    def test_null_comparison_is_null(self):
-        assert Comparison("=", lit(None), lit(None)).eval(ctx()) is None
-        assert Comparison("<", lit(1), lit(None)).eval(ctx()) is None
+    def test_null_comparison_is_null(self, ev):
+        assert ev(Comparison("=", lit(None), lit(None)), ctx()) is None
+        assert ev(Comparison("<", lit(1), lit(None)), ctx()) is None
 
-    def test_incomparable_types_raise(self):
+    def test_incomparable_types_raise(self, ev):
         with pytest.raises(TypeSystemError):
-            Comparison("<", lit("a"), lit(1)).eval(ctx())
+            ev(Comparison("<", lit("a"), lit(1)), ctx())
 
 
 class TestThreeValuedLogic:
-    def test_and_short_circuit_false(self):
+    def test_and_short_circuit_false(self, ev):
         # FALSE AND NULL = FALSE
         expr = BooleanOp("AND", (lit(False), lit(None)))
-        assert expr.eval(ctx()) is False
+        assert ev(expr, ctx()) is False
 
-    def test_and_with_null_and_true_is_null(self):
+    def test_and_with_null_and_true_is_null(self, ev):
         expr = BooleanOp("AND", (lit(True), lit(None)))
-        assert expr.eval(ctx()) is None
+        assert ev(expr, ctx()) is None
 
-    def test_or_short_circuit_true(self):
+    def test_or_short_circuit_true(self, ev):
         # TRUE OR NULL = TRUE
         expr = BooleanOp("OR", (lit(True), lit(None)))
-        assert expr.eval(ctx()) is True
+        assert ev(expr, ctx()) is True
 
-    def test_or_with_null_and_false_is_null(self):
+    def test_or_with_null_and_false_is_null(self, ev):
         expr = BooleanOp("OR", (lit(False), lit(None)))
-        assert expr.eval(ctx()) is None
+        assert ev(expr, ctx()) is None
 
-    def test_not(self):
-        assert NotOp(lit(True)).eval(ctx()) is False
-        assert NotOp(lit(None)).eval(ctx()) is None
+    def test_not(self, ev):
+        assert ev(NotOp(lit(True)), ctx()) is False
+        assert ev(NotOp(lit(None)), ctx()) is None
 
 
 class TestPredicates:
-    def test_in_list(self):
-        assert InList(lit(2), (lit(1), lit(2))).eval(ctx()) is True
-        assert InList(lit(3), (lit(1), lit(2))).eval(ctx()) is False
+    def test_in_list(self, ev):
+        assert ev(InList(lit(2), (lit(1), lit(2))), ctx()) is True
+        assert ev(InList(lit(3), (lit(1), lit(2))), ctx()) is False
 
-    def test_not_in(self):
-        assert InList(lit(3), (lit(1), lit(2)), negated=True).eval(ctx()) is True
+    def test_not_in(self, ev):
+        assert ev(InList(lit(3), (lit(1), lit(2)), negated=True), ctx()) is True
 
-    def test_in_with_null_option_not_found_is_null(self):
+    def test_in_with_null_option_not_found_is_null(self, ev):
         # 3 IN (1, NULL) is NULL, not FALSE
-        assert InList(lit(3), (lit(1), lit(None))).eval(ctx()) is None
+        assert ev(InList(lit(3), (lit(1), lit(None))), ctx()) is None
 
-    def test_in_found_beats_null(self):
-        assert InList(lit(1), (lit(None), lit(1))).eval(ctx()) is True
+    def test_in_found_beats_null(self, ev):
+        assert ev(InList(lit(1), (lit(None), lit(1))), ctx()) is True
 
-    def test_between(self):
-        assert Between(lit(5), lit(1), lit(10)).eval(ctx()) is True
-        assert Between(lit(0), lit(1), lit(10)).eval(ctx()) is False
-        assert Between(lit(0), lit(1), lit(10), negated=True).eval(ctx()) is True
+    def test_between(self, ev):
+        assert ev(Between(lit(5), lit(1), lit(10)), ctx()) is True
+        assert ev(Between(lit(0), lit(1), lit(10)), ctx()) is False
+        assert ev(Between(lit(0), lit(1), lit(10), negated=True), ctx()) is True
 
-    def test_between_null(self):
-        assert Between(lit(None), lit(1), lit(10)).eval(ctx()) is None
+    def test_between_null(self, ev):
+        assert ev(Between(lit(None), lit(1), lit(10)), ctx()) is None
 
-    def test_is_null(self):
-        assert IsNull(lit(None)).eval(ctx()) is True
-        assert IsNull(lit(1)).eval(ctx()) is False
-        assert IsNull(lit(1), negated=True).eval(ctx()) is True
+    def test_is_null(self, ev):
+        assert ev(IsNull(lit(None)), ctx()) is True
+        assert ev(IsNull(lit(1)), ctx()) is False
+        assert ev(IsNull(lit(1), negated=True), ctx()) is True
 
 
 class TestLike:
@@ -175,37 +243,37 @@ class TestLike:
             ("ab", "a_b", False),
         ],
     )
-    def test_patterns(self, value, pattern, expected):
-        assert Like(lit(value), lit(pattern)).eval(ctx()) is expected
+    def test_patterns(self, ev, value, pattern, expected):
+        assert ev(Like(lit(value), lit(pattern)), ctx()) is expected
 
-    def test_not_like(self):
-        assert Like(lit("x"), lit("y"), negated=True).eval(ctx()) is True
+    def test_not_like(self, ev):
+        assert ev(Like(lit("x"), lit("y"), negated=True), ctx()) is True
 
-    def test_null_like_is_null(self):
-        assert Like(lit(None), lit("%")).eval(ctx()) is None
+    def test_null_like_is_null(self, ev):
+        assert ev(Like(lit(None), lit("%")), ctx()) is None
 
 
 class TestFunctions:
-    def test_scalar_functions(self):
-        assert FunctionCall("abs", (lit(-5),)).eval(ctx()) == 5
-        assert FunctionCall("upper", (lit("ab"),)).eval(ctx()) == "AB"
-        assert FunctionCall("lower", (lit("AB"),)).eval(ctx()) == "ab"
-        assert FunctionCall("length", (lit("abc"),)).eval(ctx()) == 3
-        assert FunctionCall("sqrt", (lit(9),)).eval(ctx()) == 3.0
-        assert FunctionCall("floor", (lit(1.7),)).eval(ctx()) == 1
-        assert FunctionCall("ceil", (lit(1.2),)).eval(ctx()) == 2
+    def test_scalar_functions(self, ev):
+        assert ev(FunctionCall("abs", (lit(-5),)), ctx()) == 5
+        assert ev(FunctionCall("upper", (lit("ab"),)), ctx()) == "AB"
+        assert ev(FunctionCall("lower", (lit("AB"),)), ctx()) == "ab"
+        assert ev(FunctionCall("length", (lit("abc"),)), ctx()) == 3
+        assert ev(FunctionCall("sqrt", (lit(9),)), ctx()) == 3.0
+        assert ev(FunctionCall("floor", (lit(1.7),)), ctx()) == 1
+        assert ev(FunctionCall("ceil", (lit(1.2),)), ctx()) == 2
 
-    def test_coalesce(self):
+    def test_coalesce(self, ev):
         expr = FunctionCall("coalesce", (lit(None), lit(None), lit(3)))
-        assert expr.eval(ctx()) == 3
-        assert FunctionCall("coalesce", (lit(None),)).eval(ctx()) is None
+        assert ev(expr, ctx()) == 3
+        assert ev(FunctionCall("coalesce", (lit(None),)), ctx()) is None
 
-    def test_null_arg_yields_null(self):
-        assert FunctionCall("abs", (lit(None),)).eval(ctx()) is None
+    def test_null_arg_yields_null(self, ev):
+        assert ev(FunctionCall("abs", (lit(None),)), ctx()) is None
 
-    def test_unknown_function_raises(self):
+    def test_unknown_function_raises(self, ev):
         with pytest.raises(PlanningError):
-            FunctionCall("nope", ()).eval(ctx())
+            ev(FunctionCall("nope", ()), ctx())
 
 
 class TestTreeUtilities:
@@ -222,9 +290,9 @@ class TestTreeUtilities:
         expr = BinaryOp("+", Parameter(1), Parameter(0))
         assert [p.index for p in find_parameters(expr)] == [1, 0]
 
-    def test_aggregate_eval_outside_group_raises(self):
+    def test_aggregate_eval_outside_group_raises(self, ev):
         with pytest.raises(PlanningError):
-            AggregateCall("sum", lit(1)).eval(ctx())
+            ev(AggregateCall("sum", lit(1)), ctx())
 
     def test_sql_rendering_roundtrippable_text(self):
         expr = BooleanOp(

@@ -4,8 +4,8 @@ Every differential test here drives TWO engines with identical inputs:
 
 * the *view engine* — compiled plans, a registered delta view, so eligible
   aggregate SELECTs are served from O(groups) incremental state;
-* the *oracle* — ``compile=False`` and no view, so the same SELECT runs
-  through the tree-walking interpreter's full window scan.
+* the *oracle* — :func:`tests.oracle.oracle_arm` and no view, so the same
+  SELECT runs through the tree-walking interpreter's full window scan.
 
 The two must agree bit-for-bit (values AND types — an int SUM must not
 come back as a float) on every prefix of every input sequence.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.core.engine import SStoreEngine, StreamProcedure
 from repro.core.workflow import WorkflowSpec
+from tests.oracle import oracle_arm
 
 
 class Sink(StreamProcedure):
@@ -30,12 +31,15 @@ class Sink(StreamProcedure):
 def build_engine(
     window_ddl: str,
     *,
-    compile: bool = True,
+    oracle: bool = False,
     view_sql: str | None = None,
     **kwargs,
 ) -> SStoreEngine:
-    """One engine with stream ``s (ts, g, v)``, a window, and optionally a view."""
-    eng = SStoreEngine(compile=compile, **kwargs)
+    """One engine with stream ``s (ts, g, v)``, a window, and optionally a
+    view; ``oracle=True`` runs its statements on the interpreter."""
+    eng = SStoreEngine(**kwargs)
+    if oracle:
+        oracle_arm(eng)
     eng.execute_ddl(
         "CREATE STREAM s (ts TIMESTAMP, g INTEGER, v INTEGER, f FLOAT)"
     )

@@ -2,8 +2,8 @@
 
 Two engines run every generated input sequence in lockstep: one with a
 registered delta view (compiled plans, so eligible SELECTs are lowered onto
-the view) and one with ``compile=False`` and no view (the tree-walking
-interpreter recomputing the aggregate from a full window scan).  After
+the view) and one on :func:`tests.oracle.oracle_arm` with no view (the
+tree-walking interpreter recomputing the aggregate from a full window scan).  After
 *every* ingest/tick the query results must be identical — same rows, same
 group order, same cell types (3VL NULLs included).
 
@@ -74,7 +74,7 @@ def test_tuple_window_views_match_recompute(rows, size, slide_frac):
     slide = max(1, min(size, slide_frac))
     ddl = f"CREATE WINDOW w ON s ROWS {size} SLIDE {slide}"
     view_eng = build_engine(ddl, view_sql=VIEW_SQL)
-    oracle = build_engine(ddl, compile=False)
+    oracle = build_engine(ddl, oracle=True)
     for i, (g, v, f) in enumerate(rows):
         row = (i, g, v, f)
         view_eng.ingest("s", [row])
@@ -104,7 +104,7 @@ def test_time_window_views_match_recompute(events, size, slide):
     """Time windows with late/out-of-order arrivals around every boundary."""
     ddl = f"CREATE WINDOW w ON s RANGE {size} SLIDE {slide}"
     view_eng = build_engine(ddl, view_sql=VIEW_SQL)
-    oracle = build_engine(ddl, compile=False)
+    oracle = build_engine(ddl, oracle=True)
     now = 0
     for gap, skew, g, v, f in events:
         now += gap
@@ -121,7 +121,7 @@ def test_time_window_views_match_recompute(events, size, slide):
 def test_global_aggregate_view_matches_recompute(rows, size):
     ddl = f"CREATE WINDOW w ON s ROWS {size} SLIDE 1"
     view_eng = build_engine(ddl, view_sql=GLOBAL_VIEW_SQL)
-    oracle = build_engine(ddl, compile=False)
+    oracle = build_engine(ddl, oracle=True)
     # empty window: the global aggregate still yields its defaults row
     check_pair(view_eng, oracle, [GLOBAL_QUERY])
     for i, (g, v, f) in enumerate(rows):
@@ -145,7 +145,7 @@ def test_crash_recover_rebuilds_view_state(rows, size, crash_at):
     """A crash mid-sequence must not change any subsequent answer."""
     ddl = f"CREATE WINDOW w ON s ROWS {size} SLIDE 1"
     view_eng = build_engine(ddl, view_sql=VIEW_SQL, command_logging=True)
-    oracle = build_engine(ddl, compile=False)
+    oracle = build_engine(ddl, oracle=True)
     crash_at = crash_at % len(rows)
     for i, (g, v, f) in enumerate(rows):
         row = (i, g, v, f)
@@ -157,12 +157,12 @@ def test_crash_recover_rebuilds_view_state(rows, size, crash_at):
         check_pair(view_eng, oracle, QUERIES)
 
 
-def test_compile_false_engine_never_lowers():
-    """With compile=False a registered view is maintained but never read:
-    the interpreter path stays the untouched differential oracle."""
+def test_oracle_engine_never_reads_a_view():
+    """On the oracle a registered view is maintained but never read: the
+    interpreter path stays the untouched differential oracle."""
     eng = build_engine(
         "CREATE WINDOW w ON s ROWS 4 SLIDE 1",
-        compile=False,
+        oracle=True,
         view_sql="CREATE VIEW vw AS SELECT g, COUNT(*) FROM w GROUP BY g",
     )
     for i in range(8):
@@ -174,7 +174,7 @@ def test_compile_false_engine_never_lowers():
 
 def test_view_registration_after_data_seeds_from_window():
     eng = build_engine("CREATE WINDOW w ON s ROWS 5 SLIDE 1")
-    oracle = build_engine("CREATE WINDOW w ON s ROWS 5 SLIDE 1", compile=False)
+    oracle = build_engine("CREATE WINDOW w ON s ROWS 5 SLIDE 1", oracle=True)
     for i in range(9):
         row = (i, i % 2, i, 0.5)
         eng.ingest("s", [row])
@@ -192,7 +192,7 @@ def test_drop_view_falls_back_to_scan():
     eng = build_engine(
         "CREATE WINDOW w ON s ROWS 5 SLIDE 1", view_sql=VIEW_SQL
     )
-    oracle = build_engine("CREATE WINDOW w ON s ROWS 5 SLIDE 1", compile=False)
+    oracle = build_engine("CREATE WINDOW w ON s ROWS 5 SLIDE 1", oracle=True)
     for i in range(12):
         row = (i, i % 3, i, None)
         eng.ingest("s", [row])
@@ -242,7 +242,7 @@ def test_group_before_join_reads_the_outer_side_from_the_view():
     the view sends the same statement back to the window scan."""
     ddl = "CREATE WINDOW w ON s ROWS 6 SLIDE 1"
     eng = build_engine(ddl, view_sql="CREATE VIEW vw AS SELECT g, COUNT(*), SUM(v) FROM w GROUP BY g")
-    oracle = build_engine(ddl, compile=False)
+    oracle = build_engine(ddl, oracle=True)
     query = (
         "SELECT w.g, COUNT(*), SUM(w.v) FROM w JOIN live ON live.g = w.g "
         "GROUP BY w.g ORDER BY w.g"

@@ -6,7 +6,7 @@ Three engines run every generated statement over the same data:
   column vectors for full scans (with statement-level runtime fallback);
 * *row* — :func:`tests.lanes.compiled_row_arm`: the compiled closures the
   vector lane forks from, row-at-a-time only;
-* *interpreter* — ``compile=False``: the differential oracle.
+* *interpreter* — :func:`tests.oracle.oracle_arm`: the differential oracle.
 
 All three must agree **bit-for-bit**: same rows, same order, same Python
 types per cell (an int SUM must not come back as a float — float cells are
@@ -29,6 +29,7 @@ from repro.errors import ReproError
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.procedure import StoredProcedure
 from tests.lanes import compiled_row_arm
+from tests.oracle import oracle_arm
 
 pytestmark = pytest.mark.columnar
 
@@ -117,7 +118,7 @@ AGG = st.sampled_from(
 def make_trio(rows, **kwargs) -> tuple[HStoreEngine, HStoreEngine, HStoreEngine]:
     vector = HStoreEngine(**kwargs)
     row = compiled_row_arm(HStoreEngine(**kwargs))
-    interp = HStoreEngine(compile=False, **kwargs)
+    interp = oracle_arm(HStoreEngine(**kwargs))
     for eng in (vector, row, interp):
         eng.execute_ddl(DDL)
         for i, (a, f, s) in enumerate(rows):

@@ -1,9 +1,9 @@
 """Differential fuzzing: compiled execution ≡ the tree-walking interpreter.
 
 The closure compiler (:mod:`repro.hstore.compile`) must be *semantically
-invisible*: for any statement, a ``compile=True`` engine and a
-``compile=False`` engine over the same data must produce identical rows —
-or raise the same error.  Hypothesis drives random expression trees
+invisible*: for any statement, a default engine and one on the oracle's
+runners (:func:`tests.oracle.oracle_arm`) over the same data must produce
+identical rows — or raise the same error.  Hypothesis drives random expression trees
 (rendered to SQL text, so both sides also share the parse), random rows
 with plenty of NULLs, and random parameter bindings; exceptions are
 compared as outcomes, not failures, so error-path divergence is caught
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.hstore.engine import HStoreEngine
+from tests.oracle import oracle_arm
 
 pytestmark = pytest.mark.compile
 
@@ -82,7 +83,7 @@ def bool_expr(depth: int) -> st.SearchStrategy[str]:
 
 
 def make_pair(rows) -> tuple[HStoreEngine, HStoreEngine]:
-    compiled, interpreted = HStoreEngine(), HStoreEngine(compile=False)
+    compiled, interpreted = HStoreEngine(), oracle_arm(HStoreEngine())
     for eng in (compiled, interpreted):
         eng.execute_ddl(DDL)
         for i, (a, b, s) in enumerate(rows):
@@ -206,7 +207,7 @@ def test_group_before_join_equivalent(facts, live, shape, where, tail):
         f"SELECT {keys}, COUNT(*), COUNT(f.v), SUM(f.v), MIN(f.v), MAX(f.v) "
         f"FROM f {joins} {where} GROUP BY {group_by} {tail}"
     )
-    compiled, interpreted = HStoreEngine(), HStoreEngine(compile=False)
+    compiled, interpreted = HStoreEngine(), oracle_arm(HStoreEngine())
     for eng in (compiled, interpreted):
         for ddl in GROUP_FIRST_DDL:
             eng.execute_ddl(ddl)
@@ -254,7 +255,7 @@ ORDER_TAILS = ["", "LIMIT 3", "LIMIT 5 OFFSET 2", "LIMIT 1 OFFSET 20"]
 
 
 def order_pair(rows) -> tuple[HStoreEngine, HStoreEngine]:
-    compiled, interpreted = HStoreEngine(), HStoreEngine(compile=False)
+    compiled, interpreted = HStoreEngine(), oracle_arm(HStoreEngine())
     for eng in (compiled, interpreted):
         eng.execute_ddl(ORDER_DDL)
         for n, (i, f, s) in enumerate(rows):
@@ -284,3 +285,21 @@ def test_order_by_mixed_str_and_int_key_raises_the_same_error(direction):
             eng.execute_sql(sql)
         raised.append(type(excinfo.value))
     assert raised == [TypeError, TypeError]
+
+
+@pytest.mark.parametrize("direction", ["ASC", "DESC"])
+@pytest.mark.parametrize("tail", ["", "LIMIT 1"])
+def test_order_by_mixed_key_behind_a_separating_key_sorts_like_the_oracle(
+    direction, tail
+):
+    # every row has its own leading key, so the oracle never compares the
+    # second key, whose values mix a str (row 0) with ints
+    sql = (
+        f"SELECT id FROM o ORDER BY i {direction}, "
+        f"(CASE WHEN id = 0 THEN s ELSE id END) {tail}"
+    )
+    compiled, interpreted = order_pair([(1, None, "a"), (2, None, "b"), (3, None, "c")])
+    ordered = [(0,), (1,), (2,)] if direction == "ASC" else [(2,), (1,), (0,)]
+    want = interpreted.execute_sql(sql).rows
+    assert want == (ordered[:1] if tail else ordered)
+    assert compiled.execute_sql(sql).rows == want

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import BatchFactory
 from repro.core.scheduler import StreamScheduler, StreamTask
-from repro.hstore.expression import EvalContext
 from repro.hstore.parser import parse
+from tests.oracle import OracleContext, evaluate
 
 # ---------------------------------------------------------------------------
 # expression.sql() → parse → eval equivalence
@@ -75,9 +75,9 @@ def expression_sql(draw, depth=0):
 def _eval_text(text: str, row: tuple) -> object:
     stmt = parse(f"SELECT {text} FROM t")
     expr = stmt.items[0].expr
-    ctx = EvalContext(columns={"a": 0, "b": 1}, row=row)
+    ctx = OracleContext(columns={"a": 0, "b": 1}, row=row)
     try:
-        return ("ok", expr.eval(ctx))
+        return ("ok", evaluate(expr, ctx))
     except Exception as exc:  # noqa: BLE001 - compare error classes
         return ("err", type(exc).__name__)
 
