@@ -29,7 +29,8 @@ obs:
 		--export-metrics benchmarks/_results/metrics.json
 
 # distributed streaming: workflow scheduling on the process cluster, the
-# differential ordering oracle, and streaming crash/recover equivalence
+# single-engine-vs-cluster differential report, and streaming crash/recover
+# equivalence (both judged by repro.core.recovery)
 dstream:
 	$(PYTHON) -m pytest -m dstream -q
 

@@ -21,7 +21,9 @@ from repro.bench import (
     run_voter_sstore,
     write_bench_json,
 )
-from repro.dstream.oracle import differential_report
+from repro.core.recovery import differential_report
+
+from tests.dstream.conftest import commits_of
 
 CONTESTANTS = 8
 VOTES = 400
@@ -160,9 +162,7 @@ def test_e14_cluster_vs_inprocess_throughput(benchmark, reference, save_report):
 
 def test_e14_commit_order_identical_across_worker_counts(reference):
     """The per-stream batch commit order is the same at every scale."""
-    from repro.dstream.oracle import commit_order_of
-
-    ref_order = commit_order_of(reference.app.engine)
+    ref_order = commits_of(reference.app.engine)
     for workers in (2, 4):
         result = run_voter_dstream(
             _requests(),
@@ -174,6 +174,6 @@ def test_e14_commit_order_identical_across_worker_counts(reference):
         )
         engine = result.app.engine
         try:
-            assert commit_order_of(engine) == ref_order
+            assert commits_of(engine) == ref_order
         finally:
             engine.shutdown()

@@ -48,7 +48,6 @@ from repro.core import (
     StreamProcedure,
     WorkflowSpec,
     crash_and_recover_streaming,
-    state_fingerprint,
     validate_schedule,
 )
 from repro.errors import ReproError
@@ -81,7 +80,6 @@ __all__ = [
     "StreamProcedure",
     "WorkflowSpec",
     "crash_and_recover_streaming",
-    "state_fingerprint",
     "validate_schedule",
     "ReproError",
     "FaultInjector",

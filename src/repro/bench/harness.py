@@ -114,7 +114,7 @@ def run_voter_dstream(
     """The same voter workflow, scheduled on a DStreamEngine cluster.
 
     With ``shutdown=False`` the worker processes stay alive so the caller
-    can inspect cluster state (differential oracle, schedule histories) —
+    can inspect cluster state (differential report, schedule histories) —
     the caller then owns ``result.app.engine.shutdown()``.
     """
     from repro.dstream import DStreamEngine

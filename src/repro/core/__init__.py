@@ -14,7 +14,6 @@ from repro.core.latency import LatencySummary, LatencyTracker
 from repro.core.recovery import (
     StreamingRecoveryReport,
     crash_and_recover_streaming,
-    state_fingerprint,
 )
 from repro.core.scheduler import StreamScheduler, StreamTask
 from repro.core.scope import WindowScopes
@@ -34,7 +33,6 @@ __all__ = [
     "StreamProcedure",
     "StreamingRecoveryReport",
     "crash_and_recover_streaming",
-    "state_fingerprint",
     "StreamScheduler",
     "StreamTask",
     "WindowScopes",

@@ -285,8 +285,8 @@ class SStoreEngine(HStoreEngine):
         self.schedule_history: deque[TERecord] = deque(maxlen=HISTORY_RING)
         self._commit_seq = 0
         #: input stream → (batches committed, rolling crc32 over their rows):
-        #: the differential ordering oracle compares this across deployments,
-        #: processes and restarts (kept out of fingerprints: observational)
+        #: ``observe()`` reports it as ``commits:<stream>``, so every referee
+        #: compares commit order across deployments, processes and restarts
         self.stream_commits: dict[str, tuple[int, int]] = {}
         #: (procedure, stream, origin batch id) of the TE whose failure is
         #: currently propagating — lets the cluster worker loop attribute a
@@ -797,6 +797,17 @@ class SStoreEngine(HStoreEngine):
             "latency": self.latency.summary(),
         }
 
+    def observe(self) -> dict[str, Any]:
+        """Tables and clock, plus each window's bookkeeping as
+        ``window:<name>`` (what the next slide depends on) and each input
+        stream's ``(batches, crc32)`` commit digest as ``commits:<stream>``."""
+        observation = super().observe()
+        for name, state in self.windows.items():
+            observation[f"window:{name}"] = state.dump_state()
+        for stream, commits in self.stream_commits.items():
+            observation[f"commits:{stream}"] = commits
+        return observation
+
     # ------------------------------------------------------------------
     # Stream TE execution
     # ------------------------------------------------------------------
@@ -1119,7 +1130,7 @@ class SStoreEngine(HStoreEngine):
                 name: [list(row) for row in rows]
                 for name, rows in self._ingest_buffers.items()
             },
-            # the oracle's per-stream (batches, digest) and the TE count, not
+            # the per-stream (batches, digest) and the TE count, not
             # a per-TE ledger: the snapshot stays O(streams) however long the
             # run, and a restart resumes the numbering replay then extends
             "commit_digests": dict(self.stream_commits),

@@ -350,38 +350,8 @@ class DStreamEngine(ParallelHStoreEngine):
         return count
 
     # ------------------------------------------------------------------
-    # Observation: the differential oracle's view
+    # Observation
     # ------------------------------------------------------------------
-
-    def logical_state(self) -> dict[str, list]:
-        """Canonical ``{table: sorted rows}`` across the whole cluster.
-
-        Replicated tables (identical on every worker) contribute one copy;
-        anything else — workflow-owned tables with empty non-owner replicas,
-        OLTP tables sharded by key — contributes the sorted union.
-        """
-        replies = self._broadcast(msg.OP_FINGERPRINT)
-        state: dict[str, list] = {}
-        for name in replies[0]["tables"]:
-            shards = [reply["tables"][name] for reply in replies]
-            if all(shard == shards[0] for shard in shards[1:]):
-                state[name] = shards[0]
-            else:
-                state[name] = sorted(
-                    row for shard in shards for row in shard
-                )
-        return state
-
-    def stream_commit_order(self) -> dict[str, tuple[int, int]]:
-        """Per-stream ``(batches committed, order digest)``, cluster-wide.
-
-        Every stream is consumed on exactly one worker, so that worker's
-        local digest *is* the digest of the stream's total commit order.
-        """
-        order: dict[str, tuple[int, int]] = {}
-        for state in self.dstream_status():
-            order.update(state["commit_digests"])
-        return order
 
     def schedule_histories(self) -> list[list]:
         """Per-worker recent committed-TE rings (for the E9 validator)."""

@@ -13,8 +13,8 @@ instead of only at clean quiescent points:
   drops post-flush acks, raises simulated ``OSError``\\ s, or corrupts
   snapshot files, exactly when the plan says so;
 * :class:`RecoveryEquivalenceChecker` — runs one seeded workload twice
-  (uninterrupted vs. faulted + recovered) and asserts table-by-table,
-  window-by-window state equality.
+  (uninterrupted vs. faulted + recovered) and compares the two engines'
+  ``observe()`` (tables, windows, commit digests, clock).
 
 See ``docs/INTERNALS.md`` § "Fault tolerance & fault injection" for the
 contract each injection point honors.
@@ -23,7 +23,6 @@ contract each injection point honors.
 from repro.faults.checker import (
     EquivalenceReport,
     RecoveryEquivalenceChecker,
-    full_fingerprint,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -43,5 +42,4 @@ __all__ = [
     "FaultInjector",
     "RecoveryEquivalenceChecker",
     "EquivalenceReport",
-    "full_fingerprint",
 ]

@@ -11,25 +11,27 @@ engines produced by the same factory:
    faults and is simply retried), and the client resumes.
 
 Resumption is *exactly-once*: each client operation (``ingest`` / ``tick`` /
-``call``) appends exactly one command-log record, so the number of such
-records in the recovered durable log says precisely which operations
-survived.  An
-operation whose record never became durable is retried; one whose record
-was durable but whose acknowledgement was dropped is **not** — the paper's
-command-logging contract, made testable.
+``call``) appends exactly one command-log record, so the engine's
+``durable_op_count()`` of the recovered log says precisely which operations
+survived.  An operation whose record never became durable is retried; one
+whose record was durable but whose acknowledgement was dropped is **not** —
+the paper's command-logging contract, made testable.  The count relies on
+the directory keeping the whole log (docs/INTERNALS.md §5, "Where history
+lives").
 
-At the end, table-by-table and window-by-window state must be equal.  The
-count relies on the directory keeping the whole log (docs/INTERNALS.md §5,
-"Where history lives").
+The verdict is :func:`repro.core.recovery.diverging` over the two engines'
+``observe()``: every table, window, per-stream commit digest and the clock
+must be equal, per partition or per worker.
 
-The engine factory may build an in-process engine *or* a
-:class:`repro.parallel.ParallelHStoreEngine` process cluster — the checker
-drives both through the same API.  Parallel factories must use
-``log_group_size=1`` (so every completed op's record is durable the moment
-it commits, keeping durable-record counts a prefix of the op sequence even
-when ops scatter across worker logs) and restrict ``call`` ops to
-single-partition procedures (run-everywhere commits log one record *per
-worker*, which would break the one-record-per-op count).
+The engine factory may build an in-process engine *or* a process cluster
+(:class:`repro.parallel.ParallelHStoreEngine`,
+:class:`repro.dstream.DStreamEngine`) — the checker drives all of them
+through the same API.  Parallel factories must use ``log_group_size=1`` (so
+every completed op's record is durable the moment it commits, keeping
+durable-record counts a prefix of the op sequence even when ops scatter
+across worker logs) and restrict ``call`` ops to single-partition
+procedures (run-everywhere commits log one record *per worker*, which would
+break the one-record-per-op count).
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.core.recovery import state_fingerprint, window_fingerprint
+from repro.core.recovery import diverging
 from repro.errors import InjectedFault, RecoveryError, ReproError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hstore.engine import HStoreEngine
 
-__all__ = ["Op", "EquivalenceReport", "RecoveryEquivalenceChecker", "full_fingerprint"]
+__all__ = ["Op", "EquivalenceReport", "RecoveryEquivalenceChecker"]
 
 #: one client operation: ("ingest", stream, rows) | ("tick", ticks)
 #: | ("snapshot",) | ("call", procedure_name, params)
@@ -54,30 +56,6 @@ Op = tuple
 
 #: command-log pseudo-procedures produced by exactly one client op each
 _RECORD_PER_OP = ("<ingest>", "<tick>")
-
-
-def full_fingerprint(engine: HStoreEngine) -> dict[str, Any]:
-    """Tables, windows, the logical clock and, on a streaming engine, each
-    stream's commit-order digest — everything equivalence means.
-
-    Multi-process clusters (:class:`repro.parallel.ParallelHStoreEngine`)
-    provide their own same-shaped digest via ``cluster_fingerprint()``
-    (per-worker table shards plus the tuple of worker clocks), so the
-    checker compares process clusters and in-process engines through one
-    code path.
-    """
-    cluster = getattr(engine, "cluster_fingerprint", None)
-    if cluster is not None:
-        return cluster()
-    fingerprint: dict[str, Any] = {
-        f"table:{key}": rows for key, rows in state_fingerprint(engine).items()
-    }
-    for name, digest in window_fingerprint(engine).items():
-        fingerprint[f"window:{name}"] = digest
-    fingerprint["clock"] = engine.clock.now
-    for stream, commits in getattr(engine, "stream_commits", {}).items():
-        fingerprint[f"commits:{stream}"] = commits
-    return fingerprint
 
 
 @dataclass
@@ -125,7 +103,7 @@ class RecoveryEquivalenceChecker:
         #: log procedure names produced by exactly one client op each —
         #: the pseudo-procedures plus every procedure named by a "call" op
         #: (which must therefore be a committing single-partition writer)
-        self._logged_procedures = set(_RECORD_PER_OP) | {
+        self._logged_procedures = frozenset(_RECORD_PER_OP) | {
             op[1] for op in self.ops if op[0] == "call"
         }
 
@@ -154,7 +132,7 @@ class RecoveryEquivalenceChecker:
             for op in self.ops:
                 self._apply(engine, op)
             self._quiesce(engine)
-            return full_fingerprint(engine)
+            return engine.observe()
         finally:
             self._dispose(engine)
 
@@ -216,13 +194,8 @@ class RecoveryEquivalenceChecker:
         replayed = totals["replayed"]
         torn = totals["torn"]
         snapshots_skipped = totals["snapshots_skipped"]
-        faulted = full_fingerprint(engine)
+        mismatched = diverging(reference, engine.observe())
         self._dispose(engine)
-        mismatched = sorted(
-            key
-            for key in set(reference) | set(faulted)
-            if reference.get(key) != faulted.get(key)
-        )
         return EquivalenceReport(
             equivalent=not mismatched,
             ops_total=len(self.ops),
@@ -273,17 +246,7 @@ class RecoveryEquivalenceChecker:
 
     def _resume_index(self, engine: HStoreEngine) -> int:
         """First op whose command-log record did not survive the crash."""
-        counter = getattr(engine, "durable_op_count", None)
-        if counter is not None:
-            # engines with non-trivial record accounting (a dstream cluster
-            # broadcasts each tick to every worker's log) count for us
-            durable = counter(frozenset(self._logged_procedures))
-        else:
-            durable = sum(
-                1
-                for record in engine.command_log.all_records()
-                if record.procedure in self._logged_procedures
-            )
+        durable = engine.durable_op_count(self._logged_procedures)
         index = 0
         for op in self.ops:
             if durable == 0:
@@ -322,10 +285,8 @@ class RecoveryEquivalenceChecker:
 
     @staticmethod
     def _dispose(engine: HStoreEngine) -> None:
-        """Release a discarded engine's resources (worker processes)."""
-        stop = getattr(engine, "shutdown", None)
-        if stop is not None:
-            stop()
+        """Release a discarded engine's resources (log handle, workers)."""
+        engine.shutdown()
 
     @staticmethod
     def _quiesce(engine: HStoreEngine) -> None:

@@ -967,6 +967,15 @@ class HStoreEngine:
         )
         return replayed
 
+    def durable_op_count(self, procedures: frozenset[str]) -> int:
+        """Durable command-log records naming one of ``procedures``: how many
+        client ops survived a crash, for exactly-once resumption."""
+        return sum(
+            1
+            for record in self.command_log.all_records()
+            if record.procedure in procedures
+        )
+
     def _replay_from(self, snapshot: Snapshot, records: list[LogRecord]) -> int:
         """Load ``snapshot``, then replay the ``records`` past it."""
         for partition in self.partitions:
@@ -1042,6 +1051,18 @@ class HStoreEngine:
     def table_rows(self, table_name: str, partition_id: int = 0) -> list[tuple[Any, ...]]:
         """All rows of a table on one partition (test/debug helper)."""
         return self.partitions[partition_id].ee.table(table_name).rows()
+
+    def observe(self) -> dict[str, Any]:
+        """Committed state as the referees compare it
+        (:mod:`repro.core.recovery`): each partition's sorted table rows as
+        ``p<id>:<table>``, and ``clock``."""
+        observation: dict[str, Any] = {
+            f"p{partition.partition_id}:{name}": sorted(table.rows())
+            for partition in self.partitions
+            for name, table in partition.ee.tables().items()
+        }
+        observation["clock"] = self.clock.now
+        return observation
 
     def describe(self) -> str:
         """A text summary of the catalog: tables, streams, windows, indexes,

@@ -769,12 +769,13 @@ class ExecutionEngine:
     def load_state(self, state: dict[str, Any]) -> None:
         for name, table_state in state.items():
             self.table(name).load_state(table_state)
-        # Tables present in storage but absent from the snapshot are emptied
-        # (they were created before the snapshot was taken but held no rows,
-        # or the snapshot predates them — recovery replays the rest).
+        # Tables present in storage but absent from the snapshot (the snapshot
+        # predates them, or there is none) restart as freshly created ones,
+        # rowid counter included, so an in-place recover() numbers replayed
+        # rows as a restarted process does — recovery replays the rest.
         for name, table in self._tables.items():
             if name not in state:
-                table.truncate()
+                table.load_state({"next_rowid": 0, "rows": {}})
 
 
 def bind_runner(plan: Plan) -> None:

@@ -47,6 +47,7 @@ from repro.errors import (
     PartitionError,
     ReproError,
 )
+from repro.hstore.engine import HStoreEngine
 from repro.hstore.executor import ResultSet
 from repro.hstore.procedure import ProcedureResult, StoredProcedure
 from repro.hstore.recovery import RecoveryReport
@@ -598,6 +599,9 @@ class ParallelHStoreEngine:
         )
         return totals["replayed"]
 
+    # command_log.all_records() fans out, so the in-process count applies
+    durable_op_count = HStoreEngine.durable_op_count
+
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
@@ -687,24 +691,9 @@ class ParallelHStoreEngine:
     def worker_stats(self) -> list[EngineStats]:
         return self._broadcast(msg.OP_STATS)
 
-    def cluster_state_fingerprint(self) -> dict[str, Any]:
-        """Same shape as :func:`repro.core.recovery.state_fingerprint`."""
-        fingerprint: dict[str, Any] = {}
-        for worker, reply in zip(self.workers, self._broadcast(msg.OP_FINGERPRINT)):
-            for name, rows in reply["tables"].items():
-                fingerprint[f"p{worker.worker_id}:{name}"] = rows
-        return fingerprint
-
-    def cluster_fingerprint(self) -> dict[str, Any]:
-        """Same shape as :func:`repro.faults.checker.full_fingerprint`."""
-        fingerprint: dict[str, Any] = {}
-        clocks: list[int] = []
-        for worker, reply in zip(self.workers, self._broadcast(msg.OP_FINGERPRINT)):
-            for name, rows in reply["tables"].items():
-                fingerprint[f"table:p{worker.worker_id}:{name}"] = rows
-            clocks.append(reply["clock"])
-        fingerprint["clock"] = tuple(clocks)
-        return fingerprint
+    def observe(self) -> dict[int, dict[str, Any]]:
+        """Every worker's own ``observe()``, keyed by worker id."""
+        return dict(enumerate(self._broadcast(msg.OP_OBSERVE)))
 
     def table_rows(self, table_name: str, partition_id: int | None = None) -> list:
         """All rows of a table, cluster-wide or for one worker's shard."""

@@ -50,7 +50,7 @@ __all__ = [
     "OP_FLUSH_LOG",
     "OP_LOG_RECORDS",
     "OP_STATS",
-    "OP_FINGERPRINT",
+    "OP_OBSERVE",
     "OP_TABLE_ROWS",
     "OP_DESCRIBE",
     "OP_ENABLE_DURABILITY",
@@ -95,7 +95,7 @@ OP_RESTORE = "restore"                    # payload: directory path str
 # -- observation ops ---------------------------------------------------------
 OP_LOG_RECORDS = "log_records"            # payload: None
 OP_STATS = "stats"                        # payload: None
-OP_FINGERPRINT = "fingerprint"            # payload: None
+OP_OBSERVE = "observe"                    # payload: None
 OP_TABLE_ROWS = "table_rows"              # payload: table name str
 OP_DESCRIBE = "describe"                  # payload: None
 

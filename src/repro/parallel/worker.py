@@ -486,12 +486,8 @@ class _WorkerState:
     def _op_stats(self, _payload: None):
         return self.engine.stats
 
-    def _op_fingerprint(self, _payload: None) -> dict[str, Any]:
-        tables = {
-            name: sorted(table.rows())
-            for name, table in self.engine.partitions[0].ee.tables().items()
-        }
-        return {"tables": tables, "clock": self.engine.clock.now}
+    def _op_observe(self, _payload: None) -> dict[str, Any]:
+        return self.engine.observe()
 
     def _op_table_rows(self, table_name: str) -> list:
         return self.engine.table_rows(table_name)
@@ -570,7 +566,7 @@ class _WorkerState:
         msg.OP_RESTORE: _op_restore,
         msg.OP_LOG_RECORDS: _op_log_records,
         msg.OP_STATS: _op_stats,
-        msg.OP_FINGERPRINT: _op_fingerprint,
+        msg.OP_OBSERVE: _op_observe,
         msg.OP_TABLE_ROWS: _op_table_rows,
         msg.OP_DESCRIBE: _op_describe,
         msg.OP_DEPLOY_WORKFLOW: _op_deploy_workflow,

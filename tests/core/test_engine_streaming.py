@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import SStoreEngine, StreamProcedure
-from repro.core.recovery import crash_and_recover_streaming, state_fingerprint
+from repro.core.recovery import crash_and_recover_streaming
 from repro.core.workflow import WorkflowSpec
 from repro.errors import (
     ScopeViolationError,
@@ -588,10 +588,10 @@ class TestStreamingRecovery:
         window = eng.windows["w"]
         def observe():
             buffers = {name: list(rows) for name, rows in eng._ingest_buffers.items()}
-            return state_fingerprint(eng), window.dump_state(), buffers
+            return eng.observe(), buffers
 
         before = observe()
-        assert before[1]["staging"] and before[2]["s"] == [(6,)]
+        assert before[0]["window:w"]["staging"] and before[1]["s"] == [(6,)]
         eng.take_snapshot()
 
         ee = eng.partitions[0].ee
@@ -634,6 +634,56 @@ class TestStreamingRecovery:
         assert pipeline.stream_commits == commits
         assert pipeline.latency.completed_count == 20
         assert pipeline.latency._in_flight == {}
+
+    def test_recovery_report_sees_commit_digests(self, pipeline, monkeypatch):
+        """A restore that keeps the live commit digests, so replay counts
+        every batch twice, leaves the tables right and the report wrong."""
+        restore = SStoreEngine._restore_extra
+
+        def keep_live_commits(self, extra):
+            live = self.stream_commits
+            restore(self, extra)
+            self.stream_commits = live
+
+        monkeypatch.setattr(SStoreEngine, "_restore_extra", keep_live_commits)
+        pipeline.ingest("numbers", [(i,) for i in range(6)])
+        report = crash_and_recover_streaming(pipeline)
+        assert not report.state_matches
+        assert report.mismatched_keys == ["commits:doubled", "commits:numbers"]
+        assert pipeline.stream_commits["numbers"][0] == 6
+
+    def test_recovery_report_sees_window_bookkeeping(self, monkeypatch):
+        """A restore that drops the window's staged tuples changes when the
+        next slide fires; the live rows alone would not show it."""
+        eng = SStoreEngine()
+        eng.execute_ddl("CREATE STREAM s (v INTEGER)")
+        eng.execute_ddl("CREATE WINDOW w ON s ROWS 4 SLIDE 4 OWNED BY keep")
+        eng.execute_ddl("CREATE TABLE kept (v INTEGER)")
+
+        class Keep(StreamProcedure):
+            name = "keep"
+            statements = {"ins": "INSERT INTO kept VALUES (?)"}
+
+            def run(self, ctx):
+                for (v,) in ctx.batch:
+                    ctx.execute("ins", v)
+
+        eng.register_procedure(Keep)
+        wf = WorkflowSpec("wf")
+        wf.add_node("keep", input_stream="s", batch_size=2)
+        eng.deploy_workflow(wf)
+        eng.ingest("s", [(v,) for v in range(6)])  # one slide, two staged
+        eng.take_snapshot()
+        restore = SStoreEngine._restore_extra
+
+        def forget_staging(self, extra):
+            restore(self, extra)
+            for state in self.windows.values():
+                state._staging.clear()
+
+        monkeypatch.setattr(SStoreEngine, "_restore_extra", forget_staging)
+        report = crash_and_recover_streaming(eng)
+        assert report.mismatched_keys == ["window:w"]
 
 
 class TestBoundedProcessState:

@@ -3,12 +3,13 @@
 Every builder deploys the *same* workflow script on whatever engine it is
 handed — a single-process :class:`SStoreEngine` or a
 :class:`DStreamEngine` cluster — which is what makes the differential
-oracle meaningful: identical inputs, identical deployment, two runtimes.
+report meaningful: identical inputs, identical deployment, two runtimes.
 """
 
 from __future__ import annotations
 
 from repro.core.engine import SStoreEngine
+from repro.core.recovery import logical
 from repro.core.workflow import WorkflowSpec
 from repro.dstream import DStreamEngine
 
@@ -65,6 +66,15 @@ def build_pipe_cluster(
 ) -> DStreamEngine:
     engine = DStreamEngine(workers, **kwargs)
     return build_pipe(engine, placement=placement, batch_size=batch_size)
+
+
+def commits_of(engine) -> dict[str, tuple[int, int]]:
+    """``commits:<stream>`` → ``(batches, crc32)``, wherever it committed."""
+    return {
+        key: value
+        for key, value in logical(engine.observe()).items()
+        if key.startswith("commits:")
+    }
 
 
 # ---------------------------------------------------------------------------

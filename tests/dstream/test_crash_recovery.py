@@ -14,11 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import SStoreEngine
-from repro.dstream.oracle import commit_order_of, differential_report
+from repro.core.recovery import differential_report
 from repro.faults.checker import RecoveryEquivalenceChecker
 from repro.faults.plan import FaultAction, FaultPlan
 
-from tests.dstream.conftest import build_pipe_cluster, build_pipe_single
+from tests.dstream.conftest import build_pipe_cluster, build_pipe_single, commits_of
 
 pytestmark = pytest.mark.dstream
 
@@ -48,10 +48,10 @@ def test_kill_mid_cascade_then_recover_in_place(tmp_path):
         for k in range(6, 12):
             cluster.ingest("src", [(k,)])
         cluster.advance_time(2)
-        before = cluster.cluster_state_fingerprint()
+        before = cluster.observe()
         cluster.crash()
         cluster.recover()
-        assert cluster.cluster_state_fingerprint() == before
+        assert cluster.observe() == before
 
 
 def test_restore_into_fresh_cluster_then_continue(tmp_path):
@@ -62,7 +62,7 @@ def test_restore_into_fresh_cluster_then_continue(tmp_path):
         for k in range(9):
             first.ingest("src", [(k,)])
         first.advance_time(1)
-        expected = first.cluster_state_fingerprint()
+        expected = first.observe()
 
     single = build_pipe_single()
     for k in range(9):
@@ -71,7 +71,7 @@ def test_restore_into_fresh_cluster_then_continue(tmp_path):
 
     with build_pipe_cluster(workers=2) as fresh:
         fresh.restore_from_disk(tmp_path / "d")
-        assert fresh.cluster_state_fingerprint() == expected
+        assert fresh.observe() == expected
         for k in range(9, 15):
             single.ingest("src", [(k,)])
             fresh.ingest("src", [(k,)])
@@ -80,7 +80,7 @@ def test_restore_into_fresh_cluster_then_continue(tmp_path):
         report = differential_report(single, fresh)
         assert report.equivalent, report.summary()
         # per-stream batch order survived the crash, not just final state
-        assert commit_order_of(fresh) == commit_order_of(single)
+        assert commits_of(fresh) == commits_of(single)
 
 
 def test_shard_snapshot_stays_flat_and_commit_order_survives_it(tmp_path):
@@ -112,9 +112,9 @@ def test_shard_snapshot_stays_flat_and_commit_order_survives_it(tmp_path):
         for k in range(4006, 4010):
             single.ingest("src", [(k % 50,)])
             fresh.ingest("src", [(k % 50,)])
-        order = commit_order_of(fresh)
-        assert order == commit_order_of(single)
-        assert order["src"][0] == order["mid"][0] == 2005
+        order = commits_of(fresh)
+        assert order == commits_of(single)
+        assert order["commits:src"][0] == order["commits:mid"][0] == 2005
         report = differential_report(single, fresh)
         assert report.equivalent, report.summary()
 

@@ -1,8 +1,9 @@
-"""The differential ordering oracle: single engine vs the cluster.
+"""The differential report: single engine vs the cluster.
 
 One workflow script, two runtimes.  Committed state and per-stream batch
-commit order must be indistinguishable — that is the acceptance bar for
-the distributed scheduler (ISSUE 6).
+commit order, placement folded out by ``repro.core.recovery.logical``,
+must be indistinguishable — the acceptance bar for the distributed
+scheduler.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from repro.apps.voter.workload import VoterWorkload
 from repro.core.engine import SStoreEngine
 from repro.core.workflow import WorkflowSpec
 from repro.dstream import DStreamEngine
-from repro.dstream.oracle import (
-    commit_order_of,
-    differential_report,
-    logical_state_of,
-)
+from repro.core.recovery import differential_report, diverging, logical
 
 from tests.dstream.conftest import (
     build_gps,
     build_pipe_cluster,
     build_pipe_single,
+    commits_of,
     gps_fixes,
     install_pipe_schema,
 )
@@ -55,10 +53,10 @@ def test_pipe_differential(workers, placement):
         report = differential_report(single, cluster)
         assert report.equivalent, report.summary()
         # the oracle compared something real: both streams committed batches
-        order = commit_order_of(cluster)
-        assert order["src"][0] == 8  # batches: 16 consumed rows / batch of 2
-        assert order["src"] == commit_order_of(single)["src"]
-        assert order["mid"][0] == 8
+        order = commits_of(cluster)
+        assert order["commits:src"][0] == 8  # 16 consumed rows / batch of 2
+        assert order["commits:src"] == commits_of(single)["commits:src"]
+        assert order["commits:mid"][0] == 8
     finally:
         cluster.shutdown()
 
@@ -75,7 +73,8 @@ def test_pipe_differential_with_chunked_ingest_and_ticks():
             engine.run_until_quiescent()
         report = differential_report(single, cluster)
         assert report.equivalent, report.summary()
-        assert cluster.cluster_fingerprint()["clock"] == (3, 3)
+        clocks = tuple(place["clock"] for place in cluster.observe().values())
+        assert clocks == (3, 3)
     finally:
         cluster.shutdown()
 
@@ -109,7 +108,7 @@ def test_fanout_two_consumers_coplaced():
         cluster.run_until_quiescent()
         report = differential_report(single, cluster)
         assert report.equivalent, report.summary()
-        assert len(logical_state_of(cluster)["audit_log"]) == 8
+        assert len(logical(cluster.observe())["audit_log"]) == 8
     finally:
         cluster.shutdown()
 
@@ -179,10 +178,9 @@ def test_bikeshare_gps_differential():
         report = differential_report(single, cluster)
         assert report.equivalent, report.summary()
         # the sprinting bike produced a stolen-bike alert on worker 1 only
-        state = logical_state_of(cluster)
-        assert state["alerts"], "workload never exercised detect_anomaly"
-        shards = cluster.cluster_state_fingerprint()
-        assert shards["p0:alerts"] == []
+        observation = cluster.observe()
+        assert logical(observation)["alerts"], "workload never exercised detect_anomaly"
+        assert observation[0]["p0:alerts"] == []
         # the recent_movements window statistic was maintained on worker 1
         speed = cluster.execute_sql(
             "SELECT avg_recent_speed FROM city_stats WHERE stat_id = 0"
@@ -208,4 +206,25 @@ def test_oracle_flags_divergent_commit_order():
     single_b.run_until_quiescent()
     report = differential_report(single_a, single_b)
     assert not report.equivalent
-    assert "src" in report.order_mismatches
+    assert "commits:src" in report.mismatched_keys
+
+
+def test_cluster_observation_flags_divergent_commit_order():
+    """What the crash-recovery checker compares on a cluster sees order too:
+    the same keys in opposite orders commit equal tables on both workers
+    but different commit digests on each stream."""
+    forward = build_pipe_cluster(2)
+    backward = build_pipe_cluster(2)
+    try:
+        for k in range(4):
+            forward.ingest("src", [(k,)])
+            backward.ingest("src", [(3 - k,)])
+        forward.run_until_quiescent()
+        backward.run_until_quiescent()
+        assert diverging(forward.observe(), backward.observe()) == [
+            "w0/commits:src",
+            "w1/commits:mid",
+        ]
+    finally:
+        forward.shutdown()
+        backward.shutdown()

@@ -153,11 +153,11 @@ def test_cascade_crosses_the_worker_boundary():
             cluster.ingest("src", [(k,)])
         cluster.run_until_quiescent()
         # relay's table lives on worker 0, sink's on worker 1
-        shards = cluster.cluster_state_fingerprint()
-        assert len(shards["p0:relay_log"]) == 6
-        assert shards["p1:relay_log"] == []
-        assert len(shards["p1:sink_counts"]) == 6
-        assert shards["p0:sink_counts"] == []
+        shards = cluster.observe()
+        assert len(shards[0]["p0:relay_log"]) == 6
+        assert shards[1]["p0:relay_log"] == []
+        assert len(shards[1]["p0:sink_counts"]) == 6
+        assert shards[0]["p0:sink_counts"] == []
         status = cluster.dstream_status()
         assert status[1]["watermarks"] == {"mid": 3}  # 6 rows, batch 2
         assert status[0]["watermarks"] == {}
@@ -169,9 +169,9 @@ def test_owned_table_dml_routes_to_the_owner():
         assert cluster.execute_sql(
             "INSERT INTO sink_counts (k, n) VALUES (7, 70)"
         ) == 1
-        shards = cluster.cluster_state_fingerprint()
-        assert shards["p1:sink_counts"] == [(7, 70)]
-        assert shards["p0:sink_counts"] == []
+        shards = cluster.observe()
+        assert shards[1]["p0:sink_counts"] == [(7, 70)]
+        assert shards[0]["p0:sink_counts"] == []
 
 
 def test_ordered_select_on_owned_table_is_allowed():
@@ -202,7 +202,7 @@ def test_tick_broadcast_applies_once_per_worker():
         assert cluster.advance_time(1) == 3
         for state in cluster.dstream_status():
             assert state["ticks_applied"] == 2
-        clocks = cluster.cluster_fingerprint()["clock"]
+        clocks = tuple(place["clock"] for place in cluster.observe().values())
         assert clocks == (3, 3)
 
 

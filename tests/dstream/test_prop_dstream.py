@@ -14,9 +14,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dstream.oracle import commit_order_of, differential_report
+from repro.core.recovery import differential_report
 
-from tests.dstream.conftest import build_pipe_cluster, build_pipe_single
+from tests.dstream.conftest import build_pipe_cluster, build_pipe_single, commits_of
 
 pytestmark = pytest.mark.dstream
 
@@ -65,6 +65,6 @@ def test_random_pipe_shapes_are_equivalent(case):
         cluster.run_until_quiescent()
         report = differential_report(single, cluster)
         assert report.equivalent, f"{case}: {report.summary()}"
-        assert commit_order_of(cluster) == commit_order_of(single), case
+        assert commits_of(cluster) == commits_of(single), case
     finally:
         cluster.shutdown()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.voter import VoterSStoreApp, VoterWorkload
 from repro.core.engine import SStoreEngine
-from repro.core.recovery import state_fingerprint
 from repro.errors import RecoveryError, ReproError
 from repro.hstore.cmdlog import LogRecord
 from repro.hstore.durability import DurabilityDirectory
@@ -236,13 +235,13 @@ class TestStreamingRestart:
         first.engine.enable_durability(tmp_path)
         first.submit(requests, ingest_chunk=4)
         summary_before = first.summary()
-        fingerprint_before = state_fingerprint(first.engine)
+        fingerprint_before = first.engine.observe()
         del first
 
         second = self.make_app()
         second.engine.restore_from_disk(tmp_path)
         assert second.summary() == summary_before
-        assert state_fingerprint(second.engine) == fingerprint_before
+        assert second.engine.observe() == fingerprint_before
 
     def test_voter_restart_with_snapshot_and_continue(self, tmp_path):
         requests = VoterWorkload(seed=56, num_contestants=5).generate(200)
@@ -293,14 +292,14 @@ class TestStreamingRestart:
         first.advance_time(5)
         first.ingest("s", [(3, 30)])
         first.advance_time(3)
-        fingerprint = state_fingerprint(first)
+        fingerprint = first.observe()
         clock = first.clock.now
         del first
 
         second = build()
         second.restore_from_disk(tmp_path)
         assert second.clock.now == clock
-        assert state_fingerprint(second) == fingerprint
+        assert second.observe() == fingerprint
         # the restored window keeps sliding correctly
         second.advance_time(10)
         assert second.partitions[0].ee.table("w").row_count() == 0

@@ -8,7 +8,7 @@ from repro.apps.voter import (
     VoterSStoreApp,
     VoterWorkload,
 )
-from repro.core.recovery import crash_and_recover_streaming, state_fingerprint
+from repro.core.recovery import crash_and_recover_streaming
 from repro.core.transaction import validate_schedule
 
 

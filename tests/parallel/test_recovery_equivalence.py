@@ -33,13 +33,13 @@ def test_crash_recover_in_place(tmp_path):
         cluster.take_snapshot()
         for key in range(10, 16):
             assert cluster.call_procedure("PutKV", key, f"v{key}").success
-        before = cluster.cluster_state_fingerprint()
+        before = cluster.observe()
         cluster.crash()
         with pytest.raises(ReproError, match="crashed"):
             cluster.call_procedure("PutKV", 99, "x")
         replayed = cluster.recover()
         assert replayed == 6  # snapshot covers the first ten
-        assert cluster.cluster_state_fingerprint() == before
+        assert cluster.observe() == before
 
 
 def test_restore_from_disk_into_fresh_cluster(tmp_path):
@@ -48,11 +48,11 @@ def test_restore_from_disk_into_fresh_cluster(tmp_path):
         for key in range(12):
             assert first.call_procedure("PutKV", key, f"v{key}").success
         first.call_procedure("BumpAll", 1, "fence")
-        expected = first.cluster_state_fingerprint()
+        expected = first.observe()
     with build_cluster(workers=2) as second:
         replayed = second.restore_from_disk(tmp_path / "d")
         assert replayed >= 12
-        assert second.cluster_state_fingerprint() == expected
+        assert second.observe() == expected
         report = second.last_recovery_report
         assert report is not None and report.replayed_transactions == replayed
 

@@ -12,7 +12,6 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import SStoreEngine, StreamProcedure
-from repro.core.recovery import state_fingerprint
 from repro.core.workflow import WorkflowSpec
 
 
@@ -60,21 +59,21 @@ def test_restart_roundtrip_any_history(keys, batch_size, snapshot_at, extra_keys
             first.ingest("keys", [(key,)])
             if snapshot_at is not None and index == snapshot_at:
                 first.take_snapshot()
-        fingerprint = state_fingerprint(first)
+        fingerprint = first.observe()
         clock = first.clock.now
         del first
 
         second = build(batch_size)
         second.restore_from_disk(tmp)
-        assert state_fingerprint(second) == fingerprint
+        assert second.observe() == fingerprint
         assert second.clock.now == clock
 
         # the restored engine keeps working and persisting
         for key in extra_keys:
             second.ingest("keys", [(key,)])
-        fingerprint2 = state_fingerprint(second)
+        fingerprint2 = second.observe()
         del second
 
         third = build(batch_size)
         third.restore_from_disk(tmp)
-        assert state_fingerprint(third) == fingerprint2
+        assert third.observe() == fingerprint2

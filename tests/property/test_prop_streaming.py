@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import SStoreEngine, StreamProcedure
-from repro.core.recovery import crash_and_recover_streaming, state_fingerprint
+from repro.core.recovery import crash_and_recover_streaming
 from repro.core.transaction import validate_schedule
 from repro.core.workflow import WorkflowSpec
 
