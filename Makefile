@@ -19,7 +19,9 @@ parallel:
 	$(PYTHON) -m pytest -m parallel -q
 
 # observability suite + a 2-second dashboard smoke that doubles as the
-# artifact generator (sample trace + metrics land in benchmarks/_results/)
+# artifact generator (sample trace + metrics land in benchmarks/_results/),
+# then a 2-second cluster smoke: its skew panel pulls every worker's
+# counters and hot-key sketch each frame
 obs:
 	$(PYTHON) -m pytest tests/obs -q
 	$(PYTHON) -m repro.obs.dashboard --app voter --engine sstore \
@@ -27,6 +29,8 @@ obs:
 		--export-trace benchmarks/_results/trace.jsonl \
 		--export-chrome benchmarks/_results/trace_chrome.json \
 		--export-metrics benchmarks/_results/metrics.json
+	$(PYTHON) -m repro.obs.dashboard --app voter --engine parallel \
+		--seconds 2 --plain
 
 # distributed streaming: workflow scheduling on the process cluster, the
 # single-engine-vs-cluster differential report, and streaming crash/recover

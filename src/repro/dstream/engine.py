@@ -86,10 +86,10 @@ class DStreamEngine(ParallelHStoreEngine):
         self._stream_worker: dict[str, int] = {}
         #: cluster-wide tick sequence number (broadcast dedup)
         self._tick_seq = 0
-        #: stream-health instrument caches (populated lazily when obs is on)
-        self._stream_lag_gauges: dict[str, Any] = {}
-        self._stream_depth_gauges: dict[int, Any] = {}
+        #: ingest→commit latency histograms per border stream (metrics on)
         self._stream_e2e_hists: dict[str, Any] = {}
+        if self.metrics is not None:
+            self.metrics.read(self._read_stream_health)
 
     # ------------------------------------------------------------------
     # Deployment
@@ -365,15 +365,14 @@ class DStreamEngine(ParallelHStoreEngine):
         return self._broadcast(msg.OP_DSTREAM_STATE)
 
     def stream_health(self) -> dict[str, Any]:
-        """Per-stream watermark lag + per-worker queue depths, with gauges.
+        """Per-stream watermark lag + per-worker queue depths.
 
         Watermark lag is the number of dispatched-but-not-yet-applied
         batches on a cross-worker stream: the producer's ordering token
         (``stream_seq``) minus the consumer's watermark.  At quiescence
         every lag is zero — a persistent nonzero lag means a consumer is
         falling behind its producer, the streaming half of the skew signal.
-
-        When metrics are on, the report is also published as
+        With metrics on, every registry export reads it afresh as the
         ``stream.watermark_lag{stream=}``, ``stream.outbound_depth{worker=}``
         and ``stream.pending_tes{worker=}`` gauges.
         """
@@ -400,37 +399,29 @@ class DStreamEngine(ParallelHStoreEngine):
             }
             for state in states
         }
-        if self.metrics is not None:
-            for stream_name, info in streams.items():
-                gauge = self._stream_lag_gauges.get(stream_name)
-                if gauge is None:
-                    gauge = self.metrics.gauge(
-                        "stream.watermark_lag",
-                        "dispatched-but-unapplied batches per stream",
-                        stream=stream_name,
-                    )
-                    self._stream_lag_gauges[stream_name] = gauge
-                gauge.set(info["lag"])
-            for wid, info in workers.items():
-                gauges = self._stream_depth_gauges.get(wid)
-                if gauges is None:
-                    label = str(wid)
-                    gauges = (
-                        self.metrics.gauge(
-                            "stream.outbound_depth",
-                            "undelivered cross-worker dispatches per worker",
-                            worker=label,
-                        ),
-                        self.metrics.gauge(
-                            "stream.pending_tes",
-                            "scheduled-but-unexecuted TEs per worker",
-                            worker=label,
-                        ),
-                    )
-                    self._stream_depth_gauges[wid] = gauges
-                gauges[0].set(info["outbound_depth"])
-                gauges[1].set(info["pending_tes"])
         return {"streams": streams, "workers": workers}
+
+    def _read_stream_health(self) -> list:
+        """Export rows: the ``stream_health()`` report as gauges."""
+        from repro.obs.metrics import Gauge, reading
+
+        health = self.stream_health()
+        rows = [
+            reading(
+                Gauge("stream.watermark_lag", "dispatched, unapplied batches", info["lag"]),
+                stream=stream_name,
+            )
+            for stream_name, info in health["streams"].items()
+        ]
+        for wid, info in health["workers"].items():
+            for name, help in (
+                ("outbound_depth", "undelivered cross-worker dispatches"),
+                ("pending_tes", "scheduled-but-unexecuted TEs"),
+            ):
+                rows.append(
+                    reading(Gauge(f"stream.{name}", help, info[name]), worker=str(wid))
+                )
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         alive = sum(1 for worker in self.workers if worker.alive)

@@ -71,6 +71,9 @@ __all__ = ["HStoreEngine", "PreparedInvocation", "ADHOC_RECORD"]
 #: pseudo-procedure name for command-logged ad-hoc DML statements
 ADHOC_RECORD = "<adhoc>"
 _ADHOC_META = (("kind", "adhoc"),)
+#: pending txn latency samples are folded into the histograms on the engine
+#: thread once this many accumulate between metric exports
+TXN_SAMPLE_BOUND = 4096
 
 
 @dataclass
@@ -120,25 +123,15 @@ class HStoreEngine:
                 from repro.obs.metrics import MetricsRegistry
 
                 self.metrics = MetricsRegistry()
-                # pre-register the plan-cache counters (bound, not looked up
-                # per statement) so dashboards see both at zero instead of
-                # only whichever fired first
-                self._cache_hit_counter = self.metrics.counter(
-                    "plan_cache.hits", "ad-hoc statements served from the plan cache"
-                )
-                self._cache_miss_counter = self.metrics.counter(
-                    "plan_cache.misses", "ad-hoc statements that had to be planned"
-                )
+                self.metrics.read(self._read_metrics)
         #: per-procedure instrument caches — the registry's labeled lookup
         #: (sort + string keys) is too slow to repeat on every transaction
         self._txn_hists: dict[str, "Histogram"] = {}
         self._txn_counters: dict[tuple[str, bool], "Counter"] = {}
-        #: when set (by ``defer_txn_metrics``), the txn path appends
-        #: ``(proc, duration_us, committed)`` here instead of touching the
-        #: metric objects — the net server drains it at each commit-batch
-        #: boundary, keeping the partition executor lean (the same move the
-        #: cluster workers make by piggybacking metric deltas on replies)
-        self._txn_obs: list[tuple[str, float, bool]] | None = None
+        #: ``(proc, duration_us, committed)`` per observed transaction: a
+        #: list append is all the txn path pays; the samples reach the
+        #: histograms when an export reads them or the list hits its bound
+        self._txn_samples: list[tuple[str, float, bool]] = []
         self.clock = clock if clock is not None else LogicalClock()
         self.catalog = Catalog()
         self.planner = Planner(self.catalog)
@@ -480,46 +473,29 @@ class HStoreEngine:
         else:
             result = run(*args)
         if self.metrics is not None:
-            sample = (
-                name,
-                (time.perf_counter_ns() - started_ns) / 1000.0,
-                result.success,
+            samples = self._txn_samples
+            samples.append(
+                (name, (time.perf_counter_ns() - started_ns) / 1000.0, result.success)
             )
-            if self._txn_obs is None:
-                self._record_txns([sample])
-            else:
-                self._txn_obs.append(sample)
+            if len(samples) >= TXN_SAMPLE_BOUND:
+                self._drain_txn_samples()
         return result
 
-    def defer_txn_metrics(self) -> None:
-        """Batch per-txn metric observation for an external drainer.
+    def _read_metrics(self) -> list:
+        """Export rows: the pending latency samples first, then every
+        ``EngineStats`` counter as ``engine.<name>``."""
+        from repro.obs.metrics import counter_rows
 
-        After this, the txn path appends to a plain list (~an order of
-        magnitude cheaper than histogram + counter updates) and the caller
-        owns flushing via :meth:`flush_txn_metrics`.  The net server calls
-        both: defer at start, flush on its event-loop thread after every
-        commit batch — so by the time a client holds its response, its
-        transaction is visible in the metrics.
-        """
-        if self._txn_obs is None:
-            self._txn_obs = []
+        self._drain_txn_samples()
+        return counter_rows("engine", self.stats.snapshot(), "EngineStats counter")
 
-    def flush_txn_metrics(self) -> None:
-        """Drain deferred observations into the metric instruments.
-
-        Safe to call concurrently with the engine thread appending: the
-        copy-then-delete slice only removes what was seen.
-        """
-        buf = self._txn_obs
-        if not buf:
-            return
-        entries = buf[:]
-        del buf[: len(entries)]
-        self._record_txns(entries)
-
-    def _record_txns(self, entries: list[tuple[str, float, bool]]) -> None:
-        """Feed ``(procedure, duration_us, committed)`` samples to the metrics."""
-        # a commit batch is usually one procedure over and over: cache the
+    def _drain_txn_samples(self) -> None:
+        """Fold the pending txn samples into ``txn_latency_us`` / ``txns_total``."""
+        samples = self._txn_samples
+        # copy-then-delete: an append racing an off-thread export survives
+        entries = samples[:]
+        del samples[: len(entries)]
+        # a run of samples is usually one procedure over and over: cache the
         # instruments across iterations and batch the counter increments
         hists = self._txn_hists
         last_key: str | None = None
@@ -750,12 +726,8 @@ class HStoreEngine:
         plan = cache.get(sql, version)
         if plan is not None:
             self.stats.plan_cache_hits += 1
-            if self.metrics is not None:
-                self._cache_hit_counter.inc()
             return plan
         self.stats.plan_cache_misses += 1
-        if self.metrics is not None:
-            self._cache_miss_counter.inc()
         plan = self._plan_statement(sql, ADHOC_RECORD)
         if not isinstance(plan, DdlPlan):
             cache.put(sql, version, plan)

@@ -21,8 +21,9 @@ Keying and invalidation:
   can never outlive the schema they were compiled against.
 
 The cache is bounded (default set by the engine) and evicts least-recently
-used entries.  Hits and misses are counted here and mirrored into
-``EngineStats`` / the ``repro.obs`` metrics registry by the engine.
+used entries.  Hits and misses are counted here; the engine counts its
+ad-hoc lookups in ``EngineStats``, which the ``repro.obs`` metrics
+registry reads at export.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ order** with :func:`repro.hstore.aggregate.fold`, the oracle's exact fold:
 
 * MIN/MAX: deleting a row whose value equals the cached extreme (or is
   NaN) marks the group-aggregate *dirty*; the next read rescans that one
-  group (counted in ``ivm.repairs``).  Inserts keep the strict-comparison
+  group (counted in ``ivm_repairs``).  Inserts keep the strict-comparison
   update, so tie-keeping matches the oracle without repair.
 * SUM/AVG: the first non-int value flips the group-aggregate to
   recompute-on-read (float addition does not commute bit-for-bit, so
@@ -120,28 +120,12 @@ class DeltaView:
         self.sql = sql
         self._stats = stats
         self._groups: dict[tuple[Any, ...], _Group] = {}
-        # optional repro.obs bindings (None = metrics off, zero overhead)
-        self._deltas_counter: Any = None
-        self._hits_counter: Any = None
-        self._repairs_counter: Any = None
+        # optional repro.obs binding (None = metrics off, zero overhead); the
+        # counts live in EngineStats (ivm_deltas_applied, ivm_view_hits,
+        # ivm_repairs), which the registry reads at export
         self._apply_hist: Any = None
 
     def bind_metrics(self, registry: "MetricsRegistry") -> None:
-        self._deltas_counter = registry.counter(
-            "ivm.deltas_applied",
-            "weighted window deltas folded into delta views",
-            view=self.name,
-        )
-        self._hits_counter = registry.counter(
-            "ivm.view_hits",
-            "aggregate SELECTs served from a delta view instead of a scan",
-            view=self.name,
-        )
-        self._repairs_counter = registry.counter(
-            "ivm.repairs",
-            "per-group invalidation repairs (MIN/MAX rescan, non-int SUM/AVG)",
-            view=self.name,
-        )
         self._apply_hist = registry.histogram(
             "view_apply_us",
             "time to fold one window delta batch into its views",
@@ -162,8 +146,7 @@ class DeltaView:
         started = time.perf_counter_ns() if self._apply_hist is not None else 0
         self._apply(rowids, rows, weight)
         self._stats.bump("ivm_deltas_applied", len(rows))
-        if self._deltas_counter is not None:
-            self._deltas_counter.inc(len(rows))
+        if self._apply_hist is not None:
             self._apply_hist.observe((time.perf_counter_ns() - started) / 1000.0)
 
     def _apply(
@@ -286,8 +269,6 @@ class DeltaView:
     ) -> list[tuple[Any, ...]]:
         """Extended rows (group key + aggregate values), oracle-ordered."""
         self._stats.bump("ivm_view_hits")
-        if self._hits_counter is not None:
-            self._hits_counter.inc()
         groups = self._groups
         if not groups:
             if self.group_offsets:
@@ -333,14 +314,9 @@ class DeltaView:
     def _refold(self, kind: str, offset: int, group: _Group) -> Any:
         """Recompute one aggregate of one group from its live rows, in rowid
         order — the oracle's fold, for what cannot be retracted exactly."""
-        self._note_repair()
+        self._stats.bump("ivm_repairs")
         rows = group.rows
         return fold(kind, [rows[rowid][offset] for rowid in sorted(rows)], False)
-
-    def _note_repair(self) -> None:
-        self._stats.bump("ivm_repairs")
-        if self._repairs_counter is not None:
-            self._repairs_counter.inc()
 
     # ------------------------------------------------------------------
     # Rebuild (abort rollback, recovery, initial registration)

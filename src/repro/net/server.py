@@ -76,6 +76,7 @@ from repro.errors import ConnectionClosedError, ProtocolError, ReproError
 from repro.hstore.cmdlog import CommandLog
 from repro.net import protocol as proto
 from repro.obs.http import HttpError, ObsHttpServer
+from repro.obs.metrics import Gauge, counter_rows, reading
 from repro.obs.recorder import DEFAULT_SLOW_US, FlightRecorder
 from repro.obs.trace import NULL_TRACER, TraceCollector, TraceContext, now_us
 
@@ -200,7 +201,7 @@ class NetServer:
 
         #: admitted requests not yet answered (global admission budget)
         self.inflight = 0
-        #: always-on plain counters (mirrored to ``repro.obs`` when enabled)
+        #: always-on plain counters (the metrics registry reads them at export)
         self.counters: dict[str, int] = {
             "connections_total": 0,
             "frames_in": 0,
@@ -253,33 +254,15 @@ class NetServer:
         #: event-loop and HTTP threads must not branch on it directly
         self._tracing = self._tracer.enabled
         metrics = getattr(engine, "metrics", None)
-        self._g_conns = self._g_inflight = None
         self._h_request = self._h_batch = None
-        self._metric_counters: dict[str, Any] = {}
         if metrics is not None:
-            self._g_conns = metrics.gauge("net.connections", "open client connections")
-            self._g_inflight = metrics.gauge(
-                "net.inflight", "admitted requests awaiting a response"
-            )
             self._h_request = metrics.histogram(
                 "net.request_us", "admission-to-commit latency (µs)"
             )
             self._h_batch = metrics.histogram(
                 "net.commit_batch", "requests coalesced per commit batch"
             )
-            for name in self.counters:
-                self._metric_counters[name] = metrics.counter(
-                    f"net.{name}", f"network front door: {name}"
-                )
-        # bound once for the per-request hot path (skips the dict lookup
-        # `_count` does; "requests" is the only per-request counter)
-        self._c_requests = self._metric_counters.get("requests")
-        # batch the engine's per-txn metric observation too, drained with
-        # the rest of the per-request accounting off the engine thread
-        self._flush_txn_metrics = None
-        if metrics is not None and hasattr(engine, "defer_txn_metrics"):
-            engine.defer_txn_metrics()
-            self._flush_txn_metrics = engine.flush_txn_metrics
+            metrics.read(self._read_metrics)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -325,9 +308,6 @@ class NetServer:
         if self._coalescer is not None:
             await self._coalescer
         self._executor.shutdown(wait=True)
-        if self._flush_txn_metrics is not None:
-            # nothing is appending anymore; catch any tail observations
-            self._flush_txn_metrics()
         # every admitted response is now sitting in an outbox; flush the
         # writers before tearing the sockets down
         for conn in list(self._conns.values()):
@@ -360,9 +340,7 @@ class NetServer:
         conn = _Connection(self._next_conn_id, writer)
         self._conns[conn.id] = conn
         self._handlers.add(asyncio.current_task())
-        self._count("connections_total")
-        if self._g_conns is not None:
-            self._g_conns.set(len(self._conns))
+        self.counters["connections_total"] += 1
         conn.task = asyncio.get_running_loop().create_task(self._writer_loop(conn))
         try:
             await self._read_loop(reader, conn)
@@ -382,8 +360,6 @@ class NetServer:
                 pass
             self._conns.pop(conn.id, None)
             self._handlers.discard(asyncio.current_task())
-            if self._g_conns is not None:
-                self._g_conns.set(len(self._conns))
 
     async def _read_loop(
         self, reader: asyncio.StreamReader, conn: _Connection
@@ -403,7 +379,7 @@ class NetServer:
                 # dispatching and reading until the writer drains responses
                 # (conn.inflight only changes inside this event loop, so the
                 # check-clear-wait sequence cannot race)
-                self._count("read_pauses")
+                self.counters["read_pauses"] += 1
                 conn.resume.clear()
                 await conn.resume.wait()
                 if conn.closing:
@@ -418,11 +394,11 @@ class NetServer:
             except ProtocolError as exc:
                 self._protocol_error(conn, exc)
                 return
-            self._count("frames_in", len(frames))
+            self.counters["frames_in"] += len(frames)
             pending.extend(frames)
 
     def _protocol_error(self, conn: _Connection, exc: ProtocolError) -> None:
-        self._count("protocol_errors")
+        self.counters["protocol_errors"] += 1
         self._send(conn, proto.RESP_PROTOCOL_ERROR, {"message": str(exc)}, counts=False)
 
     async def _writer_loop(self, conn: _Connection) -> None:
@@ -450,7 +426,7 @@ class NetServer:
                 if chunk:
                     writer.write(bytes(chunk))
                     self.counters["bytes_out"] += len(chunk)
-                    self._count("frames_out", frames)
+                    self.counters["frames_out"] += frames
                     # a slow client blocks here once its socket buffer
                     # fills; inflight stays pinned, so its read loop pauses
                     await writer.drain()
@@ -502,13 +478,11 @@ class NetServer:
         if self.inflight >= self.max_inflight:
             # fast-reject: the request is NOT queued and NOT executed, so
             # overload cannot build an unbounded backlog (bounded p99)
-            self._count("busy_rejected")
+            self.counters["busy_rejected"] += 1
             self._send(conn, proto.RESP_BUSY, {"id": rid}, counts=False)
             return
         self.inflight += 1
         conn.inflight += 1
-        if self._g_inflight is not None:
-            self._g_inflight.set(self.inflight)
         trace_ctx = None
         if self._tracing:
             # advisory field: malformed values are dropped, not rejected
@@ -535,12 +509,6 @@ class NetServer:
         if conn.closing:
             return
         conn.outbox.put_nowait((data, counts))
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
-        counter = self._metric_counters.get(name)
-        if counter is not None:
-            counter.inc(amount)
 
     # ------------------------------------------------------------------
     # commit coalescer (event-loop thread) + batch runner (engine thread)
@@ -595,8 +563,6 @@ class NetServer:
             for conn, data in responses:
                 self._send_bytes(conn, data, counts=True)
             self.inflight -= len(batch)
-            if self._g_inflight is not None:
-                self._g_inflight.set(self.inflight)
             if self._draining and self.inflight == 0:
                 assert self._drained is not None
                 self._drained.set()
@@ -612,13 +578,9 @@ class NetServer:
         admission to commit-batch return, ``net.request_us`` covers the
         group-commit window the ack implies.
         """
-        if self._flush_txn_metrics is not None:
-            self._flush_txn_metrics()
+        self.counters["requests"] += len(batch)
         perf = time.perf_counter()
         for req in batch:
-            self.counters["requests"] += 1
-            if self._c_requests is not None:
-                self._c_requests.inc()
             duration_us = (perf - req.submitted) * 1e6
             if self._h_request is not None:
                 self._h_request.observe(duration_us)
@@ -642,7 +604,7 @@ class NetServer:
         self, batch: list[_Request]
     ) -> list[tuple[_Connection, bytes]]:
         """Execute one coalesced batch on the engine thread, flush once."""
-        self._count("batches")
+        self.counters["batches"] += 1
         out = []
         if not self._tracing:
             for req in batch:
@@ -669,8 +631,8 @@ class NetServer:
         if log is not None and getattr(log, "enabled", False):
             flushed = log.flush()
             if flushed:
-                self._count("log_flushes")
-                self._count("flushed_records", flushed)
+                self.counters["log_flushes"] += 1
+                self.counters["flushed_records"] += flushed
             return flushed
         return 0
 
@@ -807,6 +769,15 @@ class NetServer:
             stats["id"] = rid
             return proto.RESP_STATS, stats
         raise ProtocolError(f"unexpected request frame {proto.frame_name(req.frame_type)!r}")
+
+    def _read_metrics(self) -> list:
+        """Export rows: ``net.<counter>`` plus the two live levels."""
+        return counter_rows("net", self.counters, "network front door counter") + [
+            reading(Gauge("net.connections", "open client connections", len(self._conns))),
+            reading(
+                Gauge("net.inflight", "admitted requests awaiting a response", self.inflight)
+            ),
+        ]
 
     def server_stats(self) -> dict[str, Any]:
         stats: dict[str, Any] = dict(self.counters)

@@ -7,13 +7,13 @@ substrate that makes those arguments inspectable per event:
 * :mod:`repro.obs.trace` — nestable spans with trace ids that survive the
   coordinator↔worker pipe hop, collected in a bounded ring buffer, exported
   as JSONL or Chrome ``trace_event`` JSON (opens in Perfetto);
-* :mod:`repro.obs.metrics` — counters/gauges/latency histograms with
-  Prometheus text exposition and JSON snapshots, mirroring the existing
-  ``EngineStats`` round-trip counters;
+* :mod:`repro.obs.metrics` — latency histograms with Prometheus text
+  exposition and JSON snapshots, reading the ``EngineStats`` round-trip
+  counters (and every other kept count) from their owners at export;
 * :mod:`repro.obs.config` — the :class:`ObsConfig` engines take at
   construction (default: off, one branch per hot-path site);
-* :mod:`repro.obs.telemetry` — per-partition load telemetry piggybacked on
-  worker mailbox replies, plus the Space-Saving heavy-hitter sketch;
+* :mod:`repro.obs.telemetry` — the Space-Saving heavy-hitter sketch each
+  cluster worker keeps for the coordinator's partition-skew view;
 * :mod:`repro.obs.recorder` — the flight recorder: a bounded ring of
   recent requests with span trees and a slow-transaction log, dumped to
   JSONL on error/crash/operator request;
@@ -43,7 +43,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.recorder import FlightRecorder
-from repro.obs.telemetry import PartitionTelemetry, SpaceSaving
+from repro.obs.telemetry import SpaceSaving
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -67,7 +67,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "ObsHttpServer",
-    "PartitionTelemetry",
     "Span",
     "SpaceSaving",
     "TraceCollector",

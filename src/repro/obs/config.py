@@ -8,8 +8,9 @@ tracer and the metrics registry; the fields below trim either side.
 The config is a frozen picklable dataclass because the multi-process
 deployment ships it to every :class:`~repro.parallel.worker.PartitionWorker`
 inside the worker's :class:`~repro.parallel.worker.WorkerConfig` — the
-workers build their own tracer/registry from it and stream span batches
-back over the mailbox.
+workers build their own tracer from it and stream span batches back over
+the mailbox; with ``metrics`` on each also keeps a hot-key sketch and an
+op-latency histogram for the coordinator to pull.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ class ObsConfig:
     #: throughput where the default txn/PE-trigger/workflow-level tracing
     #: stays under 5% (measured by benchmark E12).
     sql_spans: bool = False
-    #: piggyback bounded per-partition metric deltas (EngineStats deltas,
-    #: op latency, hot-key sketch) on worker mailbox replies; the
-    #: coordinator folds them into partition-labeled instruments.  Requires
-    #: ``metrics``; costs one small dict per reply (measured by E17).
-    partition_telemetry: bool = True
-    #: counter capacity of each worker's Space-Saving heavy-hitter sketch:
-    #: any key whose frequency exceeds N/k of that partition's offered keys
-    #: is guaranteed present in the top-k report
-    heavy_hitter_k: int = 16
 
     @property
     def enabled(self) -> bool:

@@ -323,13 +323,6 @@ def _skew_lines(skew: dict[str, Any]) -> list[str]:
     return lines
 
 
-def _engine_snapshot(engine: Any) -> dict[str, int]:
-    stats = engine.stats
-    if callable(stats):  # ParallelHStoreEngine.stats() vs HStoreEngine.stats
-        stats = stats()
-    return stats.snapshot()
-
-
 def _latency_lines(engine: Any) -> list[str]:
     lines: list[str] = []
     for name, labels, instrument in engine.metrics.instruments():
@@ -452,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def snapshot_now() -> dict[str, int]:
         taker = getattr(driver, "snapshot", None)
-        return taker() if taker is not None else _engine_snapshot(driver.engine)
+        return taker() if taker is not None else driver.engine.stats.snapshot()
 
     previous = snapshot_now()
     started = last_draw = time.monotonic()

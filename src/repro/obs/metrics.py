@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges and fixed-bucket latency histograms.
+"""Metrics: latency histograms, and the counts other objects keep, read at export.
 
 Where the tracer answers "where did *this* transaction's time go", the
 metrics registry answers "what is the engine doing *right now*" — the
@@ -6,12 +6,21 @@ always-on aggregates a dashboard tails and a benchmark snapshots.
 
 Three instrument types, deliberately minimal:
 
-* :class:`Counter` — monotonically increasing (txns committed, round trips);
-* :class:`Gauge` — set-to-current-value (queue depth, live stream tuples);
+* :class:`Counter` — monotonically increasing (txns by procedure);
+* :class:`Gauge` — set-to-current-value (queue depth, open connections);
 * :class:`Histogram` — fixed log-spaced microsecond buckets with
   nearest-rank percentile estimation (p50/p95/p99 transaction latency).
   Fixed buckets keep ``observe`` O(log buckets) with zero allocation,
   which is what lets tracing-on stay inside the E12 overhead budget.
+
+Each count lives once.  The registry stores only what has no other home —
+latency histograms and the per-procedure breakdowns taken with them.  A
+count or level some object already keeps (``EngineStats``, a server's
+``counters`` dict, a cluster's per-worker stats, a stream's watermark lag)
+is never copied in: its owner registers a reader with
+:meth:`MetricsRegistry.read`, and every export calls the readers for
+fresh ``(name, labels, instrument)`` rows (:func:`reading`,
+:func:`counter_rows`).
 
 Two export formats:
 
@@ -19,10 +28,6 @@ Two export formats:
   the output pastes into any Prometheus/Grafana tooling;
 * :meth:`MetricsRegistry.to_json` — a nested snapshot the TUI dashboard
   and tests consume directly.
-
-The existing :class:`~repro.hstore.stats.EngineStats` counters are mirrored
-in via :meth:`MetricsRegistry.mirror_engine_stats` — the registry does not
-replace the paper's round-trip counters, it re-exposes them.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import bisect
 import json
 import pathlib
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Union
 
 __all__ = [
     "Counter",
@@ -38,6 +43,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_US",
+    "counter_rows",
+    "reading",
 ]
 
 #: log-spaced bucket upper bounds in microseconds: 1us .. ~100s
@@ -66,17 +73,13 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str = "", value: float = 0) -> None:
         self.name = name
         self.help = help
-        self.value: float = 0
+        self.value = value
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-
-    def set_to(self, value: float) -> None:
-        """Mirror an externally tracked monotone counter (EngineStats)."""
-        self.value = value
 
 
 class Gauge:
@@ -86,10 +89,10 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str = "", value: float = 0) -> None:
         self.name = name
         self.help = help
-        self.value: float = 0
+        self.value = value
 
     def set(self, value: float) -> None:
         self.value = value
@@ -170,21 +173,43 @@ class Histogram:
         }
 
 
+Instrument = Union[Counter, Gauge, Histogram]
+#: one exported instrument: ``(name, sorted label pairs, instrument)``
+Row = tuple[str, tuple[tuple[str, str], ...], Instrument]
+
+
+def reading(instrument: Instrument, **labels: str) -> Row:
+    """The export row for an instrument a reader built or holds."""
+    return instrument.name, _label_key(labels), instrument
+
+
+def counter_rows(
+    prefix: str, counts: Mapping[str, int], help: str = "", **labels: str
+) -> list[Row]:
+    """One ``<prefix>.<name>`` counter row per entry of a flat count dict."""
+    key = _label_key(labels)
+    return [
+        (f"{prefix}.{name}", key, Counter(f"{prefix}.{name}", help, value))
+        for name, value in counts.items()
+    ]
+
+
 class MetricsRegistry:
     """A named family of counters, gauges and histograms with labels.
 
     Instruments are identified by ``(name, sorted(labels))``; asking for
     the same identity returns the same instrument, so call sites never
     need to cache handles (though hot paths should, to skip the dict
-    lookup).
+    lookup).  Values kept elsewhere are exported through :meth:`read`.
     """
 
     def __init__(self, *, namespace: str = "repro") -> None:
         self.namespace = namespace
         self._instruments: dict[
-            tuple[str, tuple[tuple[str, str], ...]], Counter | Gauge | Histogram
+            tuple[str, tuple[tuple[str, str], ...]], Instrument
         ] = {}
         self._helps: dict[str, str] = {}
+        self._readers: list[Callable[[], Iterable[Row]]] = []
 
     # -- instrument access -------------------------------------------------
 
@@ -225,27 +250,22 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(Histogram, name, help, labels, buckets=buckets)
 
-    # -- EngineStats mirroring ---------------------------------------------
-
-    def mirror_engine_stats(
-        self, snapshot: Mapping[str, int], **labels: str
-    ) -> None:
-        """Re-expose an ``EngineStats.snapshot()`` as ``engine_*`` counters.
-
-        Call with a fresh snapshot whenever an up-to-date view is needed
-        (exports below do not pull automatically — the registry has no
-        reference to the engine).
-        """
-        for name, value in snapshot.items():
-            self._get(Counter, f"engine_{name}", "", labels).set_to(value)
+    def read(self, reader: Callable[[], Iterable[Row]]) -> None:
+        """Export values another object keeps: every export calls
+        ``reader()`` and includes the rows it returns.  A row whose identity
+        an earlier reader (or a stored instrument) also produced replaces it."""
+        self._readers.append(reader)
 
     # -- export ------------------------------------------------------------
 
-    def instruments(
-        self,
-    ) -> list[tuple[str, tuple[tuple[str, str], ...], Counter | Gauge | Histogram]]:
+    def instruments(self) -> list[Row]:
+        # readers first: one may fold pending samples into stored instruments
+        read = [row for reader in self._readers for row in reader()]
+        rows = dict(self._instruments)
+        for name, key, instrument in read:
+            rows[name, key] = instrument
         return sorted(
-            ((name, key, inst) for (name, key), inst in self._instruments.items()),
+            ((name, key, inst) for (name, key), inst in rows.items()),
             key=lambda item: (item[0], item[1]),
         )
 
@@ -270,7 +290,7 @@ class MetricsRegistry:
             full = f"{self.namespace}_{name}"
             if name not in seen_header:
                 seen_header.add(name)
-                help_text = self._helps.get(name, "")
+                help_text = self._helps.get(name) or instrument.help
                 if help_text:
                     lines.append(f"# HELP {full} {help_text}")
                 lines.append(f"# TYPE {full} {instrument.kind}")

@@ -1,23 +1,18 @@
-"""Per-partition load telemetry: metric deltas and heavy-hitter sketches.
+"""The hot-key sketch behind a cluster's partition-skew view.
 
-The ROADMAP's elastic-repartitioning item triggers on "per-worker metrics
-already exported via repro.obs" — this module is where those metrics come
-from.  Every :class:`~repro.parallel.worker.PartitionWorker` keeps a
-:class:`PartitionTelemetry` next to its engine shard and piggybacks one
-bounded delta on each mailbox reply; the coordinator folds the deltas into
-partition-labeled counters/histograms in its
-:class:`~repro.obs.metrics.MetricsRegistry` and keeps the latest hot-key
-sketch per partition (see
-:meth:`~repro.parallel.engine.ParallelHStoreEngine.partition_skew`).
-
-Piggybacking, not polling: the coordinator learns each partition's load as
-a side effect of traffic it already sends, with no extra IPC round trips
-and no sampling thread.  An idle partition ships nothing — which is itself
-the skew signal.
+Every :class:`~repro.parallel.worker.PartitionWorker` running with metrics
+on offers each op's routing keys to a :class:`SpaceSaving` sketch kept
+next to its engine shard, and times the op into a ``partition.op_us``
+histogram.  Nothing rides on ordinary replies: the coordinator pulls a
+worker's ``EngineStats``, sketch and histogram in one ``OP_STATS`` round
+trip when it exports its registry or builds
+:meth:`~repro.parallel.engine.ParallelHStoreEngine.partition_skew` — the
+signal the ROADMAP's elastic-repartitioning item triggers on.
 
 The hot-key detector is the classic Space-Saving sketch (Metwally,
-Agrawal, El Abbadi 2005): ``k`` counters, O(1) memory, with two hard
-guarantees the property tests pin down (``N`` = total offered weight):
+Agrawal, El Abbadi 2005): ``k`` counters (16 per worker), O(1) memory,
+with two hard guarantees the property tests pin down (``N`` = total
+offered weight):
 
 * every estimate **overcounts**: ``true ≤ estimate ≤ true + error`` where
   ``error`` is tracked per counter and bounded by ``N / k``;
@@ -27,9 +22,9 @@ guarantees the property tests pin down (``N`` = total offered weight):
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-__all__ = ["SpaceSaving", "PartitionTelemetry"]
+__all__ = ["SpaceSaving"]
 
 
 class SpaceSaving:
@@ -121,10 +116,7 @@ class SpaceSaving:
             return 0
         return min(self._counts.values())
 
-    # -- wire form (mailbox replies are pickled; keep it plain) ----------
-
-    def to_list(self) -> list[tuple[Any, int, int]]:
-        return self.top()
+    # -- plain form ------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -145,45 +137,3 @@ class SpaceSaving:
             sketch._errors[key] = error
         return sketch
 
-
-class PartitionTelemetry:
-    """The worker-side accumulator: what rides home on each mailbox reply.
-
-    One instance per partition worker.  :meth:`drain` computes the
-    EngineStats delta since the previous reply (nonzero counters only — an
-    idle tick ships nothing), stamps the handling latency, and attaches the
-    current hot-key top-K.  The payload is a plain dict of plain values so
-    it pickles small alongside the reply tuple.
-    """
-
-    __slots__ = ("worker_id", "sketch", "_last_snapshot")
-
-    def __init__(self, worker_id: int, heavy_hitter_k: int = 16) -> None:
-        self.worker_id = worker_id
-        self.sketch = SpaceSaving(heavy_hitter_k)
-        self._last_snapshot: dict[str, int] = {}
-
-    def offer_key(self, key: Any, weight: int = 1) -> None:
-        self.sketch.offer(key, weight)
-
-    def drain(
-        self, snapshot: Mapping[str, int], op: str, op_us: float
-    ) -> dict[str, Any] | None:
-        """The per-reply payload, or ``None`` when nothing changed."""
-        last = self._last_snapshot
-        delta = {
-            name: value - last.get(name, 0)
-            for name, value in snapshot.items()
-            if value != last.get(name, 0)
-        }
-        self._last_snapshot = dict(snapshot)
-        return {
-            "stats": delta,
-            "op": op,
-            "op_us": op_us,
-            "sketch": {
-                "capacity": self.sketch.capacity,
-                "total": self.sketch.total,
-                "top": self.sketch.to_list(),
-            },
-        }

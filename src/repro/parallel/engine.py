@@ -156,13 +156,8 @@ class ParallelHStoreEngine:
                 from repro.obs.metrics import MetricsRegistry
 
                 self.metrics = MetricsRegistry()
+                self.metrics.read(self._read_metrics)
         self._call_hists: dict[str, Any] = {}
-        #: partition-labeled instrument caches + latest hot-key sketch per
-        #: worker, fed by the telemetry deltas piggybacked on replies
-        self._partition_counters: dict[tuple[int, str], Any] = {}
-        self._partition_hists: dict[int, Any] = {}
-        self._partition_sketches: dict[int, dict[str, Any]] = {}
-        self._partition_totals: dict[int, dict[str, int]] = {}
         #: local procedure instances, for routing metadata only — execution
         #: state lives in the workers
         self.procedures: dict[str, StoredProcedure] = {}
@@ -211,11 +206,9 @@ class ParallelHStoreEngine:
 
     def _collect(self, worker: PartitionWorker, seq: int, op: str) -> Any:
         self.stats_local.ipc_roundtrips += 1
-        status, payload, fired, spans, telemetry = worker.recv(seq)
+        status, payload, fired, spans = worker.recv(seq)
         if spans and self.tracer.enabled:
             self.tracer.collector.absorb(spans)
-        if telemetry is not None and self.metrics is not None:
-            self._absorb_telemetry(worker.worker_id, telemetry)
         if fired:
             self._note_fired(fired, reinstall=op != msg.OP_INSTALL_FAULTS)
         if status == msg.STATUS_OK:
@@ -606,73 +599,49 @@ class ParallelHStoreEngine:
     # Observation
     # ------------------------------------------------------------------
 
-    def _absorb_telemetry(self, worker_id: int, telemetry: dict[str, Any]) -> None:
-        """Fold one reply's piggybacked load delta into labeled metrics.
+    def _pull(self) -> list[tuple[EngineStats, Any, Any]]:
+        """One ``OP_STATS`` per worker: its ``EngineStats``, hot-key sketch
+        and ``partition.op_us`` histogram (the last two ``None`` with
+        metrics off)."""
+        return self._broadcast(msg.OP_STATS)
 
-        Counter deltas become ``partition.<counter>{partition=N}``, the op
-        latency lands in ``partition.op_us{partition=N}``, and the latest
-        hot-key sketch state replaces the previous one (it is cumulative
-        worker-side, not a delta).
-        """
-        metrics = self.metrics
-        label = str(worker_id)
-        totals = self._partition_totals.setdefault(worker_id, {})
-        for name, delta in telemetry["stats"].items():
-            totals[name] = totals.get(name, 0) + delta
-            counter = self._partition_counters.get((worker_id, name))
-            if counter is None:
-                counter = metrics.counter(
-                    f"partition.{name}",
-                    f"per-partition engine counter: {name}",
-                    partition=label,
-                )
-                self._partition_counters[(worker_id, name)] = counter
-            counter.inc(delta)
-        histogram = self._partition_hists.get(worker_id)
-        if histogram is None:
-            histogram = metrics.histogram(
-                "partition.op_us",
-                "worker-side op handling latency (µs)",
-                partition=label,
+    def _read_metrics(self) -> list:
+        """Export rows from one pull: ``partition.<counter>`` and
+        ``partition.op_us`` per worker, and the merged ``engine.<counter>``."""
+        from repro.obs.metrics import counter_rows, reading
+
+        pulled = self._pull()
+        rows = []
+        for wid, (stats, _sketch, op_us) in enumerate(pulled):
+            rows += counter_rows(
+                "partition",
+                stats.snapshot(),
+                "per-partition EngineStats counter",
+                partition=str(wid),
             )
-            self._partition_hists[worker_id] = histogram
-        histogram.observe(telemetry["op_us"])
-        sketch = telemetry.get("sketch")
-        if sketch is not None:
-            self._partition_sketches[worker_id] = sketch
+            rows.append(reading(op_us, partition=str(wid)))
+        merged = self.stats_local.copy().merge(*(stats for stats, _, _ in pulled))
+        return rows + counter_rows("engine", merged.snapshot(), "EngineStats counter")
 
     def partition_skew(self) -> dict[str, Any]:
         """The coordinator's per-partition load + hot-key view.
 
-        Built entirely from piggybacked telemetry (no extra IPC): committed
+        Built from one pull of every worker's counters and sketch: committed
         txn totals per partition, the resulting max/mean skew ratio, and
         each partition's Space-Saving top-K with its error bound.  This is
         the signal the ROADMAP's elastic-repartitioning item triggers on.
         """
-        from repro.obs.telemetry import SpaceSaving
-
         partitions: dict[int, dict[str, Any]] = {}
         committed: list[int] = []
-        for wid in range(len(self.workers)):
-            totals = self._partition_totals.get(wid, {})
-            sketch_state = self._partition_sketches.get(wid)
-            hot: list[tuple[Any, int, int]] = []
-            error_bound = 0.0
-            if sketch_state is not None:
-                sketch = SpaceSaving.from_state(
-                    sketch_state["capacity"],
-                    sketch_state["total"],
-                    sketch_state["top"],
-                )
-                hot = sketch.top(8)
-                error_bound = sketch.error_bound
-            txns = totals.get("txns_committed", 0)
-            committed.append(txns)
+        for wid, (stats, sketch, _op_us) in enumerate(self._pull()):
+            committed.append(stats.txns_committed)
             partitions[wid] = {
-                "txns_committed": txns,
-                "ops": dict(totals),
-                "hot_keys": hot,
-                "hot_key_error_bound": error_bound,
+                "txns_committed": stats.txns_committed,
+                "ops": stats.snapshot(),
+                "hot_keys": sketch.top(8) if sketch is not None else [],
+                "hot_key_error_bound": (
+                    sketch.error_bound if sketch is not None else 0.0
+                ),
             }
         total = sum(committed)
         mean = total / len(committed) if committed else 0.0
@@ -689,7 +658,7 @@ class ParallelHStoreEngine:
         return self.stats_local.copy().merge(*self.worker_stats())
 
     def worker_stats(self) -> list[EngineStats]:
-        return self._broadcast(msg.OP_STATS)
+        return [stats for stats, _sketch, _op_us in self._pull()]
 
     def observe(self) -> dict[int, dict[str, Any]]:
         """Every worker's own ``observe()``, keyed by worker id."""

@@ -8,24 +8,24 @@ Every exchange is a request/reply pair over a worker's mailbox pipes:
   payload shape is per-op; ``trace_ctx`` is the coordinator's active
   :class:`~repro.obs.trace.TraceContext` (or ``None``), which the worker
   adopts so its spans join the same trace.
-* reply: ``(seq, status, payload, fired, spans, telemetry)`` — ``status``
-  is ``"ok"``, ``"error"`` (an engine exception, serialized by name +
+* reply: ``(seq, status, payload, fired, spans)`` — ``status`` is
+  ``"ok"``, ``"error"`` (an engine exception, serialized by name +
   message) or ``"fault"`` (the deterministic fault injector fired inside
   the worker); ``fired`` lists fault-plan specs that newly fired while
   handling the request, as ``(spec_index, label)`` pairs, so the
   coordinator can keep its authoritative plan copy in sync (one-shot specs
   must not re-fire on a sibling worker); ``spans`` is the batch of finished
   worker-side spans (empty when tracing is off), absorbed into the
-  coordinator's collector; ``telemetry`` is the partition's bounded load
-  delta (nonzero ``EngineStats`` counters since the previous reply, op
-  latency, hot-key sketch — see :mod:`repro.obs.telemetry`), or ``None``
-  when partition telemetry is off.
+  coordinator's collector.  Load counters do not ride on replies: the
+  coordinator pulls them with ``OP_STATS``, whose payload is the worker's
+  ``(EngineStats, hot-key SpaceSaving, partition.op_us Histogram)`` — the
+  last two ``None`` unless metrics are on.
 
 Everything crossing a mailbox is a plain picklable value: SQL text,
 parameter tuples, procedure *classes* (pickled by reference, which is why
 registered procedures must be module-level classes), dataclasses
-(``ProcedureResult``, ``EngineStats``, ``LogRecord``) and primitive
-containers.
+(``ProcedureResult``, ``EngineStats``, ``LogRecord``), the two
+``repro.obs`` instruments above and primitive containers.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ OP_RESTORE = "restore"                    # payload: directory path str
 
 # -- observation ops ---------------------------------------------------------
 OP_LOG_RECORDS = "log_records"            # payload: None
-OP_STATS = "stats"                        # payload: None
+OP_STATS = "stats"                        # payload: None; reply: (stats, sketch, op_us)
 OP_OBSERVE = "observe"                    # payload: None
 OP_TABLE_ROWS = "table_rows"              # payload: table name str
 OP_DESCRIBE = "describe"                  # payload: None

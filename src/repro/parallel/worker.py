@@ -32,6 +32,8 @@ from repro.hstore.engine import HStoreEngine, PreparedInvocation
 from repro.hstore.parser import parse
 from repro.hstore.planner import SelectPlan
 from repro.obs.config import ObsConfig
+from repro.obs.metrics import Histogram
+from repro.obs.telemetry import SpaceSaving
 from repro.parallel import messages as msg
 
 __all__ = ["WorkerConfig", "PartitionWorker"]
@@ -100,10 +102,10 @@ class PartitionWorker:
             ) from exc
         return seq
 
-    def recv(self, expect_seq: int) -> tuple[str, Any, tuple, tuple, Any]:
-        """Take one reply; returns (status, payload, fired, spans, telemetry)."""
+    def recv(self, expect_seq: int) -> tuple[str, Any, tuple, tuple]:
+        """Take one reply; returns (status, payload, fired, spans)."""
         try:
-            seq, status, payload, fired, spans, telemetry = self._outbox.recv()
+            seq, status, payload, fired, spans = self._outbox.recv()
         except (EOFError, OSError) as exc:
             raise ReproError(
                 f"partition worker {self.worker_id} died mid-request "
@@ -114,7 +116,7 @@ class PartitionWorker:
                 f"partition worker {self.worker_id} protocol desync: "
                 f"expected reply #{expect_seq}, got #{seq}"
             )
-        return status, payload, fired, spans, telemetry
+        return status, payload, fired, spans
 
     @property
     def alive(self) -> bool:
@@ -171,17 +173,6 @@ def _worker_main(config: WorkerConfig, inbox: Any, outbox: Any) -> None:
     engine.set_tracer_identity(
         f"worker-{config.worker_id}", config.worker_id + 1
     )
-    telemetry = None
-    if (
-        config.obs is not None
-        and config.obs.metrics
-        and config.obs.partition_telemetry
-    ):
-        from repro.obs.telemetry import PartitionTelemetry
-
-        telemetry = PartitionTelemetry(
-            config.worker_id, config.obs.heavy_hitter_k
-        )
     state = _WorkerState(config, engine)
     while True:
         try:
@@ -202,8 +193,8 @@ def _worker_main(config: WorkerConfig, inbox: Any, outbox: Any) -> None:
                 tracer.suspend()
                 suspended = True
         op_start = time.perf_counter()
-        if telemetry is not None:
-            state.offer_hot_keys(telemetry, op, payload)
+        if state.hot_keys is not None:
+            state.offer_hot_keys(op, payload)
         try:
             result = state.handle(op, payload)
             status, reply = msg.STATUS_OK, result
@@ -224,23 +215,14 @@ def _worker_main(config: WorkerConfig, inbox: Any, outbox: Any) -> None:
                 tracer.resume()
             elif tracer.enabled:
                 tracer.deactivate()
+        if state.op_us is not None:
+            state.op_us.observe((time.perf_counter() - op_start) * 1e6)
         fired = state.newly_fired(fired_before)
         # finished spans ride home with the reply; the worker-side collector
         # is only a staging buffer, the coordinator's is the source of truth
         spans = tuple(tracer.collector.drain()) if tracer.enabled else ()
-        # bounded telemetry delta piggybacks on the same reply: no extra
-        # round trip, and an idle partition ships an empty stats delta
-        telemetry_payload = (
-            telemetry.drain(
-                engine.stats.snapshot(),
-                op,
-                (time.perf_counter() - op_start) * 1e6,
-            )
-            if telemetry is not None
-            else None
-        )
         try:
-            outbox.send((seq, status, reply, fired, spans, telemetry_payload))
+            outbox.send((seq, status, reply, fired, spans))
         except (BrokenPipeError, OSError):
             break
         if op == msg.OP_SHUTDOWN:
@@ -283,6 +265,16 @@ class _WorkerState:
         #: the fenced transaction of an in-flight multi-partition commit
         self.held: PreparedInvocation | None = None
         self.injector: FaultInjector | None = None
+        #: this partition's load, kept with metrics on and pulled by the
+        #: coordinator with OP_STATS: the routing keys it was offered and
+        #: how long each op took to handle
+        self.hot_keys: SpaceSaving | None = None
+        self.op_us: Histogram | None = None
+        if config.obs is not None and config.obs.metrics:
+            self.hot_keys = SpaceSaving()
+            self.op_us = Histogram(
+                "partition.op_us", "worker-side op handling latency (µs)"
+            )
 
     def fault_plan(self):
         return self.injector.plan if self.injector is not None else None
@@ -319,7 +311,7 @@ class _WorkerState:
             raise ReproError(f"worker {self.config.worker_id}: unknown op {op!r}")
         return handler(self, payload)
 
-    def offer_hot_keys(self, telemetry: Any, op: str, payload: Any) -> None:
+    def offer_hot_keys(self, op: str, payload: Any) -> None:
         """Feed this op's routing keys into the partition's hot-key sketch.
 
         The keys offered are exactly what the router hashed to land the op
@@ -332,7 +324,7 @@ class _WorkerState:
             procedure = self.engine.procedures.get(name)
             index = getattr(procedure, "partition_param", None)
             if index is not None and index < len(params):
-                telemetry.offer_key(params[index])
+                self.hot_keys.offer(params[index])
         elif op == msg.OP_INVOKE_BATCH:
             name, rows, _ = payload
             procedure = self.engine.procedures.get(name)
@@ -340,11 +332,11 @@ class _WorkerState:
             if index is not None:
                 for params in rows:
                     if index < len(params):
-                        telemetry.offer_key(params[index])
+                        self.hot_keys.offer(params[index])
         elif op == msg.OP_INGEST:
             stream_name, rows = payload
             if rows:
-                telemetry.offer_key(f"stream:{stream_name}", len(rows))
+                self.hot_keys.offer(f"stream:{stream_name}", len(rows))
 
     # -- deployment ----------------------------------------------------
 
@@ -483,8 +475,8 @@ class _WorkerState:
     def _op_log_records(self, _payload: None) -> list:
         return self.engine.command_log.all_records()
 
-    def _op_stats(self, _payload: None):
-        return self.engine.stats
+    def _op_stats(self, _payload: None) -> tuple:
+        return self.engine.stats, self.hot_keys, self.op_us
 
     def _op_observe(self, _payload: None) -> dict[str, Any]:
         return self.engine.observe()

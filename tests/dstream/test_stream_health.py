@@ -3,8 +3,8 @@
 ``stream_health()`` turns the raw per-worker dstream state into the
 operator's view of the pipeline: per-stream watermark lag (dispatched
 batches the consumer has not applied yet), per-worker queue depths, and —
-when metrics are on — the matching gauges plus the ingest→downstream-commit
-end-to-end latency histogram.
+when metrics are on — the matching gauges, read afresh at every export,
+plus the ingest→downstream-commit end-to-end latency histogram.
 """
 
 from __future__ import annotations
@@ -71,6 +71,22 @@ class TestStreamHealth:
             assert e2e[0]["labels"] == {"stream": "src"}
             assert e2e[0]["count"] == 1
             assert e2e[0]["sum"] > 0
+        finally:
+            engine.shutdown()
+
+    def test_export_reads_lag_without_a_health_call(self):
+        engine = build_pipe_cluster(workers=2, obs=ObsConfig(tracing=False))
+        try:
+            engine.ingest("src", _rows(4))
+            engine.run_until_quiescent()
+            lag = {
+                entry["labels"]["stream"]: entry["value"]
+                for entry in engine.metrics.to_json()["stream.watermark_lag"]
+            }
+            assert lag["mid"] == 0
+            assert 'repro_stream.watermark_lag{stream="mid"} 0' in (
+                engine.metrics.to_prometheus()
+            )
         finally:
             engine.shutdown()
 

@@ -181,8 +181,8 @@ class TestObsExport:
         eng.execute_sql("INSERT INTO kv VALUES (1, 'a')")
         eng.execute_sql("INSERT INTO kv VALUES (2, 'b')")
         exported = eng.metrics.to_json()
-        assert "plan_cache.misses" in exported
-        assert "plan_cache.hits" in exported
+        assert exported["engine.plan_cache_misses"][0]["value"] == 2
+        assert exported["engine.plan_cache_hits"][0]["value"] == 0
         assert "plan_compile_us" in exported
 
     def test_compile_spans_emitted_when_tracing(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import SStoreEngine, StreamProcedure
 from repro.core.workflow import WorkflowSpec
-from repro.hstore.engine import HStoreEngine
+from repro.hstore.engine import TXN_SAMPLE_BOUND, HStoreEngine
 from repro.hstore.procedure import StoredProcedure
 from repro.obs import ObsConfig
 
@@ -214,6 +214,42 @@ class TestHStoreInstrumentation:
         committed = snapshot["txns_total"][0]
         assert committed["labels"]["outcome"] == "committed"
         assert committed["value"] == 2
+
+    def test_sample_list_is_bounded_between_exports(self):
+        eng = self._engine(ObsConfig(tracing=False))
+        longest = 0
+        for k in range(10_000):
+            eng.call_procedure("tally", k, 1)
+            longest = max(longest, len(eng._txn_samples))
+        assert longest <= TXN_SAMPLE_BOUND
+        # full lists were folded in on the engine thread, not held for export
+        [latency] = eng.metrics.to_json()["txn_latency_us"]
+        assert latency["count"] == 10_000
+        assert eng._txn_samples == []
+
+
+def _exported(text: str, name: str) -> float:
+    """The value of an unlabeled series in Prometheus text exposition."""
+    [value] = [
+        line.split()[-1] for line in text.splitlines() if line.startswith(f"{name} ")
+    ]
+    return float(value)
+
+
+def test_engine_stats_exported_as_engine_counters():
+    eng = SStoreEngine(obs=ObsConfig())
+    eng.execute_ddl(
+        "CREATE TABLE tally (k INTEGER NOT NULL, amount INTEGER, PRIMARY KEY (k))"
+    )
+    eng.register_procedure(Tally)
+    for k in range(3):
+        assert eng.call_procedure("tally", k, 10).success
+    text = eng.metrics.to_prometheus()
+    stats = eng.stats
+    assert stats.txns_committed == 3
+    assert _exported(text, "repro_engine.txns_committed") == stats.txns_committed
+    assert _exported(text, "repro_engine.pe_ee_roundtrips") == stats.pe_ee_roundtrips
+    assert stats.pe_ee_roundtrips > 0
 
 
 class TestSpanForestProperty:

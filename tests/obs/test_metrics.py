@@ -8,6 +8,7 @@ import pytest
 
 from repro.hstore.stats import EngineStats
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import counter_rows, reading
 
 
 pytestmark = pytest.mark.obs
@@ -18,8 +19,6 @@ class TestInstruments:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-        counter.set_to(9)
-        assert counter.value == 9
 
     def test_gauge_moves_both_ways(self):
         gauge = Gauge("g")
@@ -70,19 +69,31 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
-    def test_mirror_engine_stats(self):
+    def test_readers_run_at_every_export(self):
         registry = MetricsRegistry()
         stats = EngineStats()
+        registry.read(lambda: counter_rows("engine", stats.snapshot()))
         stats.txns_committed = 12
-        registry.mirror_engine_stats(stats.snapshot())
-        snapshot = registry.to_json()
-        assert snapshot["engine_txns_committed"][0]["value"] == 12
-        # mirrors refresh rather than duplicate
+        assert registry.to_json()["engine.txns_committed"][0]["value"] == 12
+        # nothing was copied in: the next export reads the owner again
         stats.txns_committed = 20
-        registry.mirror_engine_stats(stats.snapshot())
         snapshot = registry.to_json()
-        assert len(snapshot["engine_txns_committed"]) == 1
-        assert snapshot["engine_txns_committed"][0]["value"] == 20
+        assert len(snapshot["engine.txns_committed"]) == 1
+        assert snapshot["engine.txns_committed"][0]["value"] == 20
+        assert "repro_engine.txns_committed 20" in registry.to_prometheus()
+
+    def test_reader_rows_carry_labels_help_and_kind(self):
+        registry = MetricsRegistry()
+        registry.read(
+            lambda: [reading(Gauge("depth", "queued items", 3), worker="1")]
+        )
+        assert registry.to_json()["depth"] == [
+            {"labels": {"worker": "1"}, "value": 3, "kind": "gauge"}
+        ]
+        text = registry.to_prometheus()
+        assert "# HELP repro_depth queued items" in text
+        assert "# TYPE repro_depth gauge" in text
+        assert 'repro_depth{worker="1"} 3' in text
 
     def test_to_json_histogram_summary(self):
         registry = MetricsRegistry()

@@ -1,11 +1,11 @@
-"""The telemetry plane's building blocks: sketch, deltas, flight recorder.
+"""The telemetry plane's building blocks: hot-key sketch, skew view, flight recorder.
 
 The Space-Saving tests pin the two guarantees the module docstring
 advertises (overcounting bracket, guaranteed presence of genuinely hot
 keys) — first on crafted streams, then property-based over arbitrary ones,
 including merges of independently-built sketches.  The cluster tests check
-the whole piggyback loop: worker deltas → coordinator partition-labeled
-metrics → ``partition_skew()``.
+the whole pull: worker counters and sketch → one ``OP_STATS`` round trip →
+coordinator partition-labeled export rows and ``partition_skew()``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.obs import FlightRecorder, ObsConfig, PartitionTelemetry, SpaceSaving
+from repro.obs import FlightRecorder, ObsConfig, SpaceSaving
 from repro.obs.trace import TraceCollector, Tracer
 
 from tests.parallel.conftest import build_cluster
@@ -143,33 +143,7 @@ def test_prop_merge_keeps_the_bracket(left, right, capacity):
 
 
 # ---------------------------------------------------------------------------
-# PartitionTelemetry: the piggyback payload
-# ---------------------------------------------------------------------------
-
-
-class TestPartitionTelemetry:
-    def test_drain_ships_nonzero_deltas_only(self):
-        telemetry = PartitionTelemetry(worker_id=3, heavy_hitter_k=4)
-        telemetry.offer_key("k1")
-        payload = telemetry.drain(
-            {"txns_committed": 2, "txns_aborted": 0}, "invoke", 41.5
-        )
-        assert payload["stats"] == {"txns_committed": 2}  # zero delta dropped
-        assert payload["op"] == "invoke"
-        assert payload["op_us"] == 41.5
-        assert payload["sketch"]["top"] == [("k1", 1, 0)]
-
-    def test_deltas_are_relative_to_previous_drain(self):
-        telemetry = PartitionTelemetry(worker_id=0)
-        telemetry.drain({"txns_committed": 5}, "invoke", 1.0)
-        second = telemetry.drain({"txns_committed": 7}, "invoke", 1.0)
-        assert second["stats"] == {"txns_committed": 2}
-        third = telemetry.drain({"txns_committed": 7}, "stats", 1.0)
-        assert third["stats"] == {}  # idle: nothing changed
-
-
-# ---------------------------------------------------------------------------
-# The full piggyback loop on a real cluster
+# The pull on a real cluster
 # ---------------------------------------------------------------------------
 
 
@@ -208,23 +182,20 @@ class TestClusterSkewTelemetry:
         finally:
             engine.shutdown()
 
-    def test_telemetry_off_ships_nothing(self):
-        engine = build_cluster(
-            workers=2, obs=ObsConfig(metrics=True, partition_telemetry=False)
-        )
+    def test_partition_counters_are_the_workers_stats(self):
+        engine = build_cluster(workers=2, obs=ObsConfig(tracing=False))
         try:
-            assert engine.call_procedure("PutKV", 1, "v").success
-            skew = engine.partition_skew()
-            # workers are enumerated (idle rows ARE the skew signal), but no
-            # telemetry ever arrived: no totals, no hot keys, no instruments
-            assert all(
-                info["ops"] == {} and info["hot_keys"] == []
-                for info in skew["partitions"].values()
-            )
-            assert not any(
-                name.startswith("partition.")
-                for name, _labels, _inst in engine.metrics.instruments()
-            )
+            for key in range(6):
+                assert engine.call_procedure("PutKV", key, "v").success
+            exported = {
+                (entry["labels"]["partition"], entry["value"])
+                for entry in engine.metrics.to_json()["partition.txns_committed"]
+            }
+            workers = engine.worker_stats()
+            assert exported == {
+                (str(wid), stats.txns_committed) for wid, stats in enumerate(workers)
+            }
+            assert sum(value for _wid, value in exported) == 6
         finally:
             engine.shutdown()
 
