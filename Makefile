@@ -4,7 +4,7 @@ export PYTHONPATH := src
 # five fixed seeds for the deterministic fault-schedule sweep
 FAULT_SEEDS ?= 0 1 7 42 1337
 
-.PHONY: test faults parallel obs compile dstream ivm net telemetry columnar bench e2e hotpath
+.PHONY: test faults parallel obs compile dstream ivm net columnar experiments e2e hotpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -68,13 +68,10 @@ net:
 columnar:
 	$(PYTHON) -m pytest -m columnar -q
 
-# telemetry-plane benchmark: default-on overhead bar (<5%), cross-process
-# trace stitch completeness, and watermark-lag fidelity on a split pipeline
-telemetry:
-	$(PYTHON) -m pytest benchmarks/bench_e17_telemetry.py -q
-
-bench:
-	$(PYTHON) -m pytest benchmarks -q
+# one check per paper claim (E1-E10, E4b, A1-A4): each asserts the claim's
+# shape and writes the table EXPERIMENTS.md cites to benchmarks/_results/
+experiments:
+	$(PYTHON) -m pytest benchmarks/bench_claims.py -q
 
 # end-to-end benchmark as a whole-stack check: the harness's self-test, then
 # a short run of all five workloads whose correctness references (season-

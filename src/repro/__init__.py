@@ -37,8 +37,8 @@ Quickstart::
     engine.ingest("readings", [(1, 0.5), (2, 1.5)])   # push-based: one call
     print(engine.execute_sql("SELECT * FROM totals ORDER BY sensor").rows)
 
-See ``README.md`` for the architecture overview and ``DESIGN.md`` for the
-paper-to-module map.
+See ``README.md`` for the architecture overview and ``docs/INTERNALS.md``
+for the paper-to-module map.
 """
 
 from repro.core import (

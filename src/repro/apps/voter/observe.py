@@ -13,7 +13,13 @@ from typing import Any
 
 from repro.hstore.engine import HStoreEngine
 
-__all__ = ["ElectionSummary", "election_summary", "leaderboards"]
+__all__ = [
+    "AnomalyReport",
+    "ElectionSummary",
+    "compare_summaries",
+    "election_summary",
+    "leaderboards",
+]
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,55 @@ class ElectionSummary:
 
     def removal_order(self) -> tuple[int, ...]:
         return tuple(contestant for _seq, contestant, _total in self.removals)
+
+
+@dataclass(frozen=True)
+class AnomalyReport:
+    """How far an execution diverged from the reference outcome."""
+
+    wrong_removals: int
+    removal_count_delta: int
+    vote_count_divergence: int
+    total_votes_delta: int
+    false_winner: bool
+
+    @property
+    def any_anomaly(self) -> bool:
+        return (
+            self.wrong_removals > 0
+            or self.removal_count_delta != 0
+            or self.vote_count_divergence > 0
+            or self.total_votes_delta != 0
+            or self.false_winner
+        )
+
+
+def compare_summaries(
+    reference: ElectionSummary, observed: ElectionSummary
+) -> AnomalyReport:
+    """Quantify the anomalies of ``observed`` relative to ``reference``."""
+    ref_removals = reference.removal_order()
+    obs_removals = observed.removal_order()
+    wrong = sum(
+        1
+        for ref, obs in zip(ref_removals, obs_removals)
+        if ref != obs
+    )
+    ref_counts = dict(reference.counts)
+    obs_counts = dict(observed.counts)
+    divergence = sum(
+        abs(ref_counts.get(key, 0) - obs_counts.get(key, 0))
+        for key in set(ref_counts) | set(obs_counts)
+    )
+    return AnomalyReport(
+        wrong_removals=wrong,
+        removal_count_delta=len(obs_removals) - len(ref_removals),
+        vote_count_divergence=divergence,
+        total_votes_delta=observed.total_votes - reference.total_votes,
+        false_winner=(
+            reference.winner is not None and observed.winner != reference.winner
+        ),
+    )
 
 
 def election_summary(engine: HStoreEngine) -> ElectionSummary:

@@ -160,7 +160,7 @@ class FaultPlan:
         points: tuple[str, ...] = INJECTION_POINTS,
         max_occurrence: int = 12,
     ) -> "FaultPlan":
-        """One seeded random fault — the unit of the E10 sweep.
+        """One seeded random fault — the unit of a seed sweep.
 
         Snapshot-path points fire far less often than log-path points (once
         per checkpoint vs. once per command), so their occurrence bound is

@@ -20,11 +20,7 @@ statement is ~a microsecond.
 
 The multi-process deployment (:mod:`repro.parallel`) adds a third real
 crossing: coordinator↔worker messages over OS pipes.  Those hops are counted
-in ``EngineStats.ipc_roundtrips`` and charged at ``ipc_us`` each.  Because
-shared-nothing workers run concurrently, a cluster's simulated elapsed time
-is *not* the sum of all partition work: :func:`cluster_cost` computes the
-makespan — coordinator-serial costs plus the busiest worker — which is what
-a deployment with one core per partition would observe.
+in ``EngineStats.ipc_roundtrips`` and charged at ``ipc_us`` each.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.hstore.stats import snapshot_delta
 
-__all__ = ["LatencyModel", "SimulatedCost", "ClusterCost", "cluster_cost", "simulated_tps"]
+__all__ = ["LatencyModel", "SimulatedCost", "simulated_tps"]
 
 
 @dataclass(frozen=True)
@@ -84,56 +80,6 @@ class SimulatedCost:
         if self.total_us <= 0:
             return float("inf")
         return transactions / (self.total_us / 1_000_000.0)
-
-
-@dataclass(frozen=True)
-class ClusterCost:
-    """Simulated cost of a shared-nothing run: coordinator + parallel workers.
-
-    The coordinator's client round trips and IPC hops are serial; each
-    worker's PE/EE/log work proceeds concurrently with its peers.  The
-    makespan is therefore the coordinator's serial time plus the slowest
-    worker — the elapsed time of a deployment with one core per partition.
-    """
-
-    coordinator: SimulatedCost
-    workers: tuple[SimulatedCost, ...]
-
-    @property
-    def makespan_us(self) -> float:
-        slowest = max((w.total_us for w in self.workers), default=0.0)
-        return self.coordinator.total_us + slowest
-
-    @property
-    def serialized_us(self) -> float:
-        """What the same work would cost with zero parallelism (one core)."""
-        return self.coordinator.total_us + sum(w.total_us for w in self.workers)
-
-    @property
-    def parallel_speedup(self) -> float:
-        """serialized / makespan — bounded by the worker count."""
-        if self.makespan_us <= 0:
-            return 1.0
-        return self.serialized_us / self.makespan_us
-
-    def throughput(self, transactions: int) -> float:
-        if self.makespan_us <= 0:
-            return float("inf")
-        return transactions / (self.makespan_us / 1_000_000.0)
-
-
-def cluster_cost(
-    coordinator_delta: dict[str, int],
-    worker_deltas: list[dict[str, int]],
-    *,
-    model: LatencyModel | None = None,
-) -> ClusterCost:
-    """Simulated cluster cost from coordinator and per-worker counter deltas."""
-    model = model or LatencyModel()
-    return ClusterCost(
-        coordinator=model.cost_of(coordinator_delta),
-        workers=tuple(model.cost_of(delta) for delta in worker_deltas),
-    )
 
 
 def simulated_tps(

@@ -53,8 +53,8 @@ Architecture (one process, two threads)::
   all land in one trace.  Requests *without* client context are head-
   sampled: 1 in ``trace_sample`` roots a server-side trace, the rest run
   with the tracer suspended and cost what an untraced engine costs — which
-  is what keeps default-on telemetry under E17's overhead bar while every
-  client-requested trace stays complete.  Every request also feeds the
+  is what keeps default-on telemetry cheap while every client-requested
+  trace stays complete.  Every request also feeds the
   :class:`~repro.obs.recorder.FlightRecorder` (bounded ring + slow log,
   auto-dumped on errors when ``flight_dir`` is set), and ``http_port``
   mounts a stdlib HTTP sidecar with ``/metrics`` (Prometheus text),

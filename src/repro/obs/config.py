@@ -35,7 +35,7 @@ class ObsConfig:
     #: off by default: a span costs a couple of microseconds and the EE
     #: executes thousands of such events per second, so they cost ~15%
     #: throughput where the default txn/PE-trigger/workflow-level tracing
-    #: stays under 5% (measured by benchmark E12).
+    #: costs a few percent (``obs.overhead_pct`` in ``benchmarks/e2e``).
     sql_spans: bool = False
 
     @property

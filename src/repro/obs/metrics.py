@@ -10,8 +10,7 @@ Three instrument types, deliberately minimal:
 * :class:`Gauge` — set-to-current-value (queue depth, open connections);
 * :class:`Histogram` — fixed log-spaced microsecond buckets with
   nearest-rank percentile estimation (p50/p95/p99 transaction latency).
-  Fixed buckets keep ``observe`` O(log buckets) with zero allocation,
-  which is what lets tracing-on stay inside the E12 overhead budget.
+  Fixed buckets keep ``observe`` O(log buckets) with zero allocation.
 
 Each count lives once.  The registry stores only what has no other home —
 latency histograms and the per-procedure breakdowns taken with them.  A

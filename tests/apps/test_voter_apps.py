@@ -184,7 +184,9 @@ class TestHStoreInterleavedAnomalies:
         anomalous = VoterHStoreApp(num_contestants=8)
         anomalous.run_interleaved(requests, clients=8, seed=3)
         violations = validate_schedule(anomalous.te_history, s_app.workflow)
-        assert violations
+        # TEs of one procedure run out of batch order, and one batch's
+        # pipeline interleaves with another's despite the shared tables
+        assert {"natural-order", "contiguity"} <= {v.rule for v in violations}
 
     def test_single_client_interleaved_is_clean(self):
         requests = VoterWorkload(seed=11, num_contestants=8).generate(200)

@@ -16,6 +16,7 @@ from repro.core.engine import SStoreEngine
 from repro.core.workflow import WorkflowSpec
 from repro.dstream import DStreamEngine
 from repro.core.recovery import differential_report, diverging, logical
+from repro.core.transaction import validate_schedule
 
 from tests.dstream.conftest import (
     build_gps,
@@ -137,6 +138,12 @@ def test_voter_differential(workers, batch_size):
         # the election-level view (ordered SELECTs over owned tables) agrees
         assert single.summary() == cluster.summary()
         assert single.leaderboards() == cluster.leaderboards()
+        # every worker's committed-TE history obeys the schedule rules the
+        # single engine does, and together they hold every TE it ran
+        histories = cluster_engine.schedule_histories()
+        for history in histories:
+            assert validate_schedule(history, single.workflow) == []
+        assert sum(map(len, histories)) == len(single.engine.schedule_history)
         # every TE expired its own input on both deployments: the same
         # tuples collected, and no <gc> transaction anywhere
         stats, reference = cluster_engine.stats, single.engine.stats

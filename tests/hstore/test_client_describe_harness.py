@@ -1,9 +1,9 @@
-"""Tests for the client session, engine.describe(), and the bench harness."""
+"""Tests for the client session, engine.describe(), and the election-summary
+comparison the E1 claim reports with."""
 
 import pytest
 
-from repro.apps.voter.observe import ElectionSummary
-from repro.bench.harness import AnomalyReport, compare_summaries, format_table
+from repro.apps.voter.observe import ElectionSummary, compare_summaries
 from repro.core.engine import SStoreEngine
 from repro.hstore.client import ClientSession
 from repro.hstore.engine import HStoreEngine
@@ -118,17 +118,3 @@ class TestCompareSummaries:
         assert report.removal_count_delta == -1
         assert report.any_anomaly
 
-
-class TestFormatTable:
-    def test_alignment(self):
-        text = format_table(["a", "long_header"], [[1, 2], [333, 4]])
-        lines = text.splitlines()
-        assert lines[0].startswith("a ")
-        assert "long_header" in lines[0]
-        assert len(lines) == 4
-        # all rows padded to equal width
-        assert len(set(len(line.rstrip()) <= len(lines[0]) for line in lines)) == 1
-
-    def test_empty_rows(self):
-        text = format_table(["x"], [])
-        assert "x" in text

@@ -110,6 +110,13 @@ class TestLatencyModel:
         cost = LatencyModel().cost_of({})
         assert cost.throughput(10) == float("inf")
 
+    def test_ipc_roundtrips_are_charged(self):
+        model = LatencyModel(client_pe_us=0, pe_ee_us=0, ee_statement_us=1,
+                             log_flush_us=0, ipc_us=10)
+        cost = model.cost_of({"ipc_roundtrips": 3})
+        assert cost.ipc_us == 30
+        assert cost.total_us == 30
+
     def test_simulated_tps_uses_committed_txns(self):
         before = {"client_pe_roundtrips": 0, "txns_committed": 0}
         after = {"client_pe_roundtrips": 10, "txns_committed": 10}
@@ -117,34 +124,3 @@ class TestLatencyModel:
             client_pe_us=100, pe_ee_us=0, ee_statement_us=0, log_flush_us=0))
         assert tps == pytest.approx(10 / (1000 / 1_000_000))
 
-
-class TestClusterCost:
-    def _model(self):
-        return LatencyModel(client_pe_us=0, pe_ee_us=0, ee_statement_us=1,
-                            log_flush_us=0, ipc_us=10)
-
-    def test_ipc_roundtrips_are_charged(self):
-        cost = self._model().cost_of({"ipc_roundtrips": 3})
-        assert cost.ipc_us == 30
-        assert cost.total_us == 30
-
-    def test_makespan_is_coordinator_plus_busiest_worker(self):
-        from repro.hstore.netsim import cluster_cost
-
-        cost = cluster_cost(
-            {"ipc_roundtrips": 2},                  # coordinator: 20us
-            [{"ee_statements": 100},                # worker A: 100us
-             {"ee_statements": 40}],                # worker B: 40us
-            model=self._model(),
-        )
-        assert cost.makespan_us == 120             # 20 + max(100, 40)
-        assert cost.serialized_us == 160           # 20 + 100 + 40
-        assert cost.parallel_speedup == pytest.approx(160 / 120)
-        assert cost.throughput(120) == pytest.approx(1_000_000.0)
-
-    def test_no_workers_degenerates_to_coordinator(self):
-        from repro.hstore.netsim import cluster_cost
-
-        cost = cluster_cost({"ee_statements": 5}, [], model=self._model())
-        assert cost.makespan_us == 5
-        assert cost.parallel_speedup == pytest.approx(1.0)

@@ -269,6 +269,8 @@ class TestVectorExecution:
         after = people_engine.stats.snapshot()
         assert after.get("point_lookups", 0) == before.get("point_lookups", 0) + 1
         assert after.get("vector_scans", 0) == before.get("vector_scans", 0)
+        # ...and never builds a column vector for the table it probes
+        assert people_engine.partitions[0].ee.table("people")._colstore is None
 
     def test_runtime_fallback_preserves_short_circuit(self, people_engine):
         # the interpreter short-circuits AND before the division for id=0

@@ -203,6 +203,16 @@ def test_drop_view_falls_back_to_scan():
     assert eng.stats.extra.get("ivm_view_hits", 0) == hits
 
 
+def test_no_view_bumps_no_ivm_counter():
+    """With no view registered the delta seam costs nothing: window
+    maintenance and aggregate scans leave no ``ivm_*`` counter behind."""
+    eng = build_engine("CREATE WINDOW w ON s ROWS 5 SLIDE 1")
+    for i in range(12):
+        eng.ingest("s", [(i, i % 3, i, None)])
+        assert eng.execute_sql(QUERIES[0]).rows
+    assert [name for name in eng.stats.snapshot() if name.startswith("ivm_")] == []
+
+
 def test_te_abort_rolls_view_back():
     """An aborted TE must leave the view exactly where it was."""
     from repro.core.engine import SStoreEngine, StreamProcedure

@@ -3,7 +3,7 @@
 The engine has no option that selects a lane: a full scan whose expressions
 lower runs on column vectors, everything else on the row closures, and the
 tree-walking interpreter (:func:`tests.oracle.oracle_arm`) is the oracle.
-The differential suites and E18 still want the middle arm — the same
+The differential suites still want the middle arm — the same
 statements through the row closures the vector lane forks from — so this
 helper builds it from the outside.
 """

@@ -8,6 +8,7 @@ be resolvable in the child.
 
 from __future__ import annotations
 
+from repro.apps.voter.procedures import ValidateVote
 from repro.errors import TransactionAborted
 from repro.hstore.procedure import StoredProcedure
 
@@ -80,3 +81,11 @@ class PoisonedEverywhere(StoredProcedure):
     def run(self, ctx, tag, note):
         ctx.execute("ins", tag, note)
         raise TransactionAborted("poisoned")
+
+
+class RoutedValidateVote(ValidateVote):
+    """Voter's SP1 routed by phone number: a single-partition transaction
+    that keeps each phone's one-vote check on one shard (``contestants`` is
+    replicated to every worker by the broadcast seeding DML)."""
+
+    partition_param = 0

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.voter import schema
+from repro.apps.voter.workload import VoterWorkload
 from repro.errors import PartitionError, ReproError, UnknownObjectError
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.partition import route_value
 from repro.parallel import ParallelHStoreEngine
 
 from tests.parallel.conftest import _DDL, _PROCEDURES, build_cluster
+from tests.parallel.procs import RoutedValidateVote
 
 pytestmark = pytest.mark.parallel
 
@@ -123,6 +126,33 @@ def test_cluster_matches_inprocess_engine_state():
         assert ref_kv == par_kv
         assert sorted(reference.table_rows("audit", 0)) == sorted(
             cluster.table_rows("audit", 0)
+        )
+    finally:
+        cluster.shutdown()
+
+
+def _voter(engine):
+    schema.install_tables(engine)
+    engine.register_procedure(RoutedValidateVote)
+    schema.seed_contestants(engine, 12)
+    return engine
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_routed_votes_commit_as_in_process_at_every_worker_count(workers):
+    """Sharding Voter's SP1 by phone changes no vote's fate: as many
+    transactions commit, and the same votes are accepted, as in process."""
+    workload = VoterWorkload(seed=4242, num_contestants=12)
+    rows = [request.as_row() for request in workload.generate(240)]
+    reference = _voter(HStoreEngine())
+    committed = sum(
+        reference.call_procedure("validate_vote", *row).success for row in rows
+    )
+    cluster = _voter(ParallelHStoreEngine(workers))
+    try:
+        assert cluster.call_many("validate_vote", rows).committed == committed
+        assert sorted(cluster.table_rows("votes")) == sorted(
+            reference.table_rows("votes")
         )
     finally:
         cluster.shutdown()
