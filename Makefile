@@ -77,11 +77,12 @@ experiments:
 # a short run of all five workloads whose correctness references (season-
 # Voter model, acked => durable, recovered == live) must hold; then a smoke
 # run of the sizing tool, whose probes name engine methods and fail loudly
-# (AttributeError) when one moves
+# (AttributeError) when one moves, and of its deterministic call count
 e2e:
 	$(PYTHON) benchmarks/e2e/run.py --selftest
 	$(PYTHON) benchmarks/e2e/run.py --quick
 	$(PYTHON) benchmarks/hotpath.py --ops 500
+	$(PYTHON) benchmarks/hotpath.py --count --ops 300
 
 # sizing tool: us/op per statement name, per emit, stream/window insert and
 # expiry, log append and transaction begin+commit for Voter and BikeShare on

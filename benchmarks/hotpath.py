@@ -4,6 +4,7 @@ beginning and ending a transaction.
 
     python benchmarks/hotpath.py                 # Voter and BikeShare
     python benchmarks/hotpath.py --app voter --ops 20000 --seed 3
+    python benchmarks/hotpath.py --count --ops 2000   # calls, not time
 
 A sizing tool, not a benchmark: it times the engine's own entry points from
 outside (class-level wrappers, removed at exit) on the same deployments
@@ -15,12 +16,20 @@ so read the rows against each other and take end-to-end numbers from
 (a window's insert under the ``emit`` that slid it) is taken out of its
 parent — so rows are disjoint; ``(unattributed)`` is the loop's time outside
 every probe: scheduling, trigger dispatch and the procedures' own Python.
+
+``--count`` replaces the timers with a ``sys.setprofile`` hook that counts
+calls instead: Python calls into ``src/repro``, all Python calls and builtin
+calls per op, the functions of ``src/repro`` called most, and the totals.
+Counts do not move with the machine's load, and two runs with the same seed
+print the same numbers, so they resolve a change far below what a wall clock
+can on a shared machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import pathlib
 import sys
 import tempfile
@@ -39,6 +48,8 @@ from repro.hstore.executor import ExecutionEngine  # noqa: E402
 
 WARMUP = {"voter": 1000, "bikeshare": 300}
 DEFAULT_OPS = {"voter": 10_000, "bikeshare": 1_500}
+#: ``--count`` attributes a call to ``src/repro`` by its code's file name
+SRC = str(ROOT / "src" / "repro") + os.sep
 
 
 class Probes:
@@ -113,8 +124,32 @@ def _transaction_row(engine: Any, name: str, *_: Any) -> str:
     return f"txn  {name}" if name.startswith("<") else "txn  begin+commit"
 
 
-def drive(app: str, ops: int, seed: int, directory: str) -> tuple[Probes, int, int]:
-    """Warm up, then run ``ops`` probed ops; returns (probes, loop ns, gc runs)."""
+class CallCounts:
+    """Counts profiler events per code object; ``sys.setprofile`` hook."""
+
+    def __init__(self) -> None:
+        self.python: dict[Any, int] = defaultdict(int)
+        self.builtin = 0
+
+    def __call__(self, frame: Any, event: str, _arg: Any) -> None:
+        if event == "call":
+            self.python[frame.f_code] += 1
+        elif event == "c_call":
+            self.builtin += 1
+
+    def install(self) -> "CallCounts":
+        sys.setprofile(self)
+        return self
+
+    def remove(self) -> None:
+        sys.setprofile(None)
+
+
+def drive(
+    app: str, ops: int, seed: int, directory: str, count: bool = False
+) -> tuple[Any, int, int]:
+    """Warm up, then run ``ops`` probed ops; returns (probes, loop ns, gc
+    runs).  With ``count`` the probes are a :class:`CallCounts`."""
     if app == "voter":
         engine = SStoreEngine(snapshot_interval=apps.VOTER_SNAPSHOT_INTERVAL)
         apps.deploy_voter(engine)
@@ -127,7 +162,7 @@ def drive(app: str, ops: int, seed: int, directory: str) -> tuple[Probes, int, i
     engine.enable_durability(directory, fsync_log=False)
     for step in steps[: WARMUP[app]]:
         step()
-    probes = install()
+    probes = CallCounts().install() if count else install()
     collections = sum(stat["collections"] for stat in gc.get_stats())
     try:
         start = time.perf_counter_ns()
@@ -161,11 +196,40 @@ def report(app: str, ops: int, probes: Probes, elapsed: int, collections: int) -
     print(f"  python gc: {collections} collections ({collections / ops:.4f}/op)")
 
 
+def report_counts(app: str, ops: int, counts: CallCounts) -> None:
+    unit = "vote" if app == "voter" else "tick"
+    ours = {
+        code: n for code, n in counts.python.items() if code.co_filename.startswith(SRC)
+    }
+    python = sum(counts.python.values())
+    total = sum(ours.values())
+    print(f"\n{app}: {ops} {unit}s, calls per {unit}")
+    print(f"  {'python calls':<44}{python / ops:>9.1f}")
+    print(f"  {'builtin calls':<44}{counts.builtin / ops:>9.1f}")
+    print(f"  {'python calls into src/repro':<44}{total / ops:>9.1f}")
+    print(f"  {'function (src/repro)':<44}{'calls/op':>9}")
+    ranked = sorted(
+        ours.items(),
+        key=lambda kv: (-kv[1], kv[0].co_filename, kv[0].co_firstlineno),
+    )
+    for code, n in ranked[:20]:
+        where = code.co_filename[len(SRC):].replace(os.sep, ".")[: -len(".py")]
+        name = f"{where}.{code.co_name}:{code.co_firstlineno}"
+        print(f"  {name:<44}{n / ops:>9.2f}")
+    print(
+        f"  total: {total} calls into src/repro, {python} python, "
+        f"{counts.builtin} builtin"
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--app", choices=("voter", "bikeshare", "both"), default="both")
     parser.add_argument("--ops", type=int, default=None, help="measured votes / ticks")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--count", action="store_true", help="count calls instead of timing them"
+    )
     args = parser.parse_args()
     for app in ("voter", "bikeshare") if args.app == "both" else (args.app,):
         ops = args.ops or DEFAULT_OPS[app]
@@ -173,8 +237,13 @@ def main() -> None:
         with tempfile.TemporaryDirectory(
             prefix="hotpath-", dir=ROOT / "benchmarks" / "_results"
         ) as directory:
-            probes, elapsed, collections = drive(app, ops, args.seed, directory)
-        report(app, ops, probes, elapsed, collections)
+            probes, elapsed, collections = drive(
+                app, ops, args.seed, directory, args.count
+            )
+        if args.count:
+            report_counts(app, ops, probes)
+        else:
+            report(app, ops, probes, elapsed, collections)
 
 
 if __name__ == "__main__":

@@ -22,14 +22,16 @@ tree-walking oracle in ``tests/oracle.py``.
 (:class:`CompiledSelect` / ``Insert`` / ``Update`` / ``Delete``), including:
 
 * compiled index-probe key builders for every access path;
-* a *point-lookup* descriptor when a SELECT is a pure covered equality
-  lookup (no joins, no residual WHERE, no grouping/ordering), letting the
-  executor skip the scan pipeline entirely;
+* a *point-lookup* flag when a SELECT is a pure covered equality lookup
+  (no joins, no residual WHERE, no grouping/ordering): the executor's
+  source is then the index probe alone;
 * tuple-builder specialization for small projection arities and
   ``operator.itemgetter`` fast paths when every output is a plain column
   (projection) or every INSERT value is a plain parameter;
-* per-aggregate feed specs (name, compiled argument, DISTINCT) for
-  :class:`repro.hstore.aggregate.Accumulator`;
+* per-aggregate specs (name, compiled argument, DISTINCT): the row
+  closures fill one argument column per aggregate, which the executor's
+  one grouped driver buckets and hands to
+  :func:`repro.hstore.aggregate.fold`;
 * the column program (:class:`~repro.hstore.vector.VectorSelect`) of a
   full-scan SELECT whose expressions all have a column form.
 """
@@ -541,7 +543,7 @@ class CompiledSelect:
     #: tuples (see :func:`_order_sort`)
     order_keys: EvalFn | None
     order_sort: Callable[[list], list] | None
-    #: pure covered equality lookup: skip the scan pipeline entirely
+    #: pure covered equality lookup: the index probe is the whole source
     point_lookup: bool = False
     #: batch-at-a-time artifacts (repro.hstore.vector.VectorSelect) for
     #: full scans whose WHERE/GROUP BY/aggregates all lower; None = row path
@@ -630,12 +632,7 @@ def lower_select(plan: SelectPlan) -> VectorSelect | None:
     elif where_fn is None:
         # plain SELECT * full scan: the row path is already a dict copy
         return None
-    outputs = None
-    if not plan.grouped and not plan.distinct and not plan.order_by:
-        out_fns = [column(expr) for expr in plan.output_exprs]
-        if None not in out_fns:
-            outputs = tuple(out_fns)
-    return VectorSelect(where_fn, tuple(group_fns), tuple(agg_specs), outputs)
+    return VectorSelect(where_fn, tuple(group_fns), tuple(agg_specs))
 
 
 def _compile_access(access: Any, columns: dict[str, int]) -> CompiledAccess:

@@ -116,7 +116,7 @@ class HStoreEngine:
 
                 self.tracer = Tracer(
                     process="engine",
-                    collector=TraceCollector(obs.trace_capacity),
+                    collector=TraceCollector(),
                     sql_spans=obs.sql_spans,
                 )
             if obs.metrics:

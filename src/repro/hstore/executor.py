@@ -20,7 +20,7 @@ from itertools import compress
 from typing import Any, Callable, Iterator
 
 from repro.errors import BindingError, StorageError
-from repro.hstore.aggregate import Accumulator, fold
+from repro.hstore.aggregate import fold
 from repro.hstore.catalog import Catalog, TableEntry
 from repro.hstore.expression import EvalContext
 from repro.hstore.planner import (
@@ -176,148 +176,185 @@ class ExecutionEngine:
         self.stats.bump("subquery_executions")
         return plan.run(self, plan, params, None)
 
-    # -- compiled execution (repro.hstore.compile) ---------------------------------
+    # -- SELECT: one runner, a source and a post stage ----------------------------
     #
     # Every expression is a closure lowered at plan time and no context is
     # allocated per row: one context per statement, its ``.row`` mutated per
     # row.
 
-    def _access_rows_compiled(
-        self, access: AccessPath, caccess: Any, ctx: EvalContext
-    ) -> list[Row]:
-        """Candidate rows of one access path (probe evaluated from ``ctx``)."""
-        table = self.table(access.table)
+    def _select(
+        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
+    ) -> ResultSet:
+        """The runner of every SELECT: a source produces the extended rows,
+        then :meth:`_post` applies HAVING, projection, DISTINCT, ORDER BY and
+        LIMIT.
+
+        The source is a pure covered index probe, or group before join
+        (``compile.GroupFirst``: the outer table's rows grouped alone, then
+        each join's unique index probed once per group and the groups that
+        miss dropped), or else :meth:`_source` in join order.
+        """
+        c = plan.compiled
+        ctx = EvalContext(params=params, executor=self)
+        first = c.group_first
+        if c.point_lookup:
+            self.stats.bump("point_lookups")
+            table = self.table(plan.access.table)
+            rowids = self._probe(table, plan.access, c.access, ctx)
+            rows = list(map(table.storage().__getitem__, rowids)) if rowids else []
+        elif first is None:
+            rows = self._source(plan, c, params, ctx)
+        else:
+            try:
+                rows = self._source(first.outer, first.outer.compiled, params, ctx)
+                for table_name, index_name, key_of in first.probes:
+                    # a NULL-containing key is never stored, so it misses
+                    entries = self.table(table_name).index(index_name).entries()
+                    rows = [row for row in rows if key_of(row) in entries]
+            except Exception:
+                # the outer side was evaluated whole: an expression may have
+                # raised on a row the join would have dropped first.  Nothing
+                # observable happened; the join-order path raises (or doesn't)
+                # exactly as the oracle does
+                rows = self._source(plan, c, params, ctx)
+        return self._post(plan, c, ctx, rows)
+
+    def _probe(
+        self, table: Table, access: AccessPath, caccess: Any, ctx: EvalContext
+    ) -> list[int]:
+        """Rowids of one access path's candidate rows, in rowid order (per
+        key, in key order, for a range); probe keys evaluated from ``ctx``."""
         kind = caccess.kind
         if kind == "seq":
-            # storage() is rowid-ordered (Table heals after txn undo)
-            return list(table.storage().values())
+            return table.rowids()
         if kind == "eq":
             key = caccess.key_fn(ctx)
-            if None in key:
-                return []
+            # a NULL-containing key is never stored, so it misses
             rowids = table.index(access.index).entries().get(key)
             if not rowids:
                 return []
-            get = table.storage().__getitem__
-            if len(rowids) == 1:
-                return [get(next(iter(rowids)))]
-            return [get(rowid) for rowid in sorted(rowids)]
-        return [row for _rowid, row in self._range_pairs(access, caccess, ctx)]
-
-    def _access_pairs_compiled(
-        self, access: AccessPath, caccess: Any, ctx: EvalContext
-    ) -> list[tuple[int, Row]]:
-        """(rowid, row) pairs of one access path, for UPDATE/DELETE."""
-        table = self.table(access.table)
-        kind = caccess.kind
-        if kind == "seq":
-            return list(table.scan())
-        if kind == "eq":
-            index = table.index(access.index)
-            rowids = index.lookup(caccess.key_fn(ctx))
-            get = table.storage().__getitem__
-            return [(rowid, get(rowid)) for rowid in sorted(rowids)]
-        return self._range_pairs(access, caccess, ctx)
-
-    def _range_pairs(
-        self, access: AccessPath, caccess: Any, ctx: EvalContext
-    ) -> list[tuple[int, Row]]:
-        table = self.table(access.table)
-        index = table.index(access.index)
+            return list(rowids) if len(rowids) == 1 else sorted(rowids)
         low = (caccess.low_fn(ctx),) if caccess.low_fn is not None else None
         high = (caccess.high_fn(ctx),) if caccess.high_fn is not None else None
         # A NULL bound matches nothing (SQL comparison semantics).
         if low == (None,) or high == (None,):
             return []
-        pairs: list[tuple[int, Row]] = []
-        get = table.storage().__getitem__
-        for _key, rowids in index.range_scan(
+        found: list[int] = []
+        for _key, rowids in table.index(access.index).range_scan(
             low,
             high,
             low_inclusive=access.low_inclusive,
             high_inclusive=access.high_inclusive,
         ):
-            pairs.extend((rowid, get(rowid)) for rowid in sorted(rowids))
-        return pairs
+            found.extend(sorted(rowids))
+        return found
 
-    def _select_point(
-        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
-    ) -> ResultSet:
-        """Pure covered equality lookup: index probe + projection, no scan
-        pipeline, no residual predicate, no aggregate machinery."""
-        self.stats.bump("point_lookups")
-        c = plan.compiled
-        ctx = EvalContext(params=params, executor=self)
-        rows = self._access_rows_compiled(plan.access, c.access, ctx)
-        return self._project_compiled(plan, ctx, rows)
-
-    def _select_compiled(
-        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
-    ) -> ResultSet:
-        ctx = EvalContext(params=params, executor=self)
-        ext_rows = self._ext_rows_compiled(plan, params, ctx)
-        if type(ext_rows) is ResultSet:
-            return ext_rows
-        return self._project_compiled(plan, ctx, ext_rows)
-
-    def _ext_rows_compiled(
-        self, plan: SelectPlan, params: tuple[Any, ...], ctx: EvalContext
-    ) -> "list[tuple[Any, ...]] | ResultSet":
+    def _source(
+        self,
+        plan: SelectPlan,
+        c: Any,
+        params: tuple[Any, ...],
+        ctx: EvalContext,
+    ) -> list[tuple[Any, ...]]:
         """Scan + join + aggregate through the first lane that serves the
-        plan: delta view → column vectors → row closures.
-
-        Returns the extended rows the post pipeline (HAVING → projection →
-        DISTINCT → ORDER → LIMIT) runs over, or the finished
-        :class:`ResultSet` when the vector lane lowered the projection too.
-        """
+        plan: delta view → column vectors → row closures."""
         view_read = plan.view_read
         if view_read is not None:
             # delta-view lowering (repro.ivm): served from incrementally
             # maintained state in O(groups)
             return view_read.view.ext_rows(view_read.agg_map)
-        c = plan.compiled
         if c.vector is not None:
-            vectored = self._try_select_vector(plan, c, params)
+            vectored = self._try_select_vector(plan, c.vector, params)
             if vectored is not None:
                 self.stats.bump("vector_scans")
                 return vectored
-        rows = self._combined_rows_compiled(plan, c, params, ctx)
+        table = self.table(plan.access.table)
+        if c.access.kind == "seq":
+            # storage() is rowid-ordered (Table heals after txn undo)
+            rows = list(table.storage().values())
+        else:
+            rowids = self._probe(table, plan.access, c.access, ctx)
+            rows = list(map(table.storage().__getitem__, rowids)) if rowids else []
+
+        for step, cstep in zip(plan.joins, c.joins):
+            joined: list[tuple[Any, ...]] = []
+            null_pad = (None,) * step.inner_width
+            on_fn = cstep.on
+            caccess = cstep.access
+            inner_table = self.table(step.access.table)
+            inner_storage = inner_table.storage()
+            get = inner_storage.__getitem__
+            # hoist loop-invariant probe state out of the outer loop: the
+            # inner table cannot change mid-statement, so a seq-scan inner
+            # is materialized exactly once, and an index probe binds its
+            # entries dict once
+            key_fn = None
+            key_offsets = None
+            all_inner: list[Row] = []
+            if caccess.kind == "eq":
+                entries = inner_table.index(step.access.index).entries()
+                key_fn = caccess.key_fn
+                key_offsets = caccess.key_offsets
+                # single-column plain key: the overwhelmingly common probe
+                key_offset0 = (
+                    key_offsets[0]
+                    if key_offsets is not None and len(key_offsets) == 1
+                    else None
+                )
+            elif caccess.kind == "seq":
+                all_inner = list(inner_storage.values())
+            for outer in rows:
+                ctx.row = outer
+                if key_fn is not None:
+                    if key_offset0 is not None:
+                        key = (outer[key_offset0],)
+                    elif key_offsets is not None:
+                        key = tuple(outer[o] for o in key_offsets)
+                    else:
+                        key = key_fn(ctx)
+                    rowids = entries.get(key)
+                    if not rowids:
+                        inner_rows = _NO_ROWS
+                    elif len(rowids) == 1:
+                        inner_rows = [get(next(iter(rowids)))]
+                    else:
+                        inner_rows = [get(rowid) for rowid in sorted(rowids)]
+                elif caccess.kind == "seq":
+                    inner_rows = all_inner
+                else:
+                    inner_rows = list(
+                        map(get, self._probe(inner_table, step.access, caccess, ctx))
+                    )
+                matched = False
+                for inner in inner_rows:
+                    candidate = outer + inner
+                    if on_fn is not None:
+                        ctx.row = candidate
+                        if on_fn(ctx) is not True:
+                            continue
+                    matched = True
+                    joined.append(candidate)
+                if step.left_outer and not matched:
+                    joined.append(outer + null_pad)
+            rows = joined
+
+        if c.where is not None:
+            where = c.where
+            filtered: list[tuple[Any, ...]] = []
+            for row in rows:
+                ctx.row = row
+                if where(ctx) is True:
+                    filtered.append(row)
+            rows = filtered
         if plan.grouped:
-            return self._aggregate_compiled(plan, c, ctx, rows)
+            return self._aggregate(plan, c, ctx, rows)
         return rows
 
-    def _select_group_first(
-        self, plan: SelectPlan, params: tuple[Any, ...], _txn: object = None
-    ) -> ResultSet:
-        """Group before join (``compile.GroupFirst``): aggregate the outer
-        table alone, then probe each join's unique index once per group and
-        drop the groups that miss."""
-        first = plan.compiled.group_first
-        ctx = EvalContext(params=params, executor=self)
-        try:
-            ext_rows = self._ext_rows_compiled(first.outer, params, ctx)
-            for table_name, index_name, key_of in first.probes:
-                # a NULL-containing key is never stored, so it misses
-                entries = self.table(table_name).index(index_name).entries()
-                ext_rows = [row for row in ext_rows if key_of(row) in entries]
-        except Exception:
-            # the outer side was evaluated whole: an expression may have
-            # raised on a row the join would have dropped first.  Nothing
-            # observable happened; the join-order path raises (or doesn't)
-            # exactly as the oracle does
-            return self._select_compiled(plan, params)
-        return self._project_compiled(plan, ctx, ext_rows)
-
-    # -- batch-at-a-time execution over column vectors ------------------------
-
     def _try_select_vector(
-        self, plan: SelectPlan, c: Any, params: tuple[Any, ...]
-    ) -> "ResultSet | list[tuple[Any, ...]] | None":
-        """Vector-path answer for one SELECT, or None to use the row path.
-
-        Returns a finished :class:`ResultSet` when the projection itself is
-        lowered (plain filter+project), a list of extended rows otherwise
-        (the caller runs the compiled post-pipeline over them).
+        self, plan: SelectPlan, vec: Any, params: tuple[Any, ...]
+    ) -> list[tuple[Any, ...]] | None:
+        """The extended rows of one SELECT off column vectors, or None to use
+        the row closures.
 
         Vector evaluation is eager (no per-row short-circuit), so any
         exception here — division the row path would have skipped, an
@@ -330,113 +367,103 @@ class ExecutionEngine:
         try:
             view = table.columnar_view()
             n = view.size()
-            vec = c.vector
             vctx = VectorContext(view, params, n)
             bmask = None
             if vec.where is not None:
                 bmask = normalize_mask(vec.where(vctx), n)
-            if plan.grouped:
-                return self._vector_aggregate(plan, vec, vctx, bmask)
-            if vec.outputs is not None:
-                # fully-lowered projection: zip selected output columns
-                # into rows without ever touching the row store
-                nsel = n if bmask is None else sum(bmask)
-                out_cols = [
-                    selected_values(fn(vctx), bmask, n, nsel)
-                    for fn in vec.outputs
+            if not plan.grouped:
+                # pair the selection mask with the row dict the column
+                # vectors were transposed from
+                source = table.storage()
+                if len(source) != n:
+                    raise StorageError("column cache out of sync with row store")
+                if bmask is None:
+                    return list(source.values())
+                return list(compress(source.values(), bmask))
+            nsel = n if bmask is None else sum(bmask)
+            keys = None
+            if vec.group_keys:
+                key_columns = [
+                    selected_values(fn(vctx), bmask, n, nsel) for fn in vec.group_keys
                 ]
-                rows = list(zip(*out_cols)) if nsel else []
-                if plan.offset:
-                    rows = rows[plan.offset :]
-                if plan.limit is not None:
-                    rows = rows[: plan.limit]
-                return ResultSet(columns=list(plan.output_names), rows=rows)
-            # ungrouped filter: pair the selection mask with the row dict the
-            # column vectors were transposed from
-            source = table.storage()
-            if len(source) != n:
-                raise StorageError("column cache out of sync with row store")
-            if bmask is None:
-                return list(source.values())
-            return list(compress(source.values(), bmask))
+                keys = list(zip(*key_columns))
+            columns: list[list[Any] | None] = []
+            for _name, fn, _distinct in vec.agg_specs:
+                if fn is None:
+                    columns.append(None)
+                elif nsel or keys is not None:
+                    columns.append(selected_values(fn(vctx), bmask, n, nsel))
+                else:
+                    columns.append([])  # a global aggregate over no rows
+            return _fold_groups(vec.agg_specs, columns, keys, nsel)
         except Exception:
             self.stats.bump("vector_runtime_fallbacks")
             return None
 
-    def _vector_aggregate(
+    def _aggregate(
         self,
         plan: SelectPlan,
-        vec: Any,
-        vctx: "VectorContext",
-        bmask: list[bool] | None,
+        c: Any,
+        ctx: EvalContext,
+        rows: list[tuple[Any, ...]],
     ) -> list[tuple[Any, ...]]:
-        """Columnar COUNT/SUM/AVG/MIN/MAX folds, grouped or global."""
-        n = vctx.n
-        nsel = n if bmask is None else sum(bmask)
-
-        if not vec.group_keys:
-            # global aggregates: one output row, pure C folds per spec
-            values = []
-            for name, arg_fn, distinct in vec.agg_specs:
-                if arg_fn is None:
-                    values.append(nsel)
-                else:
-                    vals = (
-                        selected_values(arg_fn(vctx), bmask, n, nsel)
-                        if nsel
-                        else []
-                    )
-                    values.append(fold(name, vals, distinct))
-            return [tuple(values)]
-
-        key_cols = [
-            selected_values(fn(vctx), bmask, n, nsel) for fn in vec.group_keys
-        ]
-        single = len(key_cols) == 1
-        keys = key_cols[0] if single else list(zip(*key_cols))
-        # first-appearance group order and the key -> slot map, both built
-        # at C speed (dict.fromkeys dedups in encounter order); the per-row
-        # group-index vector is then one C-dispatched dict lookup per row
-        order = list(dict.fromkeys(keys))
-        slots = {key: slot for slot, key in enumerate(order)}
-        gidx = list(map(slots.__getitem__, keys))
-        ngroups = len(order)
-
-        agg_results: list[list[Any]] = []
-        for name, arg_fn, distinct in vec.agg_specs:
-            if arg_fn is None:
-                tally = Counter(gidx)
-                agg_results.append([tally[g] for g in range(ngroups)])
-            else:
-                # bucket the argument column by group, fold each bucket
-                vals = selected_values(arg_fn(vctx), bmask, n, nsel)
-                buckets: list[list[Any]] = [[] for _ in range(ngroups)]
-                appends = [bucket.append for bucket in buckets]
-                for slot, value in zip(gidx, vals):
-                    appends[slot](value)
-                agg_results.append(
-                    [fold(name, bucket, distinct) for bucket in buckets]
+        """Group and aggregate rows through the row closures."""
+        if c.count_star_only and c.group_offsets is not None:
+            # plain-column GROUP BY + COUNT(*) aggregates: dict of counters,
+            # no per-row closure calls
+            counts: dict[tuple[Any, ...], int] = {}
+            key_order: list[tuple[Any, ...]] = []
+            offsets = c.group_offsets
+            offset0 = offsets[0] if len(offsets) == 1 else None
+            n_aggs = len(c.agg_specs)
+            for row in rows:
+                key = (
+                    (row[offset0],)
+                    if offset0 is not None
+                    else tuple(row[o] for o in offsets)
                 )
+                if key in counts:
+                    counts[key] += 1
+                else:
+                    counts[key] = 1
+                    key_order.append(key)
+            if not counts and not plan.group_exprs:
+                counts[()] = 0
+                key_order.append(())
+            return [key + (counts[key],) * n_aggs for key in key_order]
 
-        if single:
-            return [
-                (key,) + tuple(res[g] for res in agg_results)
-                for g, key in enumerate(order)
-            ]
-        return [
-            key + tuple(res[g] for res in agg_results)
-            for g, key in enumerate(order)
-        ]
+        # one argument column per aggregate, filled row by row in the
+        # oracle's order: the group key first, then each argument
+        agg_specs = c.agg_specs
+        columns: list[list[Any] | None] = []
+        feeds = []
+        for _name, arg, _distinct in agg_specs:
+            if arg is None:
+                columns.append(None)
+            else:
+                column: list[Any] = []
+                columns.append(column)
+                feeds.append((arg, column.append))
+        grouped = bool(plan.group_exprs)
+        keys: list[tuple[Any, ...]] = []
+        key_of = c.group_key
+        for row in rows:
+            ctx.row = row
+            if grouped:
+                keys.append(key_of(ctx))
+            for arg, append in feeds:
+                append(arg(ctx))
+        return _fold_groups(agg_specs, columns, keys if grouped else None, len(rows))
 
-    def _project_compiled(
+    def _post(
         self,
         plan: SelectPlan,
+        c: Any,
         ctx: EvalContext,
         ext_rows: list[tuple[Any, ...]],
     ) -> ResultSet:
         """HAVING → projection → DISTINCT → ORDER → LIMIT on extended rows,
         reusing the statement's one context."""
-        c = plan.compiled
         if c.post_having is not None:
             having = c.post_having
             filtered: list[tuple[Any, ...]] = []
@@ -450,8 +477,7 @@ class ExecutionEngine:
         if c.row_project is not None and not needs_ext:
             # pure-column projection with no reordering downstream: build
             # output rows straight off the tuples, no context involved
-            row_project = c.row_project
-            rows = [row_project(row) for row in ext_rows]
+            rows = list(map(c.row_project, ext_rows))
             if plan.offset:
                 rows = rows[plan.offset :]
             if plan.limit is not None:
@@ -490,158 +516,21 @@ class ExecutionEngine:
             rows = rows[: plan.limit]
         return ResultSet(columns=list(plan.output_names), rows=rows)
 
-    def _combined_rows_compiled(
-        self,
-        plan: SelectPlan,
-        c: Any,
-        params: tuple[Any, ...],
-        ctx: EvalContext,
-    ) -> list[tuple[Any, ...]]:
-        rows = self._access_rows_compiled(plan.access, c.access, ctx)
+    # -- UPDATE / DELETE -----------------------------------------------------------
 
-        for step, cstep in zip(plan.joins, c.joins):
-            joined: list[tuple[Any, ...]] = []
-            null_pad = (None,) * step.inner_width
-            on_fn = cstep.on
-            caccess = cstep.access
-            # hoist loop-invariant probe state out of the outer loop: the
-            # inner table cannot change mid-statement, so a seq-scan inner
-            # is materialized exactly once, and an index probe binds its
-            # entries dict / storage getter once
-            key_fn = None
-            key_offsets = None
-            all_inner: list[Row] = []
-            if caccess.kind == "eq":
-                inner_table = self.table(step.access.table)
-                entries = inner_table.index(step.access.index).entries()
-                get = inner_table.storage().__getitem__
-                key_fn = caccess.key_fn
-                key_offsets = caccess.key_offsets
-                # single-column plain key: the overwhelmingly common probe
-                key_offset0 = (
-                    key_offsets[0]
-                    if key_offsets is not None and len(key_offsets) == 1
-                    else None
-                )
-            elif caccess.kind == "seq":
-                all_inner = list(self.table(step.access.table).storage().values())
-            for outer in rows:
-                ctx.row = outer
-                if key_fn is not None:
-                    if key_offset0 is not None:
-                        key = (outer[key_offset0],)
-                    elif key_offsets is not None:
-                        key = tuple(outer[o] for o in key_offsets)
-                    else:
-                        key = key_fn(ctx)
-                    rowids = None if None in key else entries.get(key)
-                    if not rowids:
-                        inner_rows = _NO_ROWS
-                    elif len(rowids) == 1:
-                        inner_rows = [get(next(iter(rowids)))]
-                    else:
-                        inner_rows = [get(rowid) for rowid in sorted(rowids)]
-                elif caccess.kind == "seq":
-                    inner_rows = all_inner
-                else:
-                    inner_rows = [
-                        row
-                        for _rowid, row in self._range_pairs(
-                            step.access, caccess, ctx
-                        )
-                    ]
-                matched = False
-                for inner in inner_rows:
-                    candidate = outer + inner
-                    if on_fn is not None:
-                        ctx.row = candidate
-                        if on_fn(ctx) is not True:
-                            continue
-                    matched = True
-                    joined.append(candidate)
-                if step.left_outer and not matched:
-                    joined.append(outer + null_pad)
-            rows = joined
-
-        if c.where is not None:
-            where = c.where
-            filtered: list[tuple[Any, ...]] = []
-            for row in rows:
-                ctx.row = row
-                if where(ctx) is True:
-                    filtered.append(row)
-            rows = filtered
-        return rows
-
-    def _aggregate_compiled(
-        self,
-        plan: SelectPlan,
-        c: Any,
-        ctx: EvalContext,
-        rows: list[tuple[Any, ...]],
-    ) -> list[tuple[Any, ...]]:
-        if c.count_star_only and c.group_offsets is not None:
-            # plain-column GROUP BY + COUNT(*) aggregates: dict of counters,
-            # no accumulator objects, no per-row closure calls
-            counts: dict[tuple[Any, ...], int] = {}
-            key_order: list[tuple[Any, ...]] = []
-            offsets = c.group_offsets
-            offset0 = offsets[0] if len(offsets) == 1 else None
-            n_aggs = len(c.agg_specs)
-            for row in rows:
-                key = (
-                    (row[offset0],)
-                    if offset0 is not None
-                    else tuple(row[o] for o in offsets)
-                )
-                if key in counts:
-                    counts[key] += 1
-                else:
-                    counts[key] = 1
-                    key_order.append(key)
-            if not counts and not plan.group_exprs:
-                counts[()] = 0
-                key_order.append(())
-            return [key + (counts[key],) * n_aggs for key in key_order]
-
-        groups: dict[tuple[Any, ...], list[Accumulator]] = {}
-        order: list[tuple[Any, ...]] = []
-        group_key = c.group_key
-        agg_specs = c.agg_specs
-
-        for row in rows:
-            ctx.row = row
-            key = group_key(ctx)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [Accumulator(*spec) for spec in agg_specs]
-                groups[key] = accumulators
-                order.append(key)
-            for accumulator in accumulators:
-                accumulator.feed(ctx)
-
-        if not groups and not plan.group_exprs:
-            groups[()] = [Accumulator(*spec) for spec in agg_specs]
-            order.append(())
-
-        ext_rows: list[tuple[Any, ...]] = []
-        for key in order:
-            values = tuple(acc.result() for acc in groups[key])
-            ext_rows.append(key + values)
-        return ext_rows
-
-    def _matches_compiled(
-        self, plan: UpdatePlan | DeletePlan, ctx: EvalContext
+    def _matches(
+        self, table: Table, plan: UpdatePlan | DeletePlan, ctx: EvalContext
     ) -> list[int]:
         """Rowids of the access path's rows that pass the compiled WHERE."""
         c = plan.compiled
-        pairs = self._access_pairs_compiled(plan.access, c.access, ctx)
+        rowids = self._probe(table, plan.access, c.access, ctx)
         where = c.where
         if where is None:
-            return [rowid for rowid, _row in pairs]
+            return rowids
+        storage = table.storage()
         matches: list[int] = []
-        for rowid, row in pairs:
-            ctx.row = row
+        for rowid in rowids:
+            ctx.row = storage[rowid]
             if where(ctx) is True:
                 matches.append(rowid)
         return matches
@@ -651,7 +540,7 @@ class ExecutionEngine:
     ) -> int:
         table = self.table(plan.table)
         ctx = EvalContext(params=params, executor=self)
-        matches = self._matches_compiled(plan, ctx)
+        matches = self._matches(table, plan, ctx)
 
         assignments = plan.compiled.assignments
         for rowid in matches:
@@ -671,7 +560,7 @@ class ExecutionEngine:
     ) -> int:
         table = self.table(plan.table)
         ctx = EvalContext(params=params, executor=self)
-        matches = self._matches_compiled(plan, ctx)
+        matches = self._matches(table, plan, ctx)
 
         for rowid in matches:
             before = table.delete(rowid)
@@ -778,6 +667,47 @@ class ExecutionEngine:
                 table.load_state({"next_rowid": 0, "rows": {}})
 
 
+def _fold_groups(
+    specs: tuple[tuple[str, Any, bool], ...],
+    columns: list[list[Any] | None],
+    keys: list[tuple[Any, ...]] | None,
+    nrows: int,
+) -> list[tuple[Any, ...]]:
+    """The one aggregate driver behind the row closures and the column
+    vectors: bucket each argument column by its row's group key, then
+    :func:`fold` each bucket.
+
+    ``columns`` holds one argument column per aggregate (``None`` for
+    COUNT(*)), ``keys`` one group-key tuple per row, or ``None`` for a
+    global aggregate — one output row, even over no rows.  Groups come out
+    in first-appearance order, each as ``key + aggregate values``.
+    """
+    if keys is None:
+        values = []
+        for (name, _arg, distinct), column in zip(specs, columns):
+            values.append(nrows if column is None else fold(name, column, distinct))
+        return [tuple(values)]
+    # first-appearance group order and the key -> slot map, both built at C
+    # speed (dict.fromkeys dedups in encounter order); the per-row group
+    # index is then one C-dispatched dict lookup per row
+    order = list(dict.fromkeys(keys))
+    slots = dict(zip(order, range(len(order))))
+    gidx = list(map(slots.__getitem__, keys))
+    results = []
+    for (name, _arg, distinct), column in zip(specs, columns):
+        if column is None:
+            results.append(list(map(Counter(gidx).__getitem__, range(len(order)))))
+            continue
+        buckets: list[list[Any]] = [[] for _key in order]
+        appends = [bucket.append for bucket in buckets]
+        for slot, value in zip(gidx, column):
+            appends[slot](value)
+        results.append([fold(name, bucket, distinct) for bucket in buckets])
+    if not results:
+        return order
+    return [key + values for key, values in zip(order, zip(*results))]
+
+
 def bind_runner(plan: Plan) -> None:
     """Choose the function :meth:`ExecutionEngine.execute` calls for ``plan``.
 
@@ -787,12 +717,7 @@ def bind_runner(plan: Plan) -> None:
     """
     ee = ExecutionEngine
     if isinstance(plan, SelectPlan):
-        if plan.compiled.point_lookup:
-            plan.run = ee._select_point
-        elif plan.compiled.group_first is not None:
-            plan.run = ee._select_group_first
-        else:
-            plan.run = ee._select_compiled
+        plan.run = ee._select
     elif isinstance(plan, InsertPlan):
         plan.run = ee._execute_insert
     elif isinstance(plan, UpdatePlan):

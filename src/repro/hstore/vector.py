@@ -20,7 +20,7 @@ The vector path must be *bit-identical* to the row path on success:
   "falsy is false" treatment of non-boolean operands — with ``BoolVec``
   tagging the vectors proven NULL-free;
 * aggregates are :func:`repro.hstore.aggregate.fold` over the selected
-  argument column, the column form of the row accumulator;
+  argument column, through the same grouped driver the row closures feed;
 * evaluation is *eager* — there is no per-row short-circuit, so an
   expression that the row path would never evaluate for some row
   (``x <> 0 AND 10 / x > 1``) can raise here.  Column closures therefore
@@ -442,15 +442,11 @@ def selected_values(
 
 @dataclass
 class VectorSelect:
-    """Vector artifacts for a full-scan SELECT.
-
-    ``outputs`` is the fully-lowered projection for plain filter+project
-    statements (no grouping, DISTINCT, ORDER BY or HAVING): when present
-    the executor zips the selected output columns straight into result
-    rows and never touches the row store at all.
-    """
+    """Vector artifacts for a full-scan SELECT: the WHERE mask, and the
+    group-key and aggregate-argument columns the executor's grouped driver
+    folds.  Projection and everything after it run over the extended rows
+    the executor builds from these, as on the row path."""
 
     where: VecFn | None
     group_keys: tuple[VecFn, ...]
     agg_specs: tuple[tuple[str, VecFn | None, bool], ...]
-    outputs: tuple[VecFn, ...] | None = None

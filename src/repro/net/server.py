@@ -177,9 +177,7 @@ class NetServer:
         max_pipeline: int = 32,
         max_frame: int = proto.MAX_FRAME_BYTES,
         group_commit_size: int = 64,
-        write_high_water: int | None = None,
         http_port: int | None = None,
-        flight_capacity: int = 512,
         slow_us: float = DEFAULT_SLOW_US,
         flight_dir: str | pathlib.Path | None = None,
         trace_sample: int = 64,
@@ -195,9 +193,6 @@ class NetServer:
         self.max_pipeline = max_pipeline
         self.max_frame = max_frame
         self.group_commit_size = group_commit_size
-        #: transport write buffer high-water mark; tiny values make
-        #: ``drain()`` block early (used by the backpressure tests)
-        self.write_high_water = write_high_water
 
         #: admitted requests not yet answered (global admission budget)
         self.inflight = 0
@@ -231,7 +226,7 @@ class NetServer:
         self._drained: asyncio.Event | None = None
 
         #: always on — recording is one dict append; the span join is lazy
-        self.flight = FlightRecorder(flight_capacity, slow_us=slow_us)
+        self.flight = FlightRecorder(slow_us=slow_us)
         self._flight_dir = (
             pathlib.Path(flight_dir) if flight_dir is not None else None
         )
@@ -334,8 +329,6 @@ class NetServer:
         if self._draining:
             writer.close()
             return
-        if self.write_high_water is not None:
-            writer.transport.set_write_buffer_limits(high=self.write_high_water)
         self._next_conn_id += 1
         conn = _Connection(self._next_conn_id, writer)
         self._conns[conn.id] = conn
@@ -745,7 +738,7 @@ class NetServer:
             # point (execute_ddl), so route on the leading keyword the way
             # a real server's statement dispatcher would
             head = sql.split(maxsplit=1)[0].upper() if sql.split() else ""
-            if head in ("CREATE", "DROP", "ALTER"):
+            if head in ("CREATE", "DROP", "TRUNCATE"):
                 engine.execute_ddl(sql)
                 result: Any = None
             else:

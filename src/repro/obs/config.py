@@ -28,8 +28,6 @@ class ObsConfig:
     tracing: bool = True
     #: keep a metrics registry and update latency histograms per txn
     metrics: bool = True
-    #: ring-buffer capacity of the trace collector, in spans
-    trace_capacity: int = 65536
     #: also record per-EE-event spans — one per SQL statement, window
     #: maintenance firing and EE-trigger firing.  The microscope setting,
     #: off by default: a span costs a couple of microseconds and the EE

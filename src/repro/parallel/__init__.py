@@ -21,12 +21,11 @@ of the database, coordinated over explicit mailboxes.
 See ``docs/INTERNALS.md`` § "Process model" for the message sequences.
 """
 
-from repro.parallel.engine import BatchResult, ParallelHStoreEngine
+from repro.parallel.engine import ParallelHStoreEngine
 from repro.parallel.router import Router
 from repro.parallel.worker import PartitionWorker, WorkerConfig
 
 __all__ = [
-    "BatchResult",
     "ParallelHStoreEngine",
     "PartitionWorker",
     "Router",

@@ -38,7 +38,6 @@ import pathlib
 import pickle
 import time
 import weakref
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import (
@@ -58,34 +57,7 @@ from repro.parallel import messages as msg
 from repro.parallel.router import Router
 from repro.parallel.worker import PartitionWorker, WorkerConfig
 
-__all__ = ["BatchResult", "ParallelHStoreEngine"]
-
-
-@dataclass
-class BatchResult:
-    """Outcome of one :meth:`ParallelHStoreEngine.call_many` fan-out."""
-
-    committed: int
-    aborted: int
-    #: wall-clock seconds from first send to last reply (coordinator view)
-    wall_s: float
-    #: per-worker CPU seconds actually burned executing the sub-batch
-    worker_cpu_s: list[float] = field(default_factory=list)
-    #: per-worker wall seconds inside the worker loop
-    worker_wall_s: list[float] = field(default_factory=list)
-    #: first few (batch_index, error) pairs from aborted invocations
-    errors: list[tuple[int, str]] = field(default_factory=list)
-    #: microsecond latencies per call, when requested
-    latencies_us: list[float] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return self.committed + self.aborted
-
-    @property
-    def max_worker_cpu_s(self) -> float:
-        """The makespan-determining shard: the busiest worker's CPU time."""
-        return max(self.worker_cpu_s, default=0.0)
+__all__ = ["ParallelHStoreEngine"]
 
 
 class _ClusterCommandLog:
@@ -149,7 +121,7 @@ class ParallelHStoreEngine:
 
                 self.tracer = Tracer(
                     process="coordinator",
-                    collector=TraceCollector(obs.trace_capacity),
+                    collector=TraceCollector(),
                     sql_spans=obs.sql_spans,
                 )
             if obs.metrics:
@@ -458,42 +430,6 @@ class ParallelHStoreEngine:
             result for result in outcomes if result is not None and not result.success
         )
         return ProcedureResult(success=False, error=failed.error, txn_id=failed.txn_id)
-
-    def call_many(
-        self, name: str, rows: list[tuple[Any, ...]], *, latencies: bool = False
-    ) -> BatchResult:
-        """Shard a batch of single-partition invocations across the cluster.
-
-        Each worker receives its sub-batch in one message and executes it
-        serially; the sub-batches execute *concurrently* across workers.
-        This is the benchmark path — per-call ``call_procedure`` round trips
-        would measure pipe latency, not execution.
-        """
-        self._require_alive()
-        procedure = self._procedure(name)
-        self.stats_local.client_pe_roundtrips += len(rows)
-        shards = self.router.shard(procedure, rows)
-        wall_start = time.perf_counter()
-        replies = self._scatter(
-            [
-                (wid, msg.OP_INVOKE_BATCH, (name, shard, latencies))
-                for wid, shard in enumerate(shards)
-                if shard
-            ]
-        )
-        wall_s = time.perf_counter() - wall_start
-        result = BatchResult(
-            committed=sum(reply["committed"] for reply in replies),
-            aborted=sum(reply["aborted"] for reply in replies),
-            wall_s=wall_s,
-            worker_cpu_s=[reply["cpu_s"] for reply in replies],
-            worker_wall_s=[reply["wall_s"] for reply in replies],
-        )
-        for reply in replies:
-            result.errors.extend(reply["errors"])
-            if latencies and reply["latencies_us"]:
-                result.latencies_us.extend(reply["latencies_us"])
-        return result
 
     # ------------------------------------------------------------------
     # Ad-hoc SQL

@@ -41,7 +41,6 @@ __all__ = [
     "OP_REGISTER",
     "OP_SQL",
     "OP_INVOKE",
-    "OP_INVOKE_BATCH",
     "OP_PREPARE",
     "OP_DECIDE",
     "OP_CRASH",
@@ -81,7 +80,6 @@ OP_INSTALL_FAULTS = "install_faults"      # payload: FaultPlan | None
 # -- transaction ops ---------------------------------------------------------
 OP_SQL = "sql"                            # payload: (sql, params)
 OP_INVOKE = "invoke"                      # payload: (procedure, params)
-OP_INVOKE_BATCH = "invoke_batch"          # payload: (procedure, rows, latencies?)
 OP_PREPARE = "prepare"                    # payload: (procedure, params)
 OP_DECIDE = "decide"                      # payload: commit bool
 

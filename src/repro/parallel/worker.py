@@ -44,7 +44,7 @@ __all__ = ["WorkerConfig", "PartitionWorker"]
 #: rather than recording an orphaned worker-local trace.  Every other op
 #: (workflow drains, ticks, stats) keeps its local spans — those are
 #: engine-internal activity, not per-request work.
-_SAMPLED_OPS = frozenset({msg.OP_INVOKE, msg.OP_INVOKE_BATCH})
+_SAMPLED_OPS = frozenset({msg.OP_INVOKE})
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def _worker_main(config: WorkerConfig, inbox: Any, outbox: Any) -> None:
 
 def _txn_label(op: str, payload: Any) -> str | None:
     """The procedure name an op was executing, for error attribution."""
-    if op in (msg.OP_INVOKE, msg.OP_INVOKE_BATCH, msg.OP_PREPARE) and isinstance(
+    if op in (msg.OP_INVOKE, msg.OP_PREPARE) and isinstance(
         payload, tuple
     ) and payload:
         return payload[0]
@@ -325,14 +325,6 @@ class _WorkerState:
             index = getattr(procedure, "partition_param", None)
             if index is not None and index < len(params):
                 self.hot_keys.offer(params[index])
-        elif op == msg.OP_INVOKE_BATCH:
-            name, rows, _ = payload
-            procedure = self.engine.procedures.get(name)
-            index = getattr(procedure, "partition_param", None)
-            if index is not None:
-                for params in rows:
-                    if index < len(params):
-                        self.hot_keys.offer(params[index])
         elif op == msg.OP_INGEST:
             stream_name, rows = payload
             if rows:
@@ -393,35 +385,6 @@ class _WorkerState:
         name, params = payload
         self.engine._require_alive()
         return self.engine.invoke(name, tuple(params))
-
-    def _op_invoke_batch(self, payload: tuple[str, list, bool]) -> dict[str, Any]:
-        name, rows, want_latencies = payload
-        self.engine._require_alive()
-        committed = 0
-        aborted = 0
-        errors: list[tuple[int, str]] = []
-        latencies_us: list[float] | None = [] if want_latencies else None
-        wall_start = time.perf_counter()
-        cpu_start = time.process_time()
-        for index, params in enumerate(rows):
-            call_start = time.perf_counter() if want_latencies else 0.0
-            result = self.engine.invoke(name, tuple(params))
-            if want_latencies:
-                latencies_us.append((time.perf_counter() - call_start) * 1e6)
-            if result.success:
-                committed += 1
-            else:
-                aborted += 1
-                if len(errors) < 5:
-                    errors.append((index, result.error or ""))
-        return {
-            "committed": committed,
-            "aborted": aborted,
-            "errors": errors,
-            "wall_s": time.perf_counter() - wall_start,
-            "cpu_s": time.process_time() - cpu_start,
-            "latencies_us": latencies_us,
-        }
 
     def _op_prepare(self, payload: tuple[str, tuple[Any, ...]]) -> Any:
         if self.held is not None:
@@ -548,7 +511,6 @@ class _WorkerState:
         msg.OP_INSTALL_FAULTS: _op_install_faults,
         msg.OP_SQL: _op_sql,
         msg.OP_INVOKE: _op_invoke,
-        msg.OP_INVOKE_BATCH: _op_invoke_batch,
         msg.OP_PREPARE: _op_prepare,
         msg.OP_DECIDE: _op_decide,
         msg.OP_CRASH: _op_crash,

@@ -1,5 +1,5 @@
-"""The two aggregate forms agree: ``fold(values)`` ≡ an ``Accumulator`` fed
-the same values, by type and IEEE-754 bit pattern, for every kind × DISTINCT.
+"""``fold(values)`` ≡ the oracle's row-at-a-time ``Accumulator`` fed the
+same values, by type and IEEE-754 bit pattern, for every kind × DISTINCT.
 
 Both ``_exact_sum`` strategies are exercised on whichever interpreter runs
 the suite: the seeded builtin ``sum`` alone (CPython < 3.12, where it is the
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.hstore import aggregate
-from repro.hstore.aggregate import Accumulator, fold
+from repro.hstore.aggregate import fold
+from tests.oracle import Accumulator
 
 pytestmark = pytest.mark.columnar  # the column form is the vector lane's
 

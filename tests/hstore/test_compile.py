@@ -342,7 +342,8 @@ class TestGroupBeforeJoin:
     def test_fires_named_in_explain_and_matches_the_interpreter(self, sql):
         compiled, oracle = make_group_first(), make_group_first(oracle=True)
         assert "rewrite: group-before-join" in compiled.explain(sql)
-        assert oracle.planner.plan(parse(sql)).run is not ExecutionEngine._select_group_first
+        # the oracle arm runs its own runner, not the engine's
+        assert oracle.planner.plan(parse(sql)).run is not ExecutionEngine._select
         assert compiled.execute_sql(sql).rows == oracle.execute_sql(sql).rows
 
     @pytest.mark.parametrize("sql", MUST_NOT_FIRE)

@@ -359,6 +359,22 @@ def test_ingest_over_the_wire_drives_sstore():
     asyncio.run(body())
 
 
+def test_truncate_over_the_wire_empties_the_table():
+    async def body():
+        engine = make_voter_engine(command_logging=False)
+        async with running(engine) as server:
+            async with await NetClient.connect("127.0.0.1", server.port) as client:
+                vote = await client.call_procedure("validate_vote", "999-0001", 1, 0)
+                assert vote.success
+                count = await client.execute_sql("SELECT COUNT(*) FROM votes")
+                assert count.scalar() == 1
+                await client.execute_sql("TRUNCATE TABLE votes")
+                rows = await client.execute_sql("SELECT * FROM votes")
+                assert rows.rows == []
+
+    asyncio.run(body())
+
+
 def test_ingest_rejected_on_non_streaming_backend():
     async def body():
         engine = make_voter_engine(command_logging=False)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.errors import BindingError, PlanningError, StorageError, TypeSystemError
-from repro.hstore.aggregate import Accumulator
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.executor import ExecutionEngine, ResultSet
 from repro.hstore.expression import (
@@ -501,6 +500,61 @@ def _combined_rows(
                 filtered.append(row)
         rows = filtered
     return rows
+
+
+class Accumulator:
+    """Incremental state for one aggregate call over one group, fed one row
+    at a time: the reference :func:`repro.hstore.aggregate.fold` is checked
+    against (``tests/hstore/test_aggregate.py``) and :func:`_aggregate`'s
+    aggregate step."""
+
+    __slots__ = ("_name", "_arg", "_count", "_sum", "_min", "_max", "_seen")
+
+    def __init__(
+        self, name: str, arg: Callable[[Any], Any] | None, distinct: bool
+    ) -> None:
+        self._name = name
+        #: context -> argument value; None for COUNT(*)
+        self._arg = arg
+        self._count = 0
+        self._sum: Any = None
+        self._min: Any = None
+        self._max: Any = None
+        self._seen: set[Any] | None = set() if distinct else None
+
+    def feed(self, ctx: Any) -> None:
+        if self._arg is None:  # COUNT(*)
+            self._count += 1
+            return
+        value = self._arg(ctx)
+        if value is None:
+            return  # SQL aggregates ignore NULLs
+        if self._seen is not None:
+            if value in self._seen:
+                return
+            self._seen.add(value)
+        self._count += 1
+        self._sum = value if self._sum is None else self._sum + value
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
+
+    def result(self) -> Any:
+        name = self._name
+        if name == "count":
+            return self._count
+        if name == "sum":
+            return self._sum
+        if name == "avg":
+            if self._count == 0:
+                return None
+            return self._sum / self._count
+        if name == "min":
+            return self._min
+        if name == "max":
+            return self._max
+        raise StorageError(f"unknown aggregate {name!r}")  # pragma: no cover
 
 
 def _aggregate(

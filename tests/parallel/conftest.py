@@ -51,10 +51,3 @@ def cluster():
     engine = build_cluster(workers=2)
     yield engine
     engine.shutdown()
-
-
-@pytest.fixture
-def cluster4():
-    engine = build_cluster(workers=4)
-    yield engine
-    engine.shutdown()

@@ -150,7 +150,10 @@ def test_routed_votes_commit_as_in_process_at_every_worker_count(workers):
     )
     cluster = _voter(ParallelHStoreEngine(workers))
     try:
-        assert cluster.call_many("validate_vote", rows).committed == committed
+        routed = sum(
+            cluster.call_procedure("validate_vote", *row).success for row in rows
+        )
+        assert routed == committed
         assert sorted(cluster.table_rows("votes")) == sorted(
             reference.table_rows("votes")
         )
@@ -212,24 +215,6 @@ def test_stats_merge_coordinator_and_workers(cluster):
     for worker_stats in cluster.worker_stats():
         assert worker_stats.client_pe_roundtrips == 0
         assert worker_stats.ipc_roundtrips == 0
-
-
-def test_batch_execution_shards_and_counts(cluster4):
-    rows = [(key, f"v{key}") for key in range(40)]
-    batch = cluster4.call_many("PutKV", rows)
-    assert batch.committed == 40
-    assert batch.aborted == 0
-    assert batch.total == 40
-    assert len(cluster4.table_rows("kv")) == 40
-    assert batch.max_worker_cpu_s >= 0.0
-    assert len(batch.worker_cpu_s) == 4  # all four shards non-empty at N=40
-
-
-def test_batch_reports_latencies_when_asked(cluster):
-    rows = [(key, "v") for key in range(10)]
-    batch = cluster.call_many("PutKV", rows, latencies=True)
-    assert len(batch.latencies_us) == 10
-    assert all(lat > 0 for lat in batch.latencies_us)
 
 
 # ---------------------------------------------------------------------------
