@@ -83,11 +83,9 @@ from repro.hstore.txn import TransactionContext
 
 __all__ = ["SStoreEngine", "StreamContext", "StreamProcedure"]
 
-#: pseudo-procedure names (and metas) of the command log's streaming records
+#: pseudo-procedure names of the command log's streaming records
 _INGEST_RECORD = "<ingest>"
 _TICK_RECORD = "<tick>"
-_INGEST_META = (("kind", "ingest"),)
-_TICK_META = (("kind", "tick"),)
 
 
 def _select_stages(plan: Plan) -> list[SelectPlan]:
@@ -680,7 +678,6 @@ class SStoreEngine(HStoreEngine):
                 params=(stream_name, rows),
                 partition=0,
                 logical_time=self.clock.now,
-                meta=_INGEST_META,
             )
             self._next_txn_id += 1
 
@@ -1062,7 +1059,6 @@ class SStoreEngine(HStoreEngine):
                 params=(ticks,),
                 partition=0,
                 logical_time=now,
-                meta=_TICK_META,
             )
             self._next_txn_id += 1
         self._slide_time_windows()

@@ -35,7 +35,6 @@ __all__ = ["StreamShardEngine", "_TASK_RECORD"]
 
 #: pseudo-procedure name for a received cross-worker stream task
 _TASK_RECORD = "<task>"
-_TASK_META = (("kind", "stream_task"),)
 
 
 class StreamShardEngine(SStoreEngine):
@@ -224,7 +223,6 @@ class StreamShardEngine(SStoreEngine):
                 params=(stream_name, token, tuple(rows)),
                 partition=0,
                 logical_time=self.clock.now,
-                meta=_TASK_META,
             )
             self._next_txn_id += 1
         self._watermarks[stream_name] = token

@@ -89,8 +89,8 @@ class FaultInjector:
             )
 
         if spec.action == FaultAction.TORN_WRITE:
-            handle: IO[str] = ctx["handle"]
-            payload: str = ctx["payload"]
+            handle: IO[bytes] = ctx["handle"]
+            payload: bytes = ctx["payload"]
             offset = self.plan.rng.randint(1, max(1, len(payload) - 2))
             handle.write(payload[:offset])
             handle.flush()

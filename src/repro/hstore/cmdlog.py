@@ -9,8 +9,11 @@ builds on (the logged commands for border procedures *are* the upstream
 backup of the input streams).
 
 ``group_size`` models group commit (a flush every N records), which
-benchmark A3 sweeps.  Where the durable records live — a list standing in
-for the log disk, or ``command.log`` once a directory is attached — is
+benchmark A3 sweeps.  LSNs are dense from 0, and a record names its
+procedure (``<ingest>``, ``<tick>``, ``<adhoc>`` and ``<task>`` for the
+engine's own commands) and nothing else about its kind.  Where the durable
+records live — a list standing in for the log disk, or ``command.log`` once
+a directory is attached, one :mod:`repro.hstore.codec` frame per record — is
 tabulated in docs/INTERNALS.md §5 ("Where history lives").
 """
 
@@ -41,9 +44,6 @@ class LogRecord:
     params: tuple[Any, ...]
     partition: int
     logical_time: int
-    #: extra payload the streaming layer attaches, as key-sorted pairs —
-    #: callers pass module constants such as ``(("kind", "ingest"),)``
-    meta: tuple[tuple[str, Any], ...] = ()
 
 
 class CommandLog:
@@ -82,7 +82,6 @@ class CommandLog:
         params: tuple[Any, ...],
         partition: int,
         logical_time: int,
-        meta: tuple[tuple[str, Any], ...] = (),
     ) -> LogRecord | None:
         if not self.enabled:
             return None
@@ -93,7 +92,6 @@ class CommandLog:
             params=tuple(params),
             partition=partition,
             logical_time=logical_time,
-            meta=meta,
         )
         self._next_lsn += 1
         self._pending.append(record)
@@ -155,29 +153,26 @@ class CommandLog:
         ``(durable records from byte offset on, torn count)``.
 
         ``offset`` is a snapshot's ``log_offset``, where the record at its
-        ``through_lsn`` starts; nothing before it is read.  Offset 0 reads
-        the whole log (no snapshot, a snapshot written before offsets were
-        recorded, or memory mode).  Pending records are gone, a torn tail is
-        repaired, and the counters and the next LSN restart from what the
-        store actually holds.
+        ``through_lsn`` starts; nothing before it is read, and the scan
+        raises unless the LSNs from there on run ``through_lsn``,
+        ``through_lsn + 1``, ...  Offset 0 reads the whole log from LSN 0
+        (no snapshot, or memory mode).  Pending records are gone, a torn
+        tail is repaired, and the counters and the next LSN restart from
+        what the store actually holds.
         """
         self._pending = []
-        records, torn = self._scan(offset, repair=True)
-        if offset and records and records[0].lsn != through_lsn:
-            raise RecoveryError(
-                f"log record at byte {offset} has LSN {records[0].lsn}, but "
-                f"the snapshot through LSN {through_lsn} says it starts there"
-            )
-        self._set_durable(records, through_lsn if offset else 0)
+        first_lsn = through_lsn if offset else 0
+        records, torn = self._scan(offset, first_lsn, repair=True)
+        self._set_durable(records, first_lsn)
         self._next_lsn = self.durable_lsn
         return records, torn
 
     def _scan(
-        self, offset: int = 0, repair: bool = False
+        self, offset: int = 0, first_lsn: int = 0, repair: bool = False
     ) -> tuple[list[LogRecord], int]:
         if self.directory is None:
             return self._records, 0
-        return self.directory.scan_log(offset, repair=repair)
+        return self.directory.scan_log(offset, first_lsn=first_lsn, repair=repair)
 
     def _set_durable(self, records: list[LogRecord], first_lsn: int = 0) -> None:
         """Durable through ``records``, which start at ``first_lsn``."""

@@ -5,13 +5,14 @@ history (:class:`~repro.hstore.cmdlog.CommandLog` keeps just the pending
 group, :class:`~repro.hstore.snapshot.SnapshotStore` keeps no checkpoint),
 so the engine survives a full process restart:
 
-* ``<dir>/command.log`` — one JSON object per durable log record,
+* ``<dir>/command.log`` — one :mod:`~repro.hstore.codec` frame per durable
+  log record (a checked header, then a body with its own CRC32),
   append-only, written at group-commit flush time through one kept append
   handle; every group ends with a ``flush()``, so a flushed record is in
   the file for any reader (a second process, a second engine restoring
   while the writer lives) and a forked child inherits no buffered bytes;
-* ``<dir>/snapshots/<id>.json`` — one file per checkpoint, wrapped in a
-  checksummed envelope so bit rot and torn writes are detected on load;
+* ``<dir>/snapshots/<id>.json`` — one JSON file per checkpoint, wrapped in
+  a checksummed envelope so bit rot and torn writes are detected on load;
   each records ``log_offset``, the length of ``command.log`` when it was
   written, which is where the record at its ``through_lsn`` starts.
 
@@ -23,37 +24,39 @@ Usage::
     engine = build_engine_with_same_schema_and_procedures()
     engine.restore_from_disk("/var/lib/sstore")    # snapshot + log replay
 
-JSON is the wire format, so tuples round-trip as lists; every load path in
-the engine re-normalizes (rowids via ``int()``, batch rows via ``tuple()``),
-which the durability tests verify end to end.
+A log record comes back exactly as it was logged, tuples as tuples.  A
+snapshot is JSON, so its tuples come back as lists and its dict keys as
+strings; the snapshot load paths re-normalize (rowids via ``int()``, batch
+rows via ``tuple()``), which the durability tests verify end to end.
 
 Recovery reads the newest valid snapshot and the log from that snapshot's
 ``log_offset`` on: ``scan_log(offset)`` seeks past the checkpointed prefix,
-which it never reads.  Offset 0 (no snapshot, or one written before
-snapshots recorded the offset) scans the whole file through the same code.
-The full-history readers (``scan_log()``, ``load_log_records``, the log's
-``all_records`` / ``records_from``) still read and check every byte.
+which it never reads.  Offset 0 (no snapshot) scans the whole file through
+the same code.  The full-history readers (``scan_log()``,
+``load_log_records``, the log's ``all_records`` / ``records_from``) still
+read and check every byte.
 
 Crash hardening (exercised by :mod:`repro.faults` and ``tests/faults``),
 stated for the bytes a scan reads — the whole file, or the suffix from the
 offset:
 
-* a *torn* final log record — the file truncated at an arbitrary byte
-  offset within the last record, as a mid-append crash leaves it — is
-  detected, dropped, and physically truncated away (at its absolute byte
-  offset) by :meth:`scan_log`, with the drop count surfaced through
+* a *torn* final log record — the file ending anywhere inside the last
+  frame, header or body, as a mid-append crash leaves it — is detected,
+  dropped, and physically truncated away (at its absolute byte offset) by
+  :meth:`scan_log`, with the drop count surfaced through
   ``RecoveryReport.torn_records``;
 * an unreadable or checksum-mismatched snapshot file is skipped and
   recovery falls back to the previous snapshot, scanning from *its* offset
   (a longer replay), via :meth:`scan_snapshots`;
 * a log shorter than the chosen snapshot's offset, or an offset that does
   not start the record at its ``through_lsn``, raises :class:`RecoveryError`;
-* corruption anywhere *before* the final log record read is not survivable
-  tearing but real damage, and still raises :class:`RecoveryError` loudly.
-  Each line is decoded strictly, so a flipped byte that leaves invalid
-  UTF-8 is caught.  A flip that stays valid UTF-8 *and* valid JSON is not:
-  that would take a per-record checksum, about 16 bytes on a Voter record
-  of 166, more than the log's size budget allows.
+* a whole frame that fails its header check or its CRC32 — the last one
+  included, since a torn append leaves only a prefix of correct bytes — is
+  real damage and raises :class:`RecoveryError`, so no flipped byte is
+  ever replayed; so does an LSN other than the previous one plus 1 (a
+  duplicated or reordered frame passes every per-frame check);
+* a ``command.log`` in the JSON-lines format earlier versions wrote is
+  refused with a :class:`RecoveryError` that names the format.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from typing import IO, TYPE_CHECKING, Any
 
 from repro.errors import RecoveryError
 from repro.hstore.cmdlog import LogRecord
+from repro.hstore.codec import decode_frame, encode_frame
 from repro.hstore.snapshot import Snapshot
 from repro.obs.trace import NULL_TRACER
 
@@ -76,10 +80,6 @@ __all__ = ["DurabilityDirectory"]
 
 _LOG_FILE = "command.log"
 _SNAPSHOT_DIR = "snapshots"
-
-
-#: one encoder for every log record (``json.dumps`` would build one per call)
-_encode_record = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _jsonable(value: Any) -> Any:
@@ -121,7 +121,7 @@ class DurabilityDirectory:
         self.fsync_log = fsync_log
         #: the append handle on ``command.log``: opened by the first group,
         #: closed by :meth:`close_log`
-        self._log_handle: IO[str] | None = None
+        self._log_handle: IO[bytes] | None = None
 
     # ------------------------------------------------------------------
     # command log
@@ -150,33 +150,22 @@ class DurabilityDirectory:
         self._append_log_records(records)
 
     def _append_log_records(self, records: list[LogRecord]) -> None:
+        # every frame is encoded before the first byte is written: a value
+        # the codec refuses fails the group with the file untouched
+        frames = list(map(encode_frame, records))
         handle = self._log_handle
         if handle is None:
-            handle = self._log_handle = self.log_path.open("a", encoding="utf-8")
+            handle = self._log_handle = self.log_path.open("ab")
         try:
-            for record in records:
-                payload = (
-                    _encode_record(
-                        {
-                            "lsn": record.lsn,
-                            "txn_id": record.txn_id,
-                            "procedure": record.procedure,
-                            "params": _jsonable(record.params),
-                            "partition": record.partition,
-                            "logical_time": record.logical_time,
-                            "meta": _jsonable(record.meta),
-                        }
-                    )
-                    + "\n"
-                )
+            for frame in frames:
                 if self.fault_injector is not None:
                     self.fault_injector.fire(
                         "log.append",
                         handle=handle,
-                        payload=payload,
+                        payload=frame,
                         path=self.log_path,
                     )
-                handle.write(payload)
+                handle.write(frame)
             # flushed => in the file: readers never wait for a close
             handle.flush()
             if self.fsync_log:
@@ -201,21 +190,22 @@ class DurabilityDirectory:
             return 0
 
     def scan_log(
-        self, offset: int = 0, *, repair: bool = True
+        self, offset: int = 0, *, first_lsn: int = 0, repair: bool = True
     ) -> tuple[list[LogRecord], int]:
         """Read the durable log from byte ``offset``, tolerating a torn
-        trailing record.
+        trailing frame.
 
         Returns ``(records, torn_records)`` for the records at or after
-        ``offset``, which must start a record (a snapshot's ``log_offset``);
-        the bytes before it are not read.  A file shorter than ``offset``
-        raises :class:`RecoveryError`.  A final line with no trailing
-        newline that fails to parse is exactly what a crash mid-append
-        leaves behind; it is dropped (and, with ``repair``, physically
-        truncated off the file so later appends start clean).  An
-        unparseable line anywhere else — or a *newline-terminated* garbage
-        final line, which no torn write can produce — is real corruption
-        and raises :class:`RecoveryError`.
+        ``offset``, which must start the frame of LSN ``first_lsn`` (a
+        snapshot's ``log_offset`` and ``through_lsn``); the bytes before it
+        are not read.  A file shorter than ``offset`` raises
+        :class:`RecoveryError`.  A final frame the file ends inside is
+        exactly what a crash mid-append leaves behind; it is dropped (and,
+        with ``repair``, physically truncated off the file so later appends
+        start clean).  A frame that fails its header check or its CRC —
+        anywhere, the last one too — is real corruption, and so is an LSN
+        other than the one before it plus one (a duplicated or reordered
+        frame): both raise :class:`RecoveryError` naming the byte.
         """
         if repair:
             self.close_log()  # never truncate or patch under an open handle
@@ -228,60 +218,41 @@ class DurabilityDirectory:
         if size == 0:
             return [], 0
         with self.log_path.open("rb") as handle:
+            if handle.read(1) == b"{":
+                raise RecoveryError(
+                    f"{self.log_path} is a JSON-lines command log, a format "
+                    f"this version does not read"
+                )
             handle.seek(offset)
             raw = handle.read()
-        segments = raw.split(b"\n")
-        terminated_tail = segments and segments[-1] == b""
-        if terminated_tail:
-            segments.pop()
 
         records: list[LogRecord] = []
-        torn = 0
-        good_end = offset  # absolute byte offset just past the last intact record
-        needs_newline = False
-        for index, segment in enumerate(segments):
-            is_last = index == len(segments) - 1
-            has_newline = terminated_tail or not is_last
-            if not segment.strip():
-                good_end += len(segment) + (1 if has_newline else 0)
-                continue
+        append = records.append
+        pos = 0  # just past the last intact frame, relative to offset
+        expected = first_lsn
+        while pos < len(raw):
             try:
-                # the bytes themselves: invalid UTF-8 is a ValueError here
-                payload = json.loads(segment)
-                record = LogRecord(
-                    lsn=int(payload["lsn"]),
-                    txn_id=int(payload["txn_id"]),
-                    procedure=payload["procedure"],
-                    params=tuple(payload["params"]),
-                    partition=int(payload["partition"]),
-                    logical_time=int(payload["logical_time"]),
-                    meta=tuple(
-                        (key, value) for key, value in payload.get("meta", [])
-                    ),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                if is_last and not has_newline:
-                    torn += 1
-                    break
+                framed = decode_frame(raw, pos)
+            except RecoveryError as exc:
                 raise RecoveryError(
-                    f"corrupt log record at {self.log_path} byte {good_end}: {exc}"
+                    f"corrupt log record at {self.log_path} byte "
+                    f"{offset + pos}: {exc}"
                 ) from exc
-            records.append(record)
-            good_end += len(segment) + (1 if has_newline else 0)
-            needs_newline = not has_newline
-
-        if repair:
-            if torn:
-                with self.log_path.open("r+b") as handle:
-                    handle.truncate(good_end)
-            elif needs_newline:
-                # the final record is complete but lost its newline to a
-                # crash between the payload and the terminator; restore it
-                # so the next append does not concatenate onto it
-                with self.log_path.open("a", encoding="utf-8") as handle:
-                    handle.write("\n")
-
-        records.sort(key=lambda record: record.lsn)
+            if framed is None:
+                break
+            record, end = framed
+            if record.lsn != expected:
+                raise RecoveryError(
+                    f"log record at {self.log_path} byte {offset + pos} has "
+                    f"LSN {record.lsn}, but LSN {expected} comes next"
+                )
+            append(record)
+            expected += 1
+            pos = end
+        torn = int(pos < len(raw))
+        if torn and repair:
+            with self.log_path.open("r+b") as handle:
+                handle.truncate(offset + pos)
         return records, torn
 
     def load_log_records(self) -> list[LogRecord]:
@@ -337,24 +308,22 @@ class DurabilityDirectory:
             data = json.loads(raw)
         except (OSError, ValueError) as exc:
             raise RecoveryError(f"unreadable snapshot {path.name}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise RecoveryError(f"malformed snapshot {path.name}: not an object")
-        if "payload" in data:
-            payload = data["payload"]
-            # the checksum covers the payload's bytes exactly as stored: any
-            # changed byte, inside the payload or around it, fails
-            head = _envelope_head(str(data.get("checksum"))).encode("utf-8")
-            body = raw[len(head) : -1] if raw.startswith(head) else raw
-            digest = hashlib.sha256(body).hexdigest()
-            if digest != data.get("checksum"):
-                raise RecoveryError(
-                    f"corrupt snapshot {path.name}: checksum mismatch "
-                    f"(stored {str(data.get('checksum'))[:12]}…, "
-                    f"computed {digest[:12]}…)"
-                )
-        else:
-            # legacy pre-checksum format: the payload is the whole file
-            payload = data
+        if not isinstance(data, dict) or "payload" not in data:
+            raise RecoveryError(
+                f"malformed snapshot {path.name}: no checksummed payload"
+            )
+        payload = data["payload"]
+        # the checksum covers the payload's bytes exactly as stored: any
+        # changed byte, inside the payload or around it, fails
+        head = _envelope_head(str(data.get("checksum"))).encode("utf-8")
+        body = raw[len(head) : -1] if raw.startswith(head) else raw
+        digest = hashlib.sha256(body).hexdigest()
+        if digest != data.get("checksum"):
+            raise RecoveryError(
+                f"corrupt snapshot {path.name}: checksum mismatch "
+                f"(stored {str(data.get('checksum'))[:12]}…, "
+                f"computed {digest[:12]}…)"
+            )
         try:
             partition_state = {
                 int(partition_id): state
@@ -366,7 +335,7 @@ class DurabilityDirectory:
                 logical_time=int(payload["logical_time"]),
                 partition_state=partition_state,
                 extra=payload.get("extra", {}),
-                log_offset=int(payload.get("log_offset", 0)),
+                log_offset=int(payload["log_offset"]),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise RecoveryError(

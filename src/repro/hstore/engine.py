@@ -70,7 +70,6 @@ __all__ = ["HStoreEngine", "PreparedInvocation", "ADHOC_RECORD"]
 
 #: pseudo-procedure name for command-logged ad-hoc DML statements
 ADHOC_RECORD = "<adhoc>"
-_ADHOC_META = (("kind", "adhoc"),)
 #: pending txn latency samples are folded into the histograms on the engine
 #: thread once this many accumulate between metric exports
 TXN_SAMPLE_BOUND = 4096
@@ -699,7 +698,6 @@ class HStoreEngine:
                 params=(sql, tuple(params)),
                 partition=0,
                 logical_time=self.clock.now,
-                meta=_ADHOC_META,
             )
             self._note_logged_command()
         return data[0]

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.engine import SStoreEngine, StreamProcedure
 from repro.core.workflow import WorkflowSpec
+from repro.hstore.codec import decode_frame
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.procedure import StoredProcedure
 
@@ -21,6 +22,16 @@ from repro.hstore.procedure import StoredProcedure
 @pytest.fixture
 def fault_seed() -> int:
     return int(os.environ.get("REPRO_FAULT_SEED", "0"))
+
+
+def frame_ends(raw: bytes) -> list[int]:
+    """The byte just past each whole frame of a command log's ``raw`` bytes."""
+    ends: list[int] = []
+    framed = decode_frame(raw, 0)
+    while framed is not None:
+        ends.append(framed[1])
+        framed = decode_frame(raw, framed[1])
+    return ends
 
 
 class Put(StoredProcedure):

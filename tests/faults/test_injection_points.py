@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import errno
 import gc
-import json
 import warnings
 
 import pytest
@@ -18,8 +17,9 @@ import pytest
 from repro.errors import InjectedCrash, InjectedFault, RecoveryError
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import FaultAction
+from repro.hstore.codec import decode_frame
 
-from tests.faults.conftest import make_kv
+from tests.faults.conftest import frame_ends, make_kv
 
 pytestmark = pytest.mark.faults
 
@@ -148,7 +148,7 @@ class TestOneAppendHandle:
         for key in range(6):
             clean.call_procedure("put", key, f"v{key}")
         reference = (tmp_path / "clean" / "command.log").read_bytes()
-        ends = [i + 1 for i, byte in enumerate(reference) if byte == 0x0A]
+        ends = frame_ends(reference)
 
         # the 5th append is the 2nd record of the 2nd group: the record
         # before it sits in the handle's buffer when the fault fires
@@ -167,7 +167,7 @@ class TestOneAppendHandle:
         else:
             assert len(faulted) == ends[3]
 
-    def test_repaired_tail_then_appends_stay_one_record_per_line(
+    def test_repaired_tail_then_appends_stay_one_record_per_frame(
         self, tmp_path, fault_seed
     ):
         plan = FaultPlan(fault_seed)
@@ -180,9 +180,10 @@ class TestOneAppendHandle:
         fresh = restored(tmp_path)  # truncates the torn tail
         for key in (2, 3, 4):
             fresh.call_procedure("put", key, "x")  # one handle, three groups
-        lines = (tmp_path / "command.log").read_bytes().split(b"\n")
-        assert lines.pop() == b""
-        assert [json.loads(line)["lsn"] for line in lines] == [0, 1, 2, 3, 4]
+        raw = (tmp_path / "command.log").read_bytes()
+        ends = frame_ends(raw)
+        assert ends[-1] == len(raw)
+        assert [decode_frame(raw, end)[0].lsn for end in [0, *ends[:-1]]] == [0, 1, 2, 3, 4]
 
     def test_second_engine_restores_while_the_writer_lives(self, tmp_path):
         writer = make_kv()

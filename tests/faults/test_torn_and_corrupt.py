@@ -8,19 +8,24 @@ implement for `restore_from_disk` — and that a live engine's
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from dataclasses import replace
 
 import pytest
 
+from repro.apps.voter import VoterSStoreApp, VoterWorkload
 from repro.errors import InjectedIOError, RecoveryError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.hstore.cmdlog import LogRecord
+from repro.hstore.codec import decode_frame
 from repro.hstore.durability import DurabilityDirectory
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.snapshot import Snapshot
+
+from tests.faults.conftest import frame_ends
 
 pytestmark = pytest.mark.faults
 
@@ -37,32 +42,20 @@ class TestTornLogTail:
         directory = DurabilityDirectory(tmp_path)
         write_records(directory, 3)
         raw = directory.log_path.read_bytes()
-        # byte offset strictly inside the final record
-        last_start = raw[:-1].rfind(b"\n") + 1
+        # byte offset strictly inside the final frame, header or body
+        last_start = frame_ends(raw)[1]
         offset = min(last_start + cut, len(raw) - 1)
         directory.log_path.write_bytes(raw[:offset])
 
         records, torn = directory.scan_log()
         assert torn == 1
         assert [record.lsn for record in records] == [0, 1]
-        # the partial line is physically gone: future appends start clean
+        # the partial frame is physically gone: future appends start clean
         assert directory.log_path.read_bytes() == raw[:last_start]
         directory.append_log_records([LogRecord(2, 2, "p", (2, "v2"), 0, 2)])
         records, torn = directory.scan_log()
         assert torn == 0
         assert [record.lsn for record in records] == [0, 1, 2]
-
-    def test_complete_record_missing_only_newline_is_kept(self, tmp_path):
-        directory = DurabilityDirectory(tmp_path)
-        write_records(directory, 2)
-        raw = directory.log_path.read_bytes()
-        directory.log_path.write_bytes(raw[:-1])  # drop just the terminator
-
-        records, torn = directory.scan_log()
-        assert torn == 0
-        assert [record.lsn for record in records] == [0, 1]
-        # repair restored the terminator
-        assert directory.log_path.read_bytes() == raw
 
     def test_scan_without_repair_leaves_file_alone(self, tmp_path):
         directory = DurabilityDirectory(tmp_path)
@@ -78,50 +71,96 @@ class TestTornLogTail:
     def test_corruption_before_the_tail_still_raises(self, tmp_path):
         directory = DurabilityDirectory(tmp_path)
         write_records(directory, 3)
-        lines = directory.log_path.read_bytes().splitlines(keepends=True)
-        lines[1] = b'{"lsn": mangled beyond parsing}\n'
-        directory.log_path.write_bytes(b"".join(lines))
+        raw = bytearray(directory.log_path.read_bytes())
+        raw[frame_ends(raw)[1] - 1] ^= 0x01  # the last byte of frame 1
+        directory.log_path.write_bytes(bytes(raw))
         with pytest.raises(RecoveryError, match="corrupt log record"):
             directory.scan_log()
 
     @pytest.mark.parametrize(
-        "victim,terminated", [(b'"v1"', True), (b'"v2"', False)],
-        ids=["mid-log", "unterminated-tail"],
+        "victim", [b"v1", b"v2"], ids=["mid-log", "untorn-final-frame"]
     )
-    def test_invalid_utf8_byte_is_never_read_as_data(
-        self, tmp_path, victim, terminated
-    ):
-        # decoding is strict: a flipped byte is corruption (or, in a final
-        # line without its newline, a torn tail) — never a U+FFFD replayed as
-        # a parameter that was never logged
+    def test_invalid_utf8_byte_is_never_read_as_data(self, tmp_path, victim):
+        # a flipped byte fails its frame's CRC before any decoding — in the
+        # last frame too: a torn append leaves a prefix of correct bytes, so
+        # a whole frame that does not check out is corruption, not tearing
         directory = DurabilityDirectory(tmp_path)
         write_records(directory, 3)
         raw = bytearray(directory.log_path.read_bytes())
-        if not terminated:
-            raw.pop()
         raw[raw.index(victim) + 1] = 0xFF
         directory.log_path.write_bytes(bytes(raw))
-        if terminated:
-            with pytest.raises(RecoveryError, match="corrupt log record"):
-                directory.scan_log()
-        else:
-            records, torn = directory.scan_log()
-            assert torn == 1
-            assert [record.lsn for record in records] == [0, 1]
+        with pytest.raises(RecoveryError, match="fails its CRC32"):
+            directory.scan_log()
 
     def test_newline_terminated_garbage_tail_still_raises(self, tmp_path):
-        # a torn write can never leave garbage *followed by a newline*, so
-        # this is real corruption, not tearing
+        # garbage long enough to hold a header fails the header check: it is
+        # never read as a length and "repaired" away as a torn tail
         directory = DurabilityDirectory(tmp_path)
-        directory.log_path.write_text("{not json}\n")
-        with pytest.raises(RecoveryError, match="corrupt log record"):
+        write_records(directory, 2)
+        raw = directory.log_path.read_bytes()
+        directory.log_path.write_bytes(raw + b"{not a frame}\n")
+        with pytest.raises(RecoveryError, match="header fails its check"):
             directory.scan_log()
+        assert directory.log_path.read_bytes() == raw + b"{not a frame}\n"
+
+    def test_json_lines_log_is_refused_naming_the_format(self, tmp_path):
+        directory = DurabilityDirectory(tmp_path)
+        directory.log_path.write_text(
+            '{"lsn":0,"txn_id":0,"procedure":"p","params":[1],"partition":0,'
+            '"logical_time":0,"meta":[]}\n'
+        )
+        with pytest.raises(RecoveryError, match="JSON-lines command log"):
+            directory.scan_log()
+        with pytest.raises(RecoveryError, match="JSON-lines command log"):
+            build_t().restore_from_disk(tmp_path)
 
     def test_empty_and_missing_files(self, tmp_path):
         directory = DurabilityDirectory(tmp_path)
         assert directory.scan_log() == ([], 0)
         directory.log_path.write_text("")
         assert directory.scan_log() == ([], 0)
+
+
+class TestFrameOrder:
+    """LSNs are dense: a byte-identical duplicate or a reordered frame passes
+    every per-frame check, so the scan checks each LSN against the last."""
+
+    @staticmethod
+    def voter_log(path):
+        app = voter_app()
+        app.engine.enable_durability(path)
+        app.submit(VoterWorkload(seed=3, num_contestants=5).generate(200))
+        app.engine.shutdown()
+        raw = (path / "command.log").read_bytes()
+        ends = frame_ends(raw)
+        ingests = [
+            (start, end)
+            for start, end in zip([0, *ends], ends)
+            if decode_frame(raw, start)[0].procedure == "<ingest>"
+        ]
+        return raw, ingests
+
+    def test_a_duplicated_frame_raises_naming_its_byte(self, tmp_path):
+        raw, ingests = self.voter_log(tmp_path)
+        start, end = ingests[len(ingests) // 2]
+        (tmp_path / "command.log").write_bytes(raw[:end] + raw[start:end] + raw[end:])
+        with pytest.raises(RecoveryError, match=f"byte {end} has LSN"):
+            DurabilityDirectory(tmp_path).scan_log()
+        with pytest.raises(RecoveryError, match=f"byte {end} has LSN"):
+            voter_app().engine.restore_from_disk(tmp_path)
+
+    def test_two_swapped_frames_raise(self, tmp_path):
+        raw, ingests = self.voter_log(tmp_path)
+        (a, b), (c, d) = ingests[10], ingests[11]
+        assert b == c
+        swapped = raw[:a] + raw[c:d] + raw[a:b] + raw[d:]
+        (tmp_path / "command.log").write_bytes(swapped)
+        with pytest.raises(RecoveryError, match=f"byte {a} has LSN"):
+            voter_app().engine.restore_from_disk(tmp_path)
+
+
+def voter_app() -> VoterSStoreApp:
+    return VoterSStoreApp(num_contestants=5, batch_size=1)
 
 
 def snapshot(snapshot_id: int, through_lsn: int) -> Snapshot:
@@ -174,22 +213,20 @@ class TestSnapshotChecksums:
         with pytest.raises(RecoveryError, match="unreadable snapshot"):
             directory.load_snapshot_file(path)
 
-    def test_legacy_unchecksummed_snapshot_still_loads(self, tmp_path):
+    def test_snapshot_without_its_envelope_or_offset_is_rejected(self, tmp_path):
+        # such files only ever sat beside a JSON-lines log, which is refused
         directory = DurabilityDirectory(tmp_path)
-        legacy = tmp_path / "snapshots" / "00000000.json"
-        legacy.write_text(
-            json.dumps(
-                {
-                    "snapshot_id": 0,
-                    "through_lsn": 3,
-                    "logical_time": 1,
-                    "partition_state": {"0": {}},
-                    "extra": {},
-                }
-            )
-        )
-        loaded = directory.load_latest_snapshot()
-        assert loaded is not None and loaded.through_lsn == 3
+        path = directory.write_snapshot(snapshot(0, 7))
+        payload = json.loads(path.read_bytes())["payload"]
+        path.write_text(json.dumps(payload))  # the pre-checksum layout
+        with pytest.raises(RecoveryError, match="no checksummed payload"):
+            directory.load_snapshot_file(path)
+        del payload["log_offset"]
+        body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        path.write_text(f'{{"checksum":"{digest}","payload":{body}}}')
+        with pytest.raises(RecoveryError, match="malformed snapshot.*log_offset"):
+            directory.load_snapshot_file(path)
 
 
 class TestSnapshotFallback:
@@ -273,7 +310,7 @@ class TestOneStoreOneRecoveryPath:
         offset = engine.take_snapshot().log_offset
         insert(engine, 4, 5)
         raw = (tmp_path / "command.log").read_bytes()
-        last_start = raw[:-1].rfind(b"\n") + 1
+        last_start = frame_ends(raw)[-2]
         assert 0 < offset < last_start  # the torn record is in the suffix
 
         def tear(path):
@@ -327,8 +364,8 @@ class TestOneStoreOneRecoveryPath:
         insert(engine, 4)
         second = engine.take_snapshot()
         insert(engine, 5)
-        lines = (tmp_path / "command.log").read_bytes().splitlines(keepends=True)
-        assert second.log_offset == sum(len(line) for line in lines[:4])
+        ends = frame_ends((tmp_path / "command.log").read_bytes())
+        assert second.log_offset == ends[3]
 
         durable = self.assert_both_paths_agree(
             engine, tmp_path, 1, rows(1, 2, 3, 4, 5)
@@ -376,7 +413,7 @@ def rows(*keys: int) -> list[tuple[int, int]]:
 
 def count_log_records(monkeypatch) -> list:
     """Collects one entry per :class:`LogRecord` built from here on — one per
-    log line a scan parses."""
+    frame a scan decodes."""
     built = []
     init = LogRecord.__init__
 
@@ -408,9 +445,9 @@ class TestLogOffset:
 
     def test_snapshots_record_where_their_suffix_starts(self, tmp_path):
         snapshot = snapshotted_run(tmp_path)
-        lines = (tmp_path / "command.log").read_bytes().splitlines(keepends=True)
+        ends = frame_ends((tmp_path / "command.log").read_bytes())
         assert snapshot.through_lsn == 3
-        assert snapshot.log_offset == sum(len(line) for line in lines[:3])
+        assert snapshot.log_offset == ends[2]
 
     def test_log_shorter_than_the_offset_raises_naming_both_sizes(self, tmp_path):
         snapshot = snapshotted_run(tmp_path)
@@ -425,7 +462,7 @@ class TestLogOffset:
     @pytest.mark.parametrize(
         "where,message",
         [
-            ("record-early", "has LSN 2, but the snapshot through LSN 3"),
+            ("record-early", "has LSN 2, but LSN 3 comes next"),
             ("mid-record", "corrupt log record"),
         ],
     )
@@ -433,10 +470,10 @@ class TestLogOffset:
         self, tmp_path, where, message
     ):
         snapshot = snapshotted_run(tmp_path)
-        lines = (tmp_path / "command.log").read_bytes().splitlines(keepends=True)
-        # a record boundary, but LSN 2's; or one byte into LSN 3's record
+        ends = frame_ends((tmp_path / "command.log").read_bytes())
+        # a frame boundary, but LSN 2's; or one byte into LSN 3's frame
         if where == "record-early":
-            moved = snapshot.log_offset - len(lines[2])
+            moved = ends[1]
         else:
             moved = snapshot.log_offset + 1
         DurabilityDirectory(tmp_path).write_snapshot(
@@ -444,30 +481,6 @@ class TestLogOffset:
         )
         with pytest.raises(RecoveryError, match=message):
             build_t().restore_from_disk(tmp_path)
-
-    def test_snapshot_without_an_offset_recovers_through_a_full_scan(
-        self, tmp_path, monkeypatch
-    ):
-        snapshotted_run(tmp_path)
-        suffix = build_t()
-        suffix.restore_from_disk(tmp_path)
-        suffix.shutdown()
-        # rewrite it as the legacy test's file: no envelope, no log_offset
-        [path] = (tmp_path / "snapshots").glob("*.json")
-        payload = json.loads(path.read_bytes())["payload"]
-        del payload["log_offset"]
-        path.write_text(json.dumps(payload))
-
-        built = count_log_records(monkeypatch)
-        legacy = build_t()
-        legacy.restore_from_disk(tmp_path)
-        legacy.shutdown()
-        assert len(built) == 5  # every record parsed, two of them replayed
-        assert legacy.table_rows("t") == suffix.table_rows("t") == rows(1, 2, 3, 4, 5)
-        assert legacy.last_recovery_report == suffix.last_recovery_report
-        assert legacy.last_recovery_report.replayed_transactions == 2
-        for log in (legacy.command_log, suffix.command_log):
-            assert len(log) == log.durable_lsn == log.next_lsn == 5
 
     def test_corruption_before_the_offset_is_left_to_full_history_readers(
         self, tmp_path
@@ -479,9 +492,9 @@ class TestLogOffset:
         insert(engine, 4, 5)
         engine.crash()
         log = tmp_path / "command.log"
-        lines = log.read_bytes().splitlines(keepends=True)
-        lines[1] = b"#" * (len(lines[1]) - 1) + b"\n"  # same length: offsets hold
-        log.write_bytes(b"".join(lines))
+        raw = bytearray(log.read_bytes())
+        raw[frame_ends(raw)[1] - 1] ^= 0xFF  # in place: offsets hold
+        log.write_bytes(bytes(raw))
 
         assert engine.recover() == 2  # never read the damaged prefix
         assert engine.table_rows("t") == rows(1, 2, 3, 4, 5)

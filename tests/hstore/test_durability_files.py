@@ -6,6 +6,7 @@ from repro.apps.voter import VoterSStoreApp, VoterWorkload
 from repro.core.engine import SStoreEngine
 from repro.errors import RecoveryError, ReproError
 from repro.hstore.cmdlog import LogRecord
+from repro.hstore.codec import encode_frame
 from repro.hstore.durability import DurabilityDirectory
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.procedure import StoredProcedure
@@ -33,51 +34,40 @@ class TestDurabilityDirectory:
     def test_log_roundtrip(self, tmp_path):
         directory = DurabilityDirectory(tmp_path)
         records = [
-            LogRecord(0, 10, "p", (1, "x"), 0, 5, (("kind", "test"),)),
-            LogRecord(1, 11, "q", (("nested", "rows"),), 0, 6),
+            LogRecord(0, 10, "p", (1, "x"), 0, 5),
+            LogRecord(1, 11, "q", (("nested", "rows"),), -1, 6),
         ]
         directory.append_log_records(records)
         loaded = directory.load_log_records()
-        assert len(loaded) == 2
-        assert loaded[0].procedure == "p"
-        assert loaded[0].meta == (("kind", "test"),)
-        assert loaded[1].params == (["nested", "rows"],)  # tuples → lists
+        assert loaded == records  # tuples stay tuples
 
-    def test_record_bytes_are_the_fully_normalised_encoding(self, tmp_path):
-        # the writer walks a params tuple instead of copying it; the bytes
-        # must be what encoding the deep-normalised copy always produced
-        import json
-
-        def normalised(value):
-            if isinstance(value, (tuple, list)):
-                return [normalised(item) for item in value]
-            if isinstance(value, dict):
-                return {str(key): normalised(item) for key, item in value.items()}
-            return value
-
+    def test_record_bytes_are_its_frame_and_round_trip_exactly(self, tmp_path):
+        # what JSON changed on the way back (tuples to lists, dict keys to
+        # strings) now comes back as it went in, type for type
         params = (
             "s",
             ((1, "x", None), (2.5, True, "y")),
-            {1: (1, 2), None: {"k": (3,)}, True: [], "plain": {2.0: "f"}},
+            {1: (1, 2), None: {"k": (3,)}, False: [], "plain": {2.5: "f"}, (1, 2): -3},
             [(), [(4,)]],
+            (2**70, -(2**64), 1e300, -0.0, float("inf"), "\u00e9\U0001f600"),
         )
-        record = LogRecord(7, 70, "p", params, 0, 9, (("kind", "test"), ("n", (1, 2))))
+        record = LogRecord(0, 70, "p", params, 0, 9)
         directory = DurabilityDirectory(tmp_path)
         directory.append_log_records([record])
-        expected = json.dumps(
-            {
-                "lsn": 7,
-                "txn_id": 70,
-                "procedure": "p",
-                "params": normalised(params),
-                "partition": 0,
-                "logical_time": 9,
-                "meta": normalised(record.meta),
-            },
-            separators=(",", ":"),
-        )
-        assert directory.log_path.read_text() == expected + "\n"
-        assert directory.load_log_records()[0].params[2]["None"] == {"k": [3]}
+        assert directory.log_path.read_bytes() == encode_frame(record)
+        [loaded] = directory.load_log_records()
+        assert loaded == record
+        assert type(loaded.params[3]) is list and type(loaded.params[1]) is tuple
+        assert loaded.params[2][None] == {"k": (3,)}
+        assert [type(key) for key in loaded.params[2]] == [int, type(None), bool, str, tuple]
+
+    def test_a_value_the_codec_refuses_fails_the_group_before_any_byte(self, tmp_path):
+        directory = DurabilityDirectory(tmp_path)
+        good = LogRecord(0, 0, "p", (1,), 0, 0)
+        bad = LogRecord(1, 1, "p", ({1, 2},), 0, 0)
+        with pytest.raises(ReproError, match="type set"):
+            directory.append_log_records([good, bad])
+        assert directory.log_size() == 0
 
     def test_load_empty(self, tmp_path):
         assert DurabilityDirectory(tmp_path).load_log_records() == []
@@ -85,8 +75,8 @@ class TestDurabilityDirectory:
 
     def test_corrupt_log_raises(self, tmp_path):
         directory = DurabilityDirectory(tmp_path)
-        directory.log_path.write_text("{not json}\n")
-        with pytest.raises(RecoveryError):
+        directory.log_path.write_bytes(b"\x00\x00\x00\x05not a frame at all")
+        with pytest.raises(RecoveryError, match="header fails its check"):
             directory.load_log_records()
 
     def test_latest_snapshot_wins(self, tmp_path):
