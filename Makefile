@@ -44,14 +44,16 @@ dstream:
 ivm:
 	$(PYTHON) -m pytest -m ivm -q
 
-# expression lowering suites: every node's scalar and column form against
-# the oracle (tests/oracle.py), compiled plans and the plan cache, hypothesis
-# differential fuzzing of statements and both apps run whole against it
+# expression lowering suites: every node's compiled lowering against the
+# oracle (tests/oracle.py), compiled plans and the plan cache, hypothesis
+# differential fuzzing of statements, literals that must never reach a
+# kernel's source, and both apps run whole against the oracle
 compile:
 	$(PYTHON) -m pytest tests/hstore/test_expression.py \
 		tests/hstore/test_compile.py \
 		tests/hstore/test_plan_cache.py \
 		tests/property/test_prop_compile_diff.py \
+		tests/property/test_prop_kernel_literals.py \
 		tests/integration/test_apps_on_the_oracle.py -q
 
 # TCP front door: wire-protocol codec units + hypothesis garbage fuzzing,
@@ -61,9 +63,8 @@ compile:
 net:
 	$(PYTHON) -m pytest -m net -q
 
-# vectorized execution: column-cache units (lazy per-column build, dropped
-# by every write), bulk-insert atomicity, EXPLAIN lanes vs counters, and the
-# hypothesis differential (vectorized vs row-compiled vs the oracle,
+# scans: sorted-flag heal and bulk-insert atomicity, EXPLAIN lanes vs
+# counters, and the hypothesis scan differential (the engine vs the oracle,
 # bit-for-bit, with writes, aborts, truncate and recovery between scans)
 columnar:
 	$(PYTHON) -m pytest -m columnar -q

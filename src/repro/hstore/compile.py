@@ -1,39 +1,32 @@
-"""Plan lowering: one node dispatch builds every expression evaluator.
+"""Plan lowering: one generated kernel per statement.
 
-:func:`lower_expr` walks an expression tree once, at plan time, and builds
-its evaluator in one of two forms:
+:func:`lower_expr` walks an expression tree once, at plan time, and returns
+Python source: one expression over the locals ``row`` (the current row),
+``params`` (the statement's parameters) and ``ee`` (the executor planned
+subqueries run their inner plans through).  Column references become row
+offsets (``row[7]``) and parameters ``params[2]``; every other value the
+expression needs — each SQL literal, each inner plan — is a name in the
+kernel's namespace (:class:`Source`), so no text from SQL is ever spliced
+into source.
 
-* :data:`SCALAR` — ``EvalFn``, a closure ``fn(ctx) -> value`` evaluated per
-  row, column references burned in as row offsets (``ctx.row[7]``);
-* :data:`repro.hstore.vector.COLUMN` — ``VecFn``, a closure over a whole
-  column batch, or ``None`` where the column form has no evaluator.
+What a node *means* is written once, in :mod:`repro.hstore.expression`: the
+lowering spells the NULL rule (a NULL operand yields NULL, every operand
+evaluated first), three-valued AND/OR and the short-circuits of IN, CASE
+and COALESCE as Python conditionals, and calls the kernels there for the
+rest — ``_div`` / ``_mod`` raise ``TypeSystemError("division by zero")``,
+``compare`` turns an ordered comparison's ``TypeError`` into
+``TypeSystemError("cannot compare …")``.  A node that can only raise — an
+unresolvable column, an unknown operator or function, an aggregate outside
+GROUP BY — lowers to a call that raises the oracle's error when evaluated.
+``tests/oracle.py`` is the tree-walking reference the kernels are held to.
 
-Each node's semantics is written once, as a kernel in
-:mod:`repro.hstore.expression`; a form is a handful of primitives with no
-per-node code (the scalar form wraps a strict kernel in a NULL check
-specialised by arity, the column form lifts it elementwise).  The scalar
-closures are the engine's reference semantics — SQL three-valued logic,
-NULL propagation, ``BindingError`` on missing parameters and unresolvable
-columns, ``TypeSystemError`` on bad comparisons and division by zero — and
-the differential suites hold them, and the column form, to the
-tree-walking oracle in ``tests/oracle.py``.
-
-:func:`compile_plan` threads closures through a whole physical plan
-(:class:`CompiledSelect` / ``Insert`` / ``Update`` / ``Delete``), including:
-
-* compiled index-probe key builders for every access path;
-* a *point-lookup* flag when a SELECT is a pure covered equality lookup
-  (no joins, no residual WHERE, no grouping/ordering): the executor's
-  source is then the index probe alone;
-* tuple-builder specialization for small projection arities and
-  ``operator.itemgetter`` fast paths when every output is a plain column
-  (projection) or every INSERT value is a plain parameter;
-* per-aggregate specs (name, compiled argument, DISTINCT): the row
-  closures fill one argument column per aggregate, which the executor's
-  one grouped driver buckets and hands to
-  :func:`repro.hstore.aggregate.fold`;
-* the column program (:class:`~repro.hstore.vector.VectorSelect`) of a
-  full-scan SELECT whose expressions all have a column form.
+:func:`compile_plan` emits, per statement, the functions of every per-row
+stage the executor drives — probe keys, filter, group-key and
+aggregate-argument columns (folded by
+:func:`repro.hstore.aggregate.fold_groups`), projection, ORDER BY keys, SET
+values, INSERT tuples — and builds them with one ``compile()``.  A stage
+over many rows is one comprehension, so a scan costs one Python frame per
+stage, not one per expression node per row.  ``EXPLAIN`` prints the source.
 """
 
 from __future__ import annotations
@@ -41,13 +34,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from operator import neg, not_
 from typing import Any, Callable
 
 from repro.errors import BindingError, PlanningError, TypeSystemError
+from repro.hstore.aggregate import fold_groups
 from repro.hstore.expression import (
-    _ARITH,
-    _COMPARATORS,
     _SCALAR_FUNCTIONS,
     AggregateCall,
     Between,
@@ -56,7 +47,6 @@ from repro.hstore.expression import (
     CaseExpr,
     ColumnRef,
     Comparison,
-    EvalContext,
     Exists,
     Expression,
     FunctionCall,
@@ -73,11 +63,12 @@ from repro.hstore.expression import (
     ScalarSubquery,
     Star,
     UnaryOp,
-    _between,
     _concat,
+    _div,
     _like,
-    _not_between,
+    _mod,
     _not_like,
+    compare,
     walk,
 )
 from repro.hstore.planner import (
@@ -87,21 +78,15 @@ from repro.hstore.planner import (
     InsertPlan,
     Plan,
     SelectPlan,
-    SeqScan,
     UpdatePlan,
 )
-from repro.hstore.table import row_getter
-from repro.hstore.vector import COLUMN, VectorSelect
+from repro.hstore.types import compile_source
 
 __all__ = [
-    "EvalFn",
-    "SCALAR",
+    "Source",
     "lower_expr",
-    "lower_select",
     "compile_plan",
-    "make_tuple_fn",
     "CompiledAccess",
-    "CompiledJoin",
     "GroupFirst",
     "CompiledSelect",
     "CompiledInsert",
@@ -109,13 +94,79 @@ __all__ = [
     "CompiledDelete",
 ]
 
-#: a scalar evaluator: one call per evaluation, zero AST dispatch
-EvalFn = Callable[[EvalContext], Any]
+#: the arguments of a stage over one row, and of a stage over many
+_ROW = "row, params, ee"
+_ROWS = "rows, params, ee"
+
+#: expression levels one function nests at most.  A level adds at most three
+#: parentheses (see :meth:`Source.strict`) and a stage a few more, so a
+#: function stays well inside CPython's limit of 200 nested parentheses.
+_MAX_DEPTH = 40
 
 
 # ---------------------------------------------------------------------------
-# The node dispatch
+# Run-time helpers a kernel calls by name
 # ---------------------------------------------------------------------------
+
+
+def _raise(error: type[Exception], message: str) -> Any:
+    raise error(message)
+
+
+def _membership(value: Any, rows: list[tuple[Any, ...]], negated: bool) -> Any:
+    """``value [NOT] IN`` a subquery's one-column rows, ``value`` non-NULL:
+    a match decides, else a NULL candidate makes the answer NULL."""
+    saw_null = False
+    for row in rows:
+        candidate = row[0]
+        if candidate is None:
+            saw_null = True
+        elif candidate == value:
+            return not negated
+    return None if saw_null else negated
+
+
+def _scalar_value(rows: list[tuple[Any, ...]]) -> Any:
+    if not rows:
+        return None
+    if len(rows) > 1:
+        raise TypeSystemError(f"scalar subquery returned {len(rows)} rows")
+    return rows[0][0]
+
+
+#: every kernel starts from these names
+_HELPERS: dict[str, Any] = {
+    "_raise": _raise,
+    "_membership": _membership,
+    "_scalar_value": _scalar_value,
+    "_compare": compare,
+    "_div": _div,
+    "_mod": _mod,
+    "_concat": _concat,
+    "_like": _like,
+    "_not_like": _not_like,
+    "_fold_groups": fold_groups,
+    **{f"_fn_{name}": fn for name, fn in _SCALAR_FUNCTIONS.items()},
+}
+
+#: how each strict operator is spelled over its operands' temps
+_BINARY = {
+    "+": "{0} + {1}",
+    "-": "{0} - {1}",
+    "*": "{0} * {1}",
+    "/": "_div({0}, {1})",
+    "%": "_mod({0}, {1})",
+    "||": "_concat({0}, {1})",
+}
+#: ``=`` and ``<>`` never raise; an ordered comparison of two values of one
+#: class runs inline, any other pair through ``compare`` for SQL's error
+_ORDERED = "{0} %s {1} if {0}.__class__ is {1}.__class__ else _compare(%r, {0}, {1})"
+_COMPARISON = {
+    "=": "{0} == {1}",
+    "<>": "{0} != {1}",
+    "!=": "{0} != {1}",
+    **{op: _ORDERED % (op, op) for op in ("<", "<=", ">", ">=")},
+}
 
 #: nodes the planner rewrites away before anything is evaluated
 _UNPLANNED = {
@@ -126,359 +177,262 @@ _UNPLANNED = {
 }
 
 
-def lower_expr(expr: Expression, columns: dict[str, int], form: Any) -> Any:
-    """Build ``expr``'s evaluator in ``form`` (:data:`SCALAR` or ``COLUMN``).
+def _tuple(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
-    ``columns`` maps column keys to row offsets; offsets are burned into
-    the evaluator.  A node that can only raise — an unresolvable column,
-    an unknown operator or function, an aggregate outside GROUP BY —
-    lowers to an evaluator that raises the error when it is evaluated
-    (the column form has none: the statement stays on the row path).
+
+# ---------------------------------------------------------------------------
+# The lowering
+# ---------------------------------------------------------------------------
+
+
+class Source:
+    """One statement's kernel under construction: its functions' source and
+    the namespace they are compiled against."""
+
+    def __init__(self) -> None:
+        self.namespace: dict[str, Any] = dict(_HELPERS)
+        self.functions: list[str] = []
+        self.text = ""
+        #: the names bound to a non-NULL literal: they need no NULL test
+        self.non_null: set[str] = set()
+        self._bound = 0
+        self._temps = 0
+        self._subs = 0
+
+    def bind(self, value: Any) -> str:
+        """A fresh name for ``value`` in the namespace."""
+        name = f"_k{self._bound}"
+        self._bound += 1
+        self.namespace[name] = value
+        return name
+
+    def literal(self, value: Any) -> str:
+        name = self.bind(value)
+        if value is not None:
+            self.non_null.add(name)
+        return name
+
+    def temp(self) -> str:
+        """A fresh local, assigned by ``:=`` where an operand is evaluated."""
+        self._temps += 1
+        return f"_t{self._temps}"
+
+    def fail(self, error: type[Exception], message: str) -> str:
+        return f"_raise({self.bind(error)}, {self.bind(message)})"
+
+    def define(self, name: str, args: str, *lines: str) -> None:
+        """Add ``def name(args)``: ``lines`` run in order, the last is returned."""
+        body = [*lines[:-1], f"return {lines[-1]}"]
+        self.functions.append(
+            f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
+        )
+
+    def function(self, body: str) -> str:
+        """``body`` as a function of the row of its own: a call to it."""
+        self._subs += 1
+        name = f"_sub{self._subs}"
+        self.define(name, _ROW, body)
+        return f"{name}(row, params, ee)"
+
+    def build(self) -> dict[str, Any]:
+        """Compile every function defined so far, once; returns the namespace."""
+        self.text = "\n".join(self.functions)
+        return compile_source(self.text, self.namespace)
+
+    # -- the shapes nodes lower to -------------------------------------------
+
+    def strict(self, template: str, *operands: str) -> str:
+        """``template`` over the operands' values, NULL if any is NULL; every
+        operand is evaluated first, so its error surfaces beside a NULL."""
+        values, nulls = [], []
+        for operand in operands:
+            if operand in self.non_null:
+                values.append(operand)
+            else:
+                values.append(self.temp())
+                nulls.append(f"(({values[-1]} := {operand}) is None)")
+        if not nulls:
+            return f"({template.format(*values)})"
+        return f"(None if {' | '.join(nulls)} else {template.format(*values)})"
+
+    def boolean(self, conjunction: bool, operands: list[str]) -> str:
+        """N-ary AND / OR in three-valued logic, left to right: the first
+        falsy operand decides an AND, the first truthy one an OR.  One flat
+        ``or`` over the operands, so a long chain nests nothing."""
+        temps = [self.temp() for _ in operands]
+        if conjunction:
+            decides = [
+                f"(({t} := {o}) is not None and not {t})" for t, o in zip(temps, operands)
+            ]
+        else:
+            decides = [f"({t} := {o})" for t, o in zip(temps, operands)]
+        nulls = " or ".join(f"{t} is None" for t in temps)
+        return (
+            f"({not conjunction} if {' or '.join(decides)} "
+            f"else None if {nulls} else {conjunction})"
+        )
+
+    def in_list(self, operand: str, options: list[str], negated: bool) -> str:
+        """Options evaluated in order up to the first match; a NULL option
+        turns a miss into NULL."""
+        value = self.temp()
+        temps = [self.temp() for _ in options]
+        hits = " or ".join(f"({t} := {o}) == {value}" for t, o in zip(temps, options))
+        nulls = " or ".join(f"{t} is None" for t in temps)
+        return (
+            f"(None if ({value} := {operand}) is None "
+            f"else {not negated} if {hits or False} "
+            f"else None if {nulls or False} else {negated})"
+        )
+
+    def coalesce(self, args: list[str]) -> str:
+        if not args:
+            return "None"
+        temps = [self.temp() for _ in args[:-1]]
+        parts = [f"{t} if ({t} := {a}) is not None" for t, a in zip(temps, args)]
+        return f"({' else '.join([*parts, args[-1]])})"
+
+    def case(
+        self, operand: str | None, whens: list[tuple[str, str]], default: str | None
+    ) -> str:
+        """Simple CASE (operand = each WHEN value, every WHEN evaluated up to
+        the match) or searched CASE (each WHEN a predicate that must be
+        exactly TRUE)."""
+        default = "None" if default is None else default
+        if not whens:
+            return default
+        if operand is None:
+            parts = [f"{then} if {when} is True" for when, then in whens]
+        else:
+            subject = self.temp()
+            first = f"({subject} := {operand})"
+            parts = [
+                f"{then} if ({first if i == 0 else subject} is not None) "
+                f"& ({when} == {subject})"
+                for i, (when, then) in enumerate(whens)
+            ]
+        return f"({' else '.join([*parts, default])})"
+
+    def inner_rows(self, plan: SelectPlan, outer_offsets: tuple[int, ...]) -> str:
+        """A planned subquery's rows: the statement params extended with the
+        correlated outer-column values of the current row."""
+        params = "params"
+        if outer_offsets:
+            params = f"(*params, {', '.join(f'row[{o}]' for o in outer_offsets)})"
+        return f"ee.execute_select_plan({self.bind(plan)}, {params}).rows"
+
+
+def lower_expr(
+    expr: Expression, columns: dict[str, int], src: Source, depth: int = 0
+) -> str:
+    """``expr`` as one Python expression over ``row``, ``params`` and ``ee``.
+
+    ``columns`` maps column keys to row offsets, which are burned into the
+    source; ``src`` receives the values the expression names.  ``depth`` is
+    how deeply ``expr`` sits in the function being written: a subtree at
+    :data:`_MAX_DEPTH` becomes a function of its own, so a long left-deep
+    chain (``a + b + ...``, ``NOT NOT ...``) never nests more parentheses
+    than CPython's parser accepts.  The recursion is one Python frame per
+    tree level, so a 500-level chain stays inside the default recursion limit.
     """
-
-    def lower(node: Expression | None) -> Any:
-        return None if node is None else lower_expr(node, columns, form)
-
+    if depth >= _MAX_DEPTH and not isinstance(expr, (Literal, ColumnRef, Parameter)):
+        return src.function(lower_expr(expr, columns, src))
+    d = depth + 1
     if isinstance(expr, Literal):
-        return form.const(expr.value)
+        return src.literal(expr.value)
     if isinstance(expr, ColumnRef):
         offset = columns.get(expr.key)
         if offset is None:
-            return form.fail(
+            return src.fail(
                 BindingError,
                 f"cannot resolve column {expr.key!r}; known: {sorted(columns)}",
             )
-        return form.column(offset)
+        return f"row[{offset}]"
     if isinstance(expr, Parameter):
-        return form.param(expr.index)
+        return f"params[{expr.index}]"
     if isinstance(expr, Comparison):
-        if expr.op not in _COMPARATORS:
-            return form.fail(PlanningError, f"unknown comparator {expr.op!r}")
-        return form.compare(expr.op, lower(expr.left), lower(expr.right))
+        if expr.op not in _COMPARISON:
+            return src.fail(PlanningError, f"unknown comparator {expr.op!r}")
+        return src.strict(
+            _COMPARISON[expr.op],
+            lower_expr(expr.left, columns, src, d),
+            lower_expr(expr.right, columns, src, d),
+        )
     if isinstance(expr, BinaryOp):
-        kernel = _concat if expr.op == "||" else _ARITH.get(expr.op)
-        if kernel is None:
-            return form.fail(PlanningError, f"unknown binary operator {expr.op!r}")
-        return form.strict(kernel, lower(expr.left), lower(expr.right))
+        if expr.op not in _BINARY:
+            return src.fail(PlanningError, f"unknown binary operator {expr.op!r}")
+        return src.strict(
+            _BINARY[expr.op],
+            lower_expr(expr.left, columns, src, d),
+            lower_expr(expr.right, columns, src, d),
+        )
     if isinstance(expr, UnaryOp):
         if expr.op != "-":
-            return form.fail(PlanningError, f"unknown unary operator {expr.op!r}")
-        return form.strict(neg, lower(expr.operand))
+            return src.fail(PlanningError, f"unknown unary operator {expr.op!r}")
+        return src.strict("-{0}", lower_expr(expr.operand, columns, src, d))
     if isinstance(expr, NotOp):
-        return form.strict(not_, lower(expr.operand))
+        return src.strict("not {0}", lower_expr(expr.operand, columns, src, d))
     if isinstance(expr, Between):
-        kernel = _not_between if expr.negated else _between
-        return form.strict(
-            kernel, lower(expr.operand), lower(expr.low), lower(expr.high)
+        template = "{1} <= {0} <= {2}"
+        return src.strict(
+            f"not {template}" if expr.negated else template,
+            *(lower_expr(e, columns, src, d) for e in (expr.operand, expr.low, expr.high)),
         )
     if isinstance(expr, Like):
-        kernel = _not_like if expr.negated else _like
-        return form.strict(kernel, lower(expr.operand), lower(expr.pattern))
+        kernel = "_not_like" if expr.negated else "_like"
+        return src.strict(
+            kernel + "({0}, {1})",
+            lower_expr(expr.operand, columns, src, d),
+            lower_expr(expr.pattern, columns, src, d),
+        )
     if isinstance(expr, FunctionCall):
         name = expr.name.lower()
         if name not in _SCALAR_FUNCTIONS:
-            return form.fail(PlanningError, f"unknown function {expr.name!r}")
-        args = [lower(arg) for arg in expr.args]
+            return src.fail(PlanningError, f"unknown function {expr.name!r}")
+        args = [lower_expr(arg, columns, src, d) for arg in expr.args]
         if name == "coalesce":
-            return form.coalesce(args)
-        return form.strict(_SCALAR_FUNCTIONS[name], *args)
+            return src.coalesce(args)
+        slots = ", ".join(f"{{{i}}}" for i in range(len(args)))
+        return src.strict(f"_fn_{name}({slots})", *args)
     if isinstance(expr, BooleanOp):
         if expr.op not in ("AND", "OR"):
-            return form.fail(PlanningError, f"unknown boolean operator {expr.op!r}")
-        return form.boolean(expr.op == "AND", [lower(part) for part in expr.operands])
+            return src.fail(PlanningError, f"unknown boolean operator {expr.op!r}")
+        return src.boolean(
+            expr.op == "AND", [lower_expr(part, columns, src, d) for part in expr.operands]
+        )
     if isinstance(expr, IsNull):
-        return form.is_null(lower(expr.operand), expr.negated)
+        operand = lower_expr(expr.operand, columns, src, d)
+        return f"({operand} is {'not ' if expr.negated else ''}None)"
     if isinstance(expr, InList):
-        options = [lower(option) for option in expr.options]
-        return form.in_list(lower(expr.operand), options, expr.negated)
+        options = [lower_expr(option, columns, src, d) for option in expr.options]
+        return src.in_list(lower_expr(expr.operand, columns, src, d), options, expr.negated)
     if isinstance(expr, CaseExpr):
-        return form.case(
-            lower(expr.operand),
-            [(lower(when), lower(then)) for when, then in expr.whens],
-            lower(expr.default),
+        return src.case(
+            None if expr.operand is None else lower_expr(expr.operand, columns, src, d),
+            [
+                (lower_expr(when, columns, src, d), lower_expr(then, columns, src, d))
+                for when, then in expr.whens
+            ],
+            None if expr.default is None else lower_expr(expr.default, columns, src, d),
         )
     if isinstance(expr, PlannedInSubquery):
-        return form.in_subquery(
-            lower(expr.operand), expr.plan, expr.outer_offsets, expr.negated
+        value = src.temp()
+        rows = src.inner_rows(expr.plan, expr.outer_offsets)
+        return (
+            f"(None if ({value} := {lower_expr(expr.operand, columns, src, d)}) is None "
+            f"else _membership({value}, {rows}, {expr.negated}))"
         )
     if isinstance(expr, PlannedExists):
-        return form.exists(expr.plan, expr.outer_offsets)
+        return f"bool({src.inner_rows(expr.plan, expr.outer_offsets)})"
     if isinstance(expr, PlannedScalarSubquery):
-        return form.scalar_subquery(expr.plan, expr.outer_offsets)
+        return f"_scalar_value({src.inner_rows(expr.plan, expr.outer_offsets)})"
     if isinstance(expr, AggregateCall):
-        return form.fail(
+        return src.fail(
             PlanningError,
             f"aggregate {expr.name.upper()} evaluated outside GROUP BY context",
         )
-    return form.fail(PlanningError, _UNPLANNED[type(expr)])
-
-
-# ---------------------------------------------------------------------------
-# The scalar form
-# ---------------------------------------------------------------------------
-
-
-def _membership(value: Any, candidates: Any, negated: bool) -> Any:
-    """``value [NOT] IN candidates`` for a non-NULL ``value``: a match
-    decides, else a NULL candidate makes the answer NULL."""
-    saw_null = False
-    for candidate in candidates:
-        if candidate is None:
-            saw_null = True
-        elif candidate == value:
-            return not negated
-    return None if saw_null else negated
-
-
-def _inner_rows(plan: SelectPlan, outer_offsets: tuple[int, ...]) -> EvalFn:
-    """A planned subquery's rows for the current outer row: the statement
-    params extended with the correlated outer-column values."""
-
-    def run_inner(ctx: EvalContext) -> list[tuple[Any, ...]]:
-        params = tuple(ctx.params) + tuple(ctx.row[offset] for offset in outer_offsets)
-        return ctx.executor.execute_select_plan(plan, params).rows
-
-    return run_inner
-
-
-class _ScalarForm:
-    """The scalar form of :func:`lower_expr`: ``ctx -> value`` closures."""
-
-    def const(self, value: Any) -> EvalFn:
-        return lambda ctx: value
-
-    def column(self, offset: int) -> EvalFn:
-        return lambda ctx: ctx.row[offset]
-
-    def param(self, index: int) -> EvalFn:
-        def eval_param(ctx: EvalContext) -> Any:
-            params = ctx.params
-            if index >= len(params):
-                raise BindingError(
-                    f"statement requires parameter #{index + 1}, "
-                    f"only {len(params)} bound"
-                )
-            return params[index]
-
-        return eval_param
-
-    def fail(self, error: type[Exception], message: str) -> EvalFn:
-        def raise_error(ctx: EvalContext) -> Any:
-            raise error(message)
-
-        return raise_error
-
-    def strict(self, kernel: Callable[..., Any], *fns: EvalFn) -> EvalFn:
-        """``kernel`` over the operands' values, NULL if any operand is NULL.
-
-        Every operand is evaluated before the NULL check, so an operand's
-        error surfaces even beside a NULL.
-        """
-        if len(fns) == 1:
-            (f0,) = fns
-
-            def strict1(ctx: EvalContext) -> Any:
-                a = f0(ctx)
-                return None if a is None else kernel(a)
-
-            return strict1
-        if len(fns) == 2:
-            f0, f1 = fns
-
-            def strict2(ctx: EvalContext) -> Any:
-                a = f0(ctx)
-                b = f1(ctx)
-                if a is None or b is None:
-                    return None
-                return kernel(a, b)
-
-            return strict2
-        if len(fns) == 3:
-            f0, f1, f2 = fns
-
-            def strict3(ctx: EvalContext) -> Any:
-                a = f0(ctx)
-                b = f1(ctx)
-                c = f2(ctx)
-                if a is None or b is None or c is None:
-                    return None
-                return kernel(a, b, c)
-
-            return strict3
-
-        def strictn(ctx: EvalContext) -> Any:
-            values = [fn(ctx) for fn in fns]
-            for value in values:
-                if value is None:
-                    return None
-            return kernel(*values)
-
-        return strictn
-
-    def compare(self, op: str, left: EvalFn, right: EvalFn) -> EvalFn:
-        """A strict comparison whose ``TypeError`` becomes SQL's error."""
-        kernel = _COMPARATORS[op]
-
-        def compare(ctx: EvalContext) -> Any:
-            a = left(ctx)
-            b = right(ctx)
-            if a is None or b is None:
-                return None
-            try:
-                return kernel(a, b)
-            except TypeError:
-                raise TypeSystemError(f"cannot compare {a!r} {op} {b!r}") from None
-
-        return compare
-
-    def boolean(self, conjunction: bool, fns: list[EvalFn]) -> EvalFn:
-        """N-ary AND / OR in three-valued logic, short-circuiting left to
-        right: the first falsy operand decides an AND, the first truthy one
-        an OR."""
-
-        def eval_boolean(ctx: EvalContext) -> Any:
-            saw_null = False
-            for fn in fns:
-                value = fn(ctx)
-                if value is None:
-                    saw_null = True
-                elif (not value) is conjunction:
-                    return not conjunction
-            return None if saw_null else conjunction
-
-        return eval_boolean
-
-    def is_null(self, operand: EvalFn, negated: bool) -> EvalFn:
-        if negated:
-            return lambda ctx: operand(ctx) is not None
-        return lambda ctx: operand(ctx) is None
-
-    def in_list(self, operand: EvalFn, options: list[EvalFn], negated: bool) -> EvalFn:
-        def eval_in(ctx: EvalContext) -> Any:
-            value = operand(ctx)
-            if value is None:
-                return None
-            return _membership(value, (option(ctx) for option in options), negated)
-
-        return eval_in
-
-    def coalesce(self, fns: list[EvalFn]) -> EvalFn:
-        def eval_coalesce(ctx: EvalContext) -> Any:
-            for fn in fns:
-                value = fn(ctx)
-                if value is not None:
-                    return value
-            return None
-
-        return eval_coalesce
-
-    def case(
-        self,
-        operand: EvalFn | None,
-        whens: list[tuple[EvalFn, EvalFn]],
-        default: EvalFn | None,
-    ) -> EvalFn:
-        """Simple CASE (operand = each WHEN value) or searched CASE (each
-        WHEN is a predicate that must be exactly TRUE)."""
-        if operand is not None:
-
-            def eval_simple_case(ctx: EvalContext) -> Any:
-                subject = operand(ctx)
-                for when, then in whens:
-                    candidate = when(ctx)
-                    if subject is not None and candidate == subject:
-                        return then(ctx)
-                return default(ctx) if default is not None else None
-
-            return eval_simple_case
-
-        def eval_searched_case(ctx: EvalContext) -> Any:
-            for when, then in whens:
-                if when(ctx) is True:
-                    return then(ctx)
-            return default(ctx) if default is not None else None
-
-        return eval_searched_case
-
-    def in_subquery(
-        self,
-        operand: EvalFn,
-        plan: SelectPlan,
-        outer_offsets: tuple[int, ...],
-        negated: bool,
-    ) -> EvalFn:
-        inner = _inner_rows(plan, outer_offsets)
-
-        def eval_in_subquery(ctx: EvalContext) -> Any:
-            value = operand(ctx)
-            if value is None:
-                return None
-            return _membership(value, (row[0] for row in inner(ctx)), negated)
-
-        return eval_in_subquery
-
-    def exists(self, plan: SelectPlan, outer_offsets: tuple[int, ...]) -> EvalFn:
-        inner = _inner_rows(plan, outer_offsets)
-        return lambda ctx: bool(inner(ctx))
-
-    def scalar_subquery(
-        self, plan: SelectPlan, outer_offsets: tuple[int, ...]
-    ) -> EvalFn:
-        inner = _inner_rows(plan, outer_offsets)
-
-        def eval_scalar_subquery(ctx: EvalContext) -> Any:
-            rows = inner(ctx)
-            if not rows:
-                return None
-            if len(rows) > 1:
-                raise TypeSystemError(f"scalar subquery returned {len(rows)} rows")
-            return rows[0][0]
-
-        return eval_scalar_subquery
-
-
-#: the scalar form of :func:`lower_expr`
-SCALAR = _ScalarForm()
-
-
-def _scalar(expr: Expression | None, columns: dict[str, int]) -> Any:
-    """``expr``'s scalar evaluator; None for an absent clause."""
-    return None if expr is None else lower_expr(expr, columns, SCALAR)
-
-
-def make_tuple_fn(fns: tuple[EvalFn, ...]) -> EvalFn:
-    """A closure building the tuple of all ``fns`` results, arity-specialized.
-
-    Building ``(f0(ctx), f1(ctx))`` directly beats a genexp-into-``tuple``
-    for the 1–4 column rows that dominate the streaming workloads.
-    """
-    if len(fns) == 0:
-        return lambda ctx: ()
-    if len(fns) == 1:
-        (f0,) = fns
-        return lambda ctx: (f0(ctx),)
-    if len(fns) == 2:
-        f0, f1 = fns
-        return lambda ctx: (f0(ctx), f1(ctx))
-    if len(fns) == 3:
-        f0, f1, f2 = fns
-        return lambda ctx: (f0(ctx), f1(ctx), f2(ctx))
-    if len(fns) == 4:
-        f0, f1, f2, f3 = fns
-        return lambda ctx: (f0(ctx), f1(ctx), f2(ctx), f3(ctx))
-    return lambda ctx: tuple(fn(ctx) for fn in fns)
-
-
-def _column_offsets(
-    exprs: list[Expression], columns: dict[str, int]
-) -> tuple[int, ...] | None:
-    """Row offsets when every expression is a plain resolvable column."""
-    offsets: list[int] = []
-    for expr in exprs:
-        if not isinstance(expr, ColumnRef) or expr.key not in columns:
-            return None
-        offsets.append(columns[expr.key])
-    return tuple(offsets)
+    return src.fail(PlanningError, _UNPLANNED[type(expr)])
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +442,15 @@ def _column_offsets(
 
 @dataclass
 class CompiledAccess:
-    """Closure form of one access path (probe builders pre-compiled)."""
+    """One access path's probe: ``key`` / ``low`` / ``high`` are kernel
+    functions ``(row, params, ee)`` of the outer row (``()`` for the base
+    table)."""
 
     kind: str  # "seq" | "eq" | "range"
-    #: eq: builds the probe key tuple from the (outer-row) context
-    key_fn: EvalFn | None = None
-    #: eq, all-plain-column keys: row offsets to build the probe key from
-    #: the outer row directly, skipping the closure calls entirely
-    key_offsets: tuple[int, ...] | None = None
+    key: Callable[..., tuple] | None = None
     #: range bounds (None = unbounded on that side)
-    low_fn: EvalFn | None = None
-    high_fn: EvalFn | None = None
-
-
-@dataclass
-class CompiledJoin:
-    """One join step: inner access probe + residual ON predicate."""
-
-    access: CompiledAccess
-    on: EvalFn | None
+    low: Callable[..., Any] | None = None
+    high: Callable[..., Any] | None = None
 
 
 @dataclass
@@ -517,62 +461,59 @@ class GroupFirst:
     #: the plan minus its joins: same WHERE, GROUP BY and aggregates, so its
     #: extended rows have the full plan's layout; compiled like any plan
     outer: SelectPlan
-    #: per join step ``(inner table, unique index, extended row -> probe key)``
-    probes: tuple[tuple[str, str, Callable[[tuple], tuple]], ...]
+    #: per join step ``(inner table, unique index, filter)``, the filter a
+    #: kernel function ``(rows, entries)`` keeping the rows whose key hits
+    probes: tuple[tuple[str, str, Callable[..., list]], ...]
 
 
 @dataclass
 class CompiledSelect:
+    """A SELECT's kernel: each stage a function of the kernel (None where
+    the statement has no such stage), ``(rows, params, ee) -> rows``."""
+
     access: CompiledAccess
-    joins: list[CompiledJoin]
-    where: EvalFn | None
-    #: group-key builder over the combined row ( () -> () when ungrouped )
-    group_key: EvalFn
-    #: all-plain-column group key: row offsets for direct key extraction
-    group_offsets: tuple[int, ...] | None
-    #: per-aggregate (name, compiled arg or None for COUNT(*), distinct)
-    agg_specs: tuple[tuple[str, EvalFn | None, bool], ...]
-    #: every aggregate is a bare COUNT(*): groups reduce to int counters
-    count_star_only: bool
-    post_having: EvalFn | None
-    #: projection over the extended row, as a single tuple-builder
-    project: EvalFn
-    #: pure-column projection: ext_row -> out tuple without any context
-    row_project: Callable[[tuple], tuple] | None
-    #: ORDER BY sort-key builder and the sort over the precomputed key
-    #: tuples (see :func:`_order_sort`)
-    order_keys: EvalFn | None
-    order_sort: Callable[[list], list] | None
+    #: per join step: its inner access and ON filter
+    joins: list[tuple[CompiledAccess, Callable[..., list] | None]]
+    where: Callable[..., list] | None
+    #: rows -> extended rows (group keys + aggregate values)
+    group: Callable[..., list] | None
+    having: Callable[..., list] | None
+    project: Callable[..., list]
+    #: rows -> one ``(is-NULL flag, value)`` column per ORDER BY key, and the
+    #: sort that orders the output rows by them (see :func:`_order_sort`)
+    order: Callable[..., tuple] | None
+    order_sort: Callable[[tuple, list], list] | None
+    source: str
     #: pure covered equality lookup: the index probe is the whole source
     point_lookup: bool = False
-    #: batch-at-a-time artifacts (repro.hstore.vector.VectorSelect) for
-    #: full scans whose WHERE/GROUP BY/aggregates all lower; None = row path
-    vector: Any = None
     #: grouped unique-key inner joins: aggregate first, probe per group
     group_first: GroupFirst | None = None
 
 
 @dataclass
 class CompiledInsert:
-    #: one tuple-builder per VALUES row
-    row_fns: list[EvalFn]
-    #: when every value of every row is a plain parameter: params -> tuple
-    param_rows: list[Callable[[tuple], tuple]] | None
+    #: ``(row, params, ee) -> [values tuple per VALUES row]``
+    values: Callable[..., list] | None
     #: slots are 0..n-1 with no defaults needed: values tuple IS the row
     identity_slots: bool
+    source: str
 
 
 @dataclass
 class CompiledUpdate:
     access: CompiledAccess
-    where: EvalFn | None
-    assignments: tuple[tuple[int, EvalFn], ...]
+    #: ``(rowids, storage, params, ee) -> the rowids whose row passes``
+    match: Callable[..., list] | None
+    #: ``(row, params, ee) -> the new row``
+    assign: Callable[..., tuple]
+    source: str
 
 
 @dataclass
 class CompiledDelete:
     access: CompiledAccess
-    where: EvalFn | None
+    match: Callable[..., list] | None
+    source: str
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +522,16 @@ class CompiledDelete:
 
 
 def compile_plan(plan: Plan) -> Plan:
-    """Attach compiled artifacts to a physical plan (idempotent, in place).
+    """Attach a compiled kernel to a physical plan (idempotent, in place).
 
     The planner calls this as each plan is built, nested subquery plans and
     ``INSERT ... SELECT`` sources included, so every plan an execution can
-    reach carries its closures.  A full-scan SELECT whose expressions all
-    lower additionally carries batch-at-a-time artifacts
-    (``.compiled.vector``): the plan alone decides the lane, and the
-    executor leaves it only when a batch evaluation raises.
+    reach carries its kernel.
     """
     if getattr(plan, "compiled", None) is not None:
         return plan
     if isinstance(plan, SelectPlan):
-        plan.compiled = _compile_select(plan)
-        plan.compiled.vector = lower_select(plan)
+        plan.compiled = _compile_select(plan)[0]
         plan.compiled.group_first = _group_first(plan)
     elif isinstance(plan, InsertPlan):
         plan.compiled = _compile_insert(plan)
@@ -605,175 +542,202 @@ def compile_plan(plan: Plan) -> Plan:
     return plan
 
 
-def lower_select(plan: SelectPlan) -> VectorSelect | None:
-    """The column program of a single-table full-scan SELECT, or None when
-    its WHERE, GROUP BY keys or aggregate arguments have no column form."""
-    if not isinstance(plan.access, SeqScan) or plan.joins:
-        return None
-
-    def column(expr: Expression | None) -> Any:
-        return None if expr is None else lower_expr(expr, plan.columns, COLUMN)
-
-    where_fn = column(plan.where)
-    if plan.where is not None and where_fn is None:
-        return None
-    group_fns: list[Any] = []
-    agg_specs: list[tuple[str, Any, bool]] = []
-    if plan.grouped:
-        group_fns = [column(expr) for expr in plan.group_exprs]
-        agg_specs = [
-            (agg.name, column(agg.arg), agg.distinct) for agg in plan.aggregates
-        ]
-        if None in group_fns or any(
-            agg.arg is not None and fn is None
-            for agg, (_name, fn, _distinct) in zip(plan.aggregates, agg_specs)
-        ):
-            return None
-    elif where_fn is None:
-        # plain SELECT * full scan: the row path is already a dict copy
-        return None
-    return VectorSelect(where_fn, tuple(group_fns), tuple(agg_specs))
+def _width(columns: dict[str, int]) -> int:
+    return max(columns.values(), default=-1) + 1
 
 
-def _compile_access(access: Any, columns: dict[str, int]) -> CompiledAccess:
+def _define_access(
+    src: Source, prefix: str, access: Any, columns: dict[str, int]
+) -> None:
     if isinstance(access, IndexEqScan):
-        key_fns = tuple(_scalar(expr, columns) for expr in access.key_exprs)
-        return CompiledAccess(
-            kind="eq",
-            key_fn=make_tuple_fn(key_fns),
-            key_offsets=_column_offsets(list(access.key_exprs), columns),
-        )
+        key = [lower_expr(expr, columns, src) for expr in access.key_exprs]
+        src.define(f"{prefix}key", _ROW, _tuple(key))
+    elif isinstance(access, IndexRangeScan):
+        for bound in ("low", "high"):
+            expr = getattr(access, bound)
+            if expr is not None:
+                src.define(f"{prefix}{bound}", _ROW, lower_expr(expr, columns, src))
+
+
+def _access(kernel: dict[str, Any], prefix: str, access: Any) -> CompiledAccess:
+    if isinstance(access, IndexEqScan):
+        return CompiledAccess(kind="eq", key=kernel[f"{prefix}key"])
     if isinstance(access, IndexRangeScan):
         return CompiledAccess(
-            kind="range",
-            low_fn=_scalar(access.low, columns),
-            high_fn=_scalar(access.high, columns),
+            kind="range", low=kernel.get(f"{prefix}low"), high=kernel.get(f"{prefix}high")
         )
     return CompiledAccess(kind="seq")
 
 
-def _order_sort(ascending: tuple[bool, ...]) -> Callable[[list], list]:
-    """Sort ``(key_tuple, ext_row, out)`` items by the ORDER BY keys.
+def _define_filter(
+    src: Source, name: str, expr: Expression | None, columns: dict[str, int]
+) -> None:
+    if expr is not None:
+        predicate = lower_expr(expr, columns, src)
+        src.define(name, _ROWS, f"[row for row in rows if {predicate} is True]")
 
-    The normal path is one stable ``list.sort`` pass per key, last key
-    first: each pass keys on ``(value is None, value)``, or ``(value is not
-    None, value)`` with ``reverse=True`` for DESC, so NULLs sort last in
-    both directions and ties keep the order the later keys' passes left.
-    A pass compares its key between any two rows, also rows an earlier key
-    already separates; when such a comparison raises ``TypeError`` the
-    items are sorted again by comparator, which compares a later key only
-    between rows the earlier keys tie on — the oracle's order and errors.
-    """
-    passes = []
-    for i in reversed(range(len(ascending))):
-        if ascending[i]:
-            passes.append((lambda item, i=i: ((v := item[0][i]) is None, v), False))
+
+def _columns(names: list[str], items: list[str]) -> list[str]:
+    """Lines binding each ``names[i]`` to the column of ``items[i]`` over
+    ``rows``, one comprehension each (no tuple per row).  Should one of
+    several raise, the rows are evaluated again in the oracle's order — row
+    by row, items left to right — so the error raised is the one it meets
+    first."""
+    lines = [f"{name} = [{item} for row in rows]" for name, item in zip(names, items)]
+    if len(lines) == 1:
+        return lines
+    return [
+        "try:",
+        *(f"    {line}" for line in lines),
+        "except Exception:",
+        "    for row in rows:",
+        f"        {_tuple(items)}",
+        "    raise",
+    ]
+
+
+def _define_group(src: Source, plan: SelectPlan) -> None:
+    """Every row's group keys and aggregate arguments, as columns for
+    :func:`fold_groups`."""
+    items = [lower_expr(e, plan.columns, src) for e in plan.group_exprs]
+    keys = [f"c{i}" for i in range(len(items))]
+    args = []
+    for agg in plan.aggregates:
+        if agg.arg is None:
+            args.append("None")
         else:
-            passes.append((lambda item, i=i: ((v := item[0][i]) is not None, v), True))
-    (first_key, first_reverse), later = passes[0], passes[1:]
+            args.append(f"c{len(items)}")
+            items.append(lower_expr(agg.arg, plan.columns, src))
+    lines = _columns([f"c{i}" for i in range(len(items))], items) if items else []
+    specs = src.bind(tuple((agg.name, agg.distinct) for agg in plan.aggregates))
+    src.define(
+        "group",
+        _ROWS,
+        *lines,
+        f"_fold_groups({specs}, {_tuple(args) if args else '()'}, "
+        f"{_tuple(keys) if keys else None}, len(rows))",
+    )
 
-    def compare(left: tuple, right: tuple) -> int:
-        for a, b, asc in zip(left[0], right[0], ascending):
-            if a is None and b is None:
-                continue
-            if a is None:
-                return 1  # NULLs sort last
-            if b is None:
-                return -1
-            if a == b:
-                continue
-            result = -1 if a < b else 1
-            return result if asc else -result
-        return 0
 
-    def sort(items: list) -> list:
+def _define_project(src: Source, plan: SelectPlan) -> None:
+    ext = plan.ext_columns
+    exprs = plan.post_exprs
+    identity = [ColumnRef] * len(exprs) == [type(e) for e in exprs] and [
+        ext.get(e.key) for e in exprs
+    ] == list(range(_width(ext)))
+    if identity:  # SELECT * over one table: the rows are the output
+        src.define("project", _ROWS, "list(rows)")
+        return
+    out = _tuple([lower_expr(e, ext, src) for e in exprs]) if exprs else "()"
+    src.define("project", _ROWS, f"[{out} for row in rows]")
+
+
+def _define_order(src: Source, plan: SelectPlan) -> None:
+    """One ``(flag, value)`` column per ORDER BY key: ``value is None`` for
+    ASC, ``value is not None`` for DESC (sorted reversed), so NULLs sort last
+    either way."""
+    keys = []
+    for expr, ascending in plan.post_order:
+        value = src.temp()
+        flag = "is None" if ascending else "is not None"
+        key = lower_expr(expr, plan.ext_columns, src)
+        keys.append(f"(({value} := {key}) {flag}, {value})")
+    names = [f"k{i}" for i in range(len(keys))]
+    src.define("order", _ROWS, *_columns(names, keys), _tuple(names))
+
+
+def _order_sort(ascending: tuple[bool, ...]) -> Callable[[tuple, list], list]:
+    """Order ``items`` by the ORDER BY key columns the kernel built.
+
+    The normal path is one stable ``list.sort`` of row indexes per key, last
+    key first, keyed on the column's ``(flag, value)`` pairs (C-level, no
+    Python call per comparison).  A pass compares its key between any two
+    rows, also rows an earlier key already separates; when such a comparison
+    raises ``TypeError`` the rows are sorted again by comparator, which
+    compares a later key only between rows the earlier keys tie on — the
+    oracle's order and errors.
+    """
+
+    def sort(columns: tuple, items: list) -> list:
+        order = list(range(len(items)))
         try:
-            ordered = sorted(items, key=first_key, reverse=first_reverse)
-            for key, reverse in later:
-                ordered.sort(key=key, reverse=reverse)
+            for column, asc in zip(reversed(columns), reversed(ascending)):
+                order.sort(key=column.__getitem__, reverse=not asc)
         except TypeError:
-            ordered = sorted(items, key=functools.cmp_to_key(compare))
-        return ordered
+
+            def compare(left: int, right: int) -> int:
+                for column, asc in zip(columns, ascending):
+                    a, b = column[left][1], column[right][1]
+                    if a is None and b is None:
+                        continue
+                    if a is None:
+                        return 1  # NULLs sort last
+                    if b is None:
+                        return -1
+                    if a == b:
+                        continue
+                    result = -1 if a < b else 1
+                    return result if asc else -result
+                return 0
+
+            order = sorted(range(len(items)), key=functools.cmp_to_key(compare))
+        return [items[i] for i in order]
 
     return sort
 
 
-def _compile_select(plan: SelectPlan) -> CompiledSelect:
+def _compile_select(
+    plan: SelectPlan, probes: tuple[tuple[int, ...], ...] = ()
+) -> tuple[CompiledSelect, dict[str, Any]]:
+    """The compiled SELECT and its kernel's namespace.  ``probes`` are
+    group-before-join's key slots (see :func:`_group_first`): one filter
+    function ``probe<i>`` each over the extended rows."""
+    src = Source()
     columns = plan.columns
-    ext_columns = plan.ext_columns
-
-    access = _compile_access(plan.access, columns)
-    joins = [
-        CompiledJoin(
-            access=_compile_access(step.access, columns),
-            on=_scalar(step.on, columns),
-        )
-        for step in plan.joins
-    ]
-    where_fn = _scalar(plan.where, columns)
-
-    group_key = make_tuple_fn(
-        tuple(_scalar(expr, columns) for expr in plan.group_exprs)
-    )
-    group_offsets = _column_offsets(plan.group_exprs, columns)
-    agg_specs = tuple(
-        (
-            agg.name,
-            _scalar(agg.arg, columns),
-            agg.distinct,
-        )
-        for agg in plan.aggregates
-    )
-    count_star_only = bool(agg_specs) and all(
-        name == "count" and arg_fn is None and not distinct
-        for name, arg_fn, distinct in agg_specs
-    )
-
-    post_having_fn = _scalar(plan.post_having, ext_columns)
-    project = make_tuple_fn(
-        tuple(_scalar(expr, ext_columns) for expr in plan.post_exprs)
-    )
-    output_offsets = _column_offsets(plan.post_exprs, ext_columns)
-    row_project = (
-        row_getter(output_offsets) if output_offsets is not None else None
-    )
-
+    _define_access(src, "", plan.access, columns)
+    for i, step in enumerate(plan.joins):
+        _define_access(src, f"join{i}_", step.access, columns)
+        _define_filter(src, f"join{i}_on", step.on, columns)
+    _define_filter(src, "where", plan.where, columns)
+    if plan.grouped:
+        _define_group(src, plan)
+    _define_filter(src, "having", plan.post_having, plan.ext_columns)
+    _define_project(src, plan)
     if plan.post_order:
-        order_keys = make_tuple_fn(
-            tuple(
-                _scalar(expr, ext_columns)
-                for expr, _asc in plan.post_order
-            )
+        _define_order(src, plan)
+    for i, slots in enumerate(probes):
+        key = _tuple([f"row[{slot}]" for slot in slots])
+        src.define(
+            f"probe{i}", "rows, entries", f"[row for row in rows if {key} in entries]"
         )
-        order_sort = _order_sort(tuple(asc for _expr, asc in plan.post_order))
-    else:
-        order_keys = None
-        order_sort = None
-
-    point_lookup = (
-        isinstance(plan.access, IndexEqScan)
-        and not plan.joins
-        and plan.where is None
-        and not plan.grouped
-        and not plan.distinct
-        and not plan.post_order
+    kernel = src.build()
+    compiled = CompiledSelect(
+        access=_access(kernel, "", plan.access),
+        joins=[
+            (_access(kernel, f"join{i}_", step.access), kernel.get(f"join{i}_on"))
+            for i, step in enumerate(plan.joins)
+        ],
+        where=kernel.get("where"),
+        group=kernel.get("group"),
+        having=kernel.get("having"),
+        project=kernel["project"],
+        order=kernel.get("order"),
+        order_sort=(
+            _order_sort(tuple(asc for _expr, asc in plan.post_order))
+            if plan.post_order
+            else None
+        ),
+        source=src.text,
+        point_lookup=(
+            isinstance(plan.access, IndexEqScan)
+            and not plan.joins
+            and plan.where is None
+            and not plan.grouped
+            and not plan.distinct
+            and not plan.post_order
+        ),
     )
-
-    return CompiledSelect(
-        access=access,
-        joins=joins,
-        where=where_fn,
-        group_key=group_key,
-        group_offsets=group_offsets,
-        agg_specs=agg_specs,
-        count_star_only=count_star_only,
-        post_having=post_having_fn,
-        project=project,
-        row_project=row_project,
-        order_keys=order_keys,
-        order_sort=order_sort,
-        point_lookup=point_lookup,
-    )
+    return compiled, kernel
 
 
 def _group_first(plan: SelectPlan) -> GroupFirst | None:
@@ -790,11 +754,8 @@ def _group_first(plan: SelectPlan) -> GroupFirst | None:
     extended rows either way.  The oracle (``tests/oracle.py``) keeps the
     join order.
 
-    The outer side keeps the lanes the join plan had — a delta view when one
-    matches, else the row closures.  It is not lowered to column vectors:
-    measured on Voter's ``trending_counts`` (a ROWS 100 window), the vector
-    group-count's four list passes cost more than a 100-row dict loop
-    (55.0 vs 43.3 us per call in ``make hotpath``).
+    The outer side keeps the lanes the join plan had: a delta view when one
+    matches, else its own kernel.
     """
     if not plan.joins or not plan.group_exprs:
         return None
@@ -825,7 +786,8 @@ def _group_first(plan: SelectPlan) -> GroupFirst | None:
         for slot, expr in enumerate(plan.group_exprs)
         if isinstance(expr, ColumnRef)
     }
-    probes = []
+    targets = []
+    slots = []
     for step in plan.joins:
         access = step.access
         if (
@@ -833,60 +795,78 @@ def _group_first(plan: SelectPlan) -> GroupFirst | None:
             or step.on is not None
             or not isinstance(access, IndexEqScan)
             or not access.unique
+            or not all(
+                isinstance(expr, ColumnRef) and columns.get(expr.key) in key_slots
+                for expr in access.key_exprs
+            )
         ):
             return None
-        offsets = _column_offsets(list(access.key_exprs), columns)
-        if offsets is None or not all(offset in key_slots for offset in offsets):
-            return None
-        slots = tuple(key_slots[offset] for offset in offsets)
-        probes.append((access.table, access.index, row_getter(slots)))
+        targets.append((access.table, access.index))
+        slots.append(tuple(key_slots[columns[expr.key]] for expr in access.key_exprs))
 
     outer = dataclasses.replace(plan, joins=[], compiled=None, view_read=None)
-    outer.compiled = _compile_select(outer)
-    return GroupFirst(outer=outer, probes=tuple(probes))
-
-
-def _compile_insert(plan: InsertPlan) -> CompiledInsert:
-    no_columns: dict[str, int] = {}
-    row_fns: list[EvalFn] = []
-    param_rows: list[Callable[[tuple], tuple]] | None = []
-    for row in plan.rows:
-        row_fns.append(
-            make_tuple_fn(tuple(_scalar(expr, no_columns) for expr in row))
-        )
-        if param_rows is not None and row and all(
-            isinstance(expr, Parameter) for expr in row
-        ):
-            param_rows.append(
-                row_getter(tuple(expr.index for expr in row))
-            )
-        else:
-            param_rows = None
-    if not plan.rows:
-        param_rows = None
-    identity_slots = plan.slots == list(range(len(plan.slots)))
-    return CompiledInsert(
-        row_fns=row_fns,
-        param_rows=param_rows,
-        identity_slots=identity_slots,
-    )
-
-
-def _compile_update(plan: UpdatePlan) -> CompiledUpdate:
-    columns = plan.columns
-    return CompiledUpdate(
-        access=_compile_access(plan.access, columns),
-        where=_scalar(plan.where, columns),
-        assignments=tuple(
-            (offset, _scalar(expr, columns))
-            for offset, expr in plan.assignments
+    outer.compiled, kernel = _compile_select(outer, tuple(slots))
+    return GroupFirst(
+        outer=outer,
+        probes=tuple(
+            (table, index, kernel[f"probe{i}"])
+            for i, (table, index) in enumerate(targets)
         ),
     )
 
 
+def _compile_insert(plan: InsertPlan) -> CompiledInsert:
+    src = Source()
+    if plan.select is None:
+        rows = [_tuple([lower_expr(e, {}, src) for e in row]) for row in plan.rows]
+        src.define("values", _ROW, f"[{', '.join(rows)}]")
+    kernel = src.build()
+    return CompiledInsert(
+        values=kernel.get("values"),
+        identity_slots=plan.slots == list(range(len(plan.slots))),
+        source=src.text,
+    )
+
+
+def _define_match(src: Source, plan: UpdatePlan | DeletePlan) -> None:
+    _define_access(src, "", plan.access, plan.columns)
+    if plan.where is not None:
+        predicate = lower_expr(plan.where, plan.columns, src)
+        src.define(
+            "match",
+            "rowids, storage, params, ee",
+            f"[rowid for rowid in rowids for row in (storage[rowid],) "
+            f"if {predicate} is True]",
+        )
+
+
+def _compile_update(plan: UpdatePlan) -> CompiledUpdate:
+    """SET values are evaluated in the statement's order (the last of two
+    assignments to one column wins), then the new row is built."""
+    src = Source()
+    _define_match(src, plan)
+    lines = []
+    new_row = [f"row[{offset}]" for offset in range(_width(plan.columns))]
+    for offset, expr in plan.assignments:
+        value = src.temp()
+        lines.append(f"{value} = {lower_expr(expr, plan.columns, src)}")
+        new_row[offset] = value
+    src.define("assign", _ROW, *lines, _tuple(new_row))
+    kernel = src.build()
+    return CompiledUpdate(
+        access=_access(kernel, "", plan.access),
+        match=kernel.get("match"),
+        assign=kernel["assign"],
+        source=src.text,
+    )
+
+
 def _compile_delete(plan: DeletePlan) -> CompiledDelete:
-    columns = plan.columns
+    src = Source()
+    _define_match(src, plan)
+    kernel = src.build()
     return CompiledDelete(
-        access=_compile_access(plan.access, columns),
-        where=_scalar(plan.where, columns),
+        access=_access(kernel, "", plan.access),
+        match=kernel.get("match"),
+        source=src.text,
     )

@@ -289,7 +289,7 @@ class HStoreEngine:
         return procedure
 
     def _plan_statement(self, sql: str, label: str):
-        """Parse + plan + closure-compile one statement, observed.
+        """Parse + plan + compile one statement's kernel, observed.
 
         Every planning site goes through here so ``repro.obs`` sees one
         ``compile`` span and one ``plan_compile_us`` observation per
@@ -305,7 +305,7 @@ class HStoreEngine:
         if self.metrics is not None:
             self.metrics.histogram(
                 "plan_compile_us",
-                "statement parse+plan+closure-compile time in microseconds",
+                "statement parse+plan+kernel-compile time in microseconds",
             ).observe((time.perf_counter_ns() - started_ns) / 1000.0)
         return plan
 

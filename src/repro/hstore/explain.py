@@ -47,13 +47,8 @@ def _describe_access(access: AccessPath) -> str:
 
 def _lane(plan: Plan) -> str:
     """The lane ``plan`` executes on, read off the fields
-    :func:`repro.hstore.executor.bind_runner` and the compiled SELECT
-    pipeline dispatch on, in their order.
-
-    ``vector`` is exact up to a counted run-time fallback
-    (``vector_runtime_fallbacks``): the executor leaves the lane only when
-    a batch evaluation raises.  Everything else is row-at-a-time.
-    """
+    ``ExecutionEngine._select`` dispatches on, in its order: a delta view,
+    a point probe, group-before-join, or else the kernel, row at a time."""
     if isinstance(plan, SelectPlan):
         compiled = plan.compiled
         if plan.view_read is not None:
@@ -62,13 +57,21 @@ def _lane(plan: Plan) -> str:
             return "row (point)"
         if compiled.group_first is not None:
             return f"group-first({_lane(compiled.group_first.outer)})"
-        if compiled.vector is not None:
-            return "vector"
     return "row"
 
 
+def _kernel_lines(source: str, indent: str) -> list[str]:
+    return [f"{indent}| {line}".rstrip() for line in source.splitlines()]
+
+
 def _mode_line(plan: Plan, indent: str) -> list[str]:
-    return [f"{indent}mode: {_lane(plan)}"]
+    """The lane, then the source of the kernel that runs it."""
+    lines = [f"{indent}mode: {_lane(plan)}", *_kernel_lines(plan.compiled.source, indent)]
+    first = getattr(plan.compiled, "group_first", None)
+    if first is not None:
+        lines.append(f"{indent}| # group before join: the outer side's kernel")
+        lines.extend(_kernel_lines(first.outer.compiled.source, indent))
+    return lines
 
 
 def _embedded_subplans(plan: SelectPlan) -> list:
@@ -166,6 +169,7 @@ def explain_plan(plan: Plan, indent: str = "") -> str:
             lines.extend(_explain_select(plan.select, indent + "    "))
         else:
             lines.append(f"{indent}  values: {len(plan.rows)} row(s)")
+            lines.extend(_kernel_lines(plan.compiled.source, indent + "  "))
         return "\n".join(lines)
     if isinstance(plan, UpdatePlan):
         lines = [f"{indent}UPDATE {plan.table}"]

@@ -2,14 +2,15 @@
 
 Expressions appear in SELECT lists, WHERE/HAVING clauses, UPDATE SET clauses
 and INSERT VALUES.  The parser builds the AST; the planner lowers each tree
-once into an evaluator (:func:`repro.hstore.compile.lower_expr`), so the
-nodes here carry structure and SQL rendering, not evaluation.
+once into its statement's kernel (:func:`repro.hstore.compile.lower_expr`),
+so the nodes here carry structure and SQL rendering, not evaluation.
 
 What an operator *means* is written here once, as a kernel over non-NULL
-operands: ``_ARITH``, ``_COMPARATORS``, ``_concat``, ``_between``,
-``_like`` and ``_SCALAR_FUNCTIONS``.  The lowering wraps each kernel in the
-NULL rule (a NULL operand yields NULL) for rows and for whole columns
-alike.  A WHERE predicate only accepts rows whose value is exactly TRUE.
+operands: ``_ARITH``, ``_COMPARATORS`` and :func:`compare`, ``_concat``,
+``_like`` and ``_SCALAR_FUNCTIONS`` (BETWEEN is Python's chained
+comparison).  The lowering wraps each in the NULL rule (a NULL operand
+yields NULL).  A WHERE predicate only accepts rows whose value is exactly
+TRUE.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Any, Callable, Iterator
 from repro.errors import TypeSystemError
 
 __all__ = [
-    "EvalContext",
     "Expression",
     "Literal",
     "ColumnRef",
@@ -40,20 +40,6 @@ __all__ = [
     "Star",
     "walk",
 ]
-
-
-@dataclass
-class EvalContext:
-    """Everything a lowered expression reads at evaluation time.
-
-    Column offsets are bound into the evaluator when it is lowered, so the
-    context is only the current ``row``, the statement ``params`` and the
-    ``executor`` that planned subquery nodes run their inner plans through.
-    """
-
-    row: tuple[Any, ...] = ()
-    params: tuple[Any, ...] = ()
-    executor: Any = None
 
 
 class Expression:
@@ -168,8 +154,7 @@ class UnaryOp(Expression):
         return f"(-{self.operand.sql()})"
 
 
-#: the ``operator`` functions: C-dispatchable by ``map`` with no per-row
-#: Python frame; incomparable operands raise ``TypeError``
+#: the ``operator`` functions; incomparable operands raise ``TypeError``
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     "=": eq,
     "<>": ne,
@@ -179,6 +164,15 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     ">": gt,
     ">=": ge,
 }
+
+
+def compare(op: str, a: Any, b: Any) -> bool:
+    """``a op b`` over non-NULL operands; incomparable ones are SQL's type
+    error, not Python's."""
+    try:
+        return _COMPARATORS[op](a, b)
+    except TypeError:
+        raise TypeSystemError(f"cannot compare {a!r} {op} {b!r}") from None
 
 
 @dataclass(frozen=True)
@@ -248,14 +242,6 @@ class Between(Expression):
     def sql(self) -> str:
         keyword = "NOT BETWEEN" if self.negated else "BETWEEN"
         return f"({self.operand.sql()} {keyword} {self.low.sql()} AND {self.high.sql()})"
-
-
-def _between(value: Any, low: Any, high: Any) -> bool:
-    return low <= value <= high
-
-
-def _not_between(value: Any, low: Any, high: Any) -> bool:
-    return not low <= value <= high
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ class SelectPlan(Plan):
     post_having: Expression | None = None
     post_order: list[tuple[Expression, bool]] = dataclasses.field(default_factory=list)
     ext_columns: dict[str, int] = dataclasses.field(default_factory=dict)
-    #: closure-compiled artifact (repro.hstore.compile.CompiledSelect)
+    #: the compiled kernel (repro.hstore.compile.CompiledSelect)
     compiled: Any = None
     #: repro.ivm.ViewRead when this plan's scan+aggregate stage is served
     #: from a delta view (attached by the S-Store engine at plan time);

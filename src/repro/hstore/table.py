@@ -15,12 +15,7 @@ rowids — so dict order *is* rowid order except after a txn-undo
 that with ``_rows_sorted``: while the flag holds, ``scan``/``rowids``/
 ``rows`` stream the dict directly (no O(n log n) re-sort per scan); when an
 undo breaks it, the next read rebuilds the dict sorted once and the flag
-heals.  The same invariant is what lets the vectorized executor align a
-selection mask computed over :class:`~repro.hstore.columnar.ColumnCache`
-vectors with ``storage().values()``.
-
-Column vectors (:meth:`columnar_view`) are a cache over the row dict, not a
-second store: built per column on demand, dropped by every mutation.
+heals.
 """
 
 from __future__ import annotations
@@ -30,9 +25,8 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import PrimaryKeyViolationError, StorageError, UniqueViolationError
 from repro.hstore.catalog import Schema, TableEntry, TableKind
-from repro.hstore.columnar import ColumnCache
 from repro.hstore.index import Key, make_index, _BaseIndex
-from repro.hstore.types import make_coercer
+from repro.hstore.types import make_row_codec
 
 __all__ = ["Table", "Row", "row_getter"]
 
@@ -63,13 +57,10 @@ class Table:
         self._next_rowid = 0
         self._rows_sorted = True
         self._tail_rowid = -1
-        #: column vectors over the current rows; every site that mutates or
-        #: rebinds ``_rows`` drops it
-        self._colstore: ColumnCache | None = None
-        #: the row codec, fixed by the schema: one coercer per column
-        self._coercers = tuple(
-            make_coercer(column.sql_type, nullable=column.nullable)
-            for column in self.schema
+        #: the row codec, fixed by the schema: ``values -> row``, coercing
+        #: each value to its column's type (``types.make_row_codec``)
+        self.validate_row = make_row_codec(
+            self.name, [(column.sql_type, column.nullable) for column in self.schema]
         )
         self._indexes: dict[str, _BaseIndex] = {}
         #: ``(index, row -> key)`` per index, rebuilt when an index comes or goes
@@ -93,20 +84,23 @@ class Table:
         return len(self._rows)
 
     def _ensure_sorted(self) -> None:
-        """Heal insertion order after a txn-undo re-insert (rare)."""
+        """Heal insertion order after a txn-undo re-insert (rare): the
+        readers below test the flag inline and call this only when it is
+        down."""
         if not self._rows_sorted:
             self._rows = dict(sorted(self._rows.items()))
             self._rows_sorted = True
-            self._colstore = None
 
     def rowids(self) -> list[int]:
         """All live row ids in insertion order."""
-        self._ensure_sorted()
+        if not self._rows_sorted:
+            self._ensure_sorted()
         return list(self._rows)
 
     def first_rowid(self) -> int | None:
         """The lowest live row id (``None`` when the table is empty)."""
-        self._ensure_sorted()
+        if not self._rows_sorted:
+            self._ensure_sorted()
         return next(iter(self._rows), None)
 
     def get(self, rowid: int) -> Row:
@@ -120,7 +114,8 @@ class Table:
 
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Yield ``(rowid, row)`` in insertion order."""
-        self._ensure_sorted()
+        if not self._rows_sorted:
+            self._ensure_sorted()
         yield from self._rows.items()
 
     def storage(self) -> dict[int, Row]:
@@ -130,26 +125,15 @@ class Table:
         method-call + exception machinery of :meth:`get` on scans it has
         already validated.  Callers must treat it as read-only.
         """
-        self._ensure_sorted()
+        if not self._rows_sorted:
+            self._ensure_sorted()
         return self._rows
 
     def rows(self) -> list[Row]:
         """All rows in insertion order (convenience for tests/apps)."""
-        self._ensure_sorted()
+        if not self._rows_sorted:
+            self._ensure_sorted()
         return list(self._rows.values())
-
-    # -- column cache ----------------------------------------------------
-
-    def columnar_view(self) -> ColumnCache:
-        """Column vectors over the live rows, in :meth:`storage` order.
-
-        Each column is transposed from the row dict the first time a batch
-        scan asks for it and kept until the table next changes.
-        """
-        cache = self._colstore
-        if cache is None:
-            cache = self._colstore = ColumnCache(self.storage())
-        return cache
 
     # -- index plumbing --------------------------------------------------
 
@@ -191,18 +175,6 @@ class Table:
     def indexes(self) -> dict[str, _BaseIndex]:
         return dict(self._indexes)
 
-    # -- validation -------------------------------------------------------
-
-    def validate_row(self, values: list[Any] | tuple[Any, ...]) -> Row:
-        """Coerce a full row of values against the schema; returns the tuple."""
-        coercers = self._coercers
-        if len(values) != len(coercers):
-            raise StorageError(
-                f"table {self.name!r} expects {len(coercers)} values, "
-                f"got {len(values)}"
-            )
-        return tuple([coerce(value) for coerce, value in zip(coercers, values)])
-
     # -- mutation ---------------------------------------------------------
 
     def _duplicate(self, index: _BaseIndex, key: Key) -> Exception:
@@ -222,7 +194,6 @@ class Table:
             self._rows_sorted = False
         else:
             self._tail_rowid = rowid
-        self._colstore = None
 
     def insert(self, values: list[Any] | tuple[Any, ...]) -> int:
         """Validate and insert a row; returns the new rowid.
@@ -302,7 +273,6 @@ class Table:
         for index, key_of in self._keyed:
             index.remove(key_of(row), rowid)
         del self._rows[rowid]
-        self._colstore = None
         return row
 
     def update(self, rowid: int, new_values: list[Any] | tuple[Any, ...]) -> Row:
@@ -331,7 +301,6 @@ class Table:
             index.remove(old_key, rowid)
             index.insert(new_key, rowid)
         self._rows[rowid] = new_row
-        self._colstore = None
         return old_row
 
     def truncate(self) -> int:
@@ -340,7 +309,6 @@ class Table:
         self._rows.clear()
         self._rows_sorted = True
         self._tail_rowid = -1
-        self._colstore = None
         for index in self._indexes.values():
             index.clear()
         return count
@@ -366,7 +334,6 @@ class Table:
         self._next_rowid = int(state["next_rowid"])
         self._rows_sorted = True
         self._tail_rowid = next(reversed(self._rows), -1)
-        self._colstore = None
         for index, key_of in self._keyed:
             index.clear()
             for rowid, row in self._rows.items():

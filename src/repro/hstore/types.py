@@ -14,18 +14,42 @@ clock ticks).
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from typing import Any, Callable
+import os
+import sys
+from typing import Any, Callable, Sequence
 
-from repro.errors import NullViolationError, TypeSystemError
+from repro.errors import NullViolationError, StorageError, TypeSystemError
 
 __all__ = [
     "SqlType",
     "coerce_value",
-    "make_coercer",
+    "make_row_codec",
+    "compile_source",
     "is_comparable",
     "type_of_literal",
 ]
+
+#: generated code — statement kernels, row codecs — is compiled under this
+#: name inside the package, so tracebacks and profilers (``hotpath.py
+#: --count``) attribute its frames to ``repro.hstore``; no such file exists
+KERNEL_FILE = os.path.join(os.path.dirname(__file__), "kernel.py")
+
+
+@functools.lru_cache(maxsize=1024)
+def _code(text: str) -> Any:
+    # statements of one shape generate one text (values are namespace
+    # names, not source), so a process compiles each text once
+    return compile(text, KERNEL_FILE, "exec")
+
+
+def compile_source(text: str, namespace: dict[str, Any]) -> dict[str, Any]:
+    """Run generated ``text`` (function definitions) once, over a copy of
+    ``namespace``; returns that namespace with the functions in it."""
+    namespace = dict(namespace)
+    exec(_code(text), namespace)
+    return namespace
 
 
 class SqlType(enum.Enum):
@@ -115,38 +139,60 @@ def _coerce_float(value: Any) -> float:
     raise TypeSystemError(f"expected FLOAT, got {type(value).__name__}")
 
 
-def make_coercer(sql_type: SqlType, *, nullable: bool = True) -> Callable[[Any], Any]:
-    """:func:`coerce_value` for one column, with the type decided once.
-
-    A table builds one per column at DDL time.  The closure passes only a
-    value that already has the column's exact Python representation (``int``
-    in range, ``str``, non-NaN ``float``, ``bool``) and hands everything else
-    — NULL, ``bool`` for a number, ``int`` for FLOAT, an integral ``float``
-    for INTEGER, NaN, out of range — to :func:`coerce_value`, so every
-    coercion and every error message has one definition.
-    """
-
-    def slow(value: Any) -> Any:
-        return coerce_value(value, sql_type, nullable=nullable)
-
+def _exact(sql_type: SqlType, value: str) -> str | None:
+    """``sql_type``'s fast path as a condition over the local ``value``: true
+    when the value already has the column's exact Python representation
+    (``int`` in range, ``str``, non-NaN ``float``, ``bool``)."""
     if sql_type in _INTEGRAL:
         low, high = (
             (_INT32_MIN, _INT32_MAX)
             if sql_type is SqlType.INTEGER
             else (_INT64_MIN, _INT64_MAX)
         )
-        return lambda value: (
-            value if type(value) is int and low <= value <= high else slow(value)
-        )
+        return f"type({value}) is int and {low} <= {value} <= {high}"
     if sql_type is SqlType.FLOAT:
-        # value == value is False exactly for NaN
-        return lambda value: (
-            value if type(value) is float and value == value else slow(value)
-        )
-    exact = {SqlType.VARCHAR: str, SqlType.BOOLEAN: bool}.get(sql_type)
-    if exact is None:
-        return slow
-    return lambda value: value if type(value) is exact else slow(value)
+        # v == v is False exactly for NaN
+        return f"type({value}) is float and {value} == {value}"
+    exact = {SqlType.VARCHAR: "str", SqlType.BOOLEAN: "bool"}.get(sql_type)
+    return None if exact is None else f"type({value}) is {exact}"
+
+
+def _wrong_width(table: str, width: int, values: Sequence[Any]) -> None:
+    raise StorageError(f"table {table!r} expects {width} values, got {len(values)}")
+
+
+def make_row_codec(
+    table: str, columns: Sequence[tuple[SqlType, bool]]
+) -> Callable[[Sequence[Any]], tuple[Any, ...]]:
+    """One table's row codec, ``values -> row``, compiled once at DDL time
+    from its columns' ``(type, nullable)``.
+
+    Each cell passes a value that already has the column's exact Python
+    representation inline and hands everything else — NULL, ``bool`` for a
+    number, ``int`` for FLOAT, an integral ``float`` for INTEGER, NaN, out of
+    range — to :func:`coerce_value`, so every coercion and every error
+    message has one definition.
+    """
+    namespace: dict[str, Any] = {
+        "_wrong_width": functools.partial(_wrong_width, table, len(columns)),
+        "_types": sys.modules[__name__],
+    }
+    names = [f"v{i}" for i in range(len(columns))]
+    cells = []
+    for name, (sql_type, nullable) in zip(names, columns):
+        namespace[f"_{name}_type"] = sql_type
+        slow = f"_types.coerce_value({name}, _{name}_type, nullable={nullable})"
+        fast = _exact(sql_type, name)
+        cells.append(slow if fast is None else f"{name} if {fast} else {slow}")
+    lines = [
+        "def validate_row(values):",
+        f"    if len(values) != {len(columns)}:",
+        "        _wrong_width(values)",
+    ]
+    if names:
+        lines.append(f"    ({''.join(n + ', ' for n in names)}) = values")
+    lines.append(f"    return ({''.join(c + ', ' for c in cells)})")
+    return compile_source("\n".join(lines) + "\n", namespace)["validate_row"]
 
 
 def is_comparable(left: SqlType, right: SqlType) -> bool:

@@ -7,7 +7,7 @@ fold is exact and O(1) per tuple for COUNT/``COUNT(*)`` and for SUM/AVG over
 ints (Python ints are arbitrary-precision, so addition/subtraction is
 order-independent); MIN/MAX cache the current extreme and repair lazily.
 
-**Oracle parity rule.**  The row closures fold each group's values (and
+**Oracle parity rule.**  A statement kernel folds each group's values (and
 the tree-walking oracle in ``tests/oracle.py`` feeds each group's
 accumulator) in *rowid order* — that is what a SeqScan produces — with
 ``value < min`` strict comparisons, so the first-encountered value wins

@@ -19,7 +19,7 @@ from repro.hstore import aggregate
 from repro.hstore.aggregate import fold
 from tests.oracle import Accumulator
 
-pytestmark = pytest.mark.columnar  # the column form is the vector lane's
+pytestmark = pytest.mark.columnar  # fold is what every scan's aggregates run
 
 KINDS = ("count", "sum", "avg", "min", "max")
 

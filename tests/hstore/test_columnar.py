@@ -1,9 +1,7 @@
-"""Column cache + batch-at-a-time execution units.
-
-Covers the per-table column cache (lazy per-column build, dropped by every
-mutation, aligned with the row dict), the Table satellites (`_rows_sorted`
-lazy heal, `insert_many` atomicity), vector execution parity against the
-interpreter, the runtime fallback seam, and the EXPLAIN mode annotation.
+"""Scan units: the Table's `_rows_sorted` lazy heal and `insert_many`
+atomicity, full scans through the statement kernel against the interpreter
+(short-circuits, aggregate types, group order), and the EXPLAIN lane
+annotation against the lane counters.
 """
 
 from __future__ import annotations
@@ -13,13 +11,13 @@ import pytest
 from repro.errors import (
     NullViolationError,
     PrimaryKeyViolationError,
+    TypeSystemError,
     UniqueViolationError,
 )
 from repro.hstore.catalog import Column, Schema, TableEntry
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.table import Table
 from repro.hstore.types import SqlType
-from tests.lanes import compiled_row_arm
 from tests.oracle import oracle_arm
 
 pytestmark = pytest.mark.columnar
@@ -27,105 +25,6 @@ pytestmark = pytest.mark.columnar
 
 def make_table(columns, primary_key=()):
     return Table(TableEntry("t", Schema(columns), primary_key=tuple(primary_key)))
-
-
-def typed_table() -> Table:
-    return make_table(
-        [
-            Column("i", SqlType.INTEGER, nullable=False),
-            Column("b", SqlType.BIGINT, nullable=False),
-            Column("f", SqlType.FLOAT, nullable=False),
-            Column("ts", SqlType.TIMESTAMP, nullable=False),
-            Column("s", SqlType.VARCHAR),
-            Column("ni", SqlType.INTEGER),
-            Column("bo", SqlType.BOOLEAN, nullable=False),
-        ]
-    )
-
-
-class TestColumnStoreLayout:
-    def test_round_trip_and_alignment(self):
-        table = typed_table()
-        int64_min, int64_max = -(2**63), 2**63 - 1
-        rows = [
-            (i, int64_min if i == 0 else int64_max, i * 0.25, i, f"s{i}", None if i % 2 else i, i % 2 == 0)
-            for i in range(10)
-        ]
-        for row in rows:
-            table.insert(row)
-        view = table.columnar_view()
-        assert view.size() == 10
-        for offset in range(7):
-            column = view.column(offset)
-            assert column == [row[offset] for row in rows]
-            # the cells are the row tuples' own objects: BOOLEAN stays bool,
-            # a FLOAT that holds an int-valued float stays float
-            assert all(a is b for a, b in zip(column, (r[offset] for r in table.rows())))
-
-    def test_lazy_build(self):
-        table = typed_table()
-        table.insert((1, 1, 1.0, 1, None, None, False))
-        assert table._colstore is None  # nothing until a columnar scan
-        view = table.columnar_view()
-        assert table._colstore is view and view._cols == {}
-        view.column(2)
-        assert list(view._cols) == [2]  # only the column that was asked for
-        assert view.column(2) is view.column(2)  # kept until the table changes
-
-    def test_delete_tombstone_then_compact(self):
-        # (the name predates the cache: a delete now simply drops it)
-        table = typed_table()
-        rowids = [table.insert((i, i, float(i), i, None, None, False)) for i in range(6)]
-        held = table.columnar_view().column(0)
-        table.delete(rowids[1])
-        table.delete(rowids[4])
-        assert table._colstore is None
-        view = table.columnar_view()
-        assert view.size() == 4
-        assert view.column(0) == [0, 2, 3, 5]
-        assert list(table.storage()) == [rowids[0], rowids[2], rowids[3], rowids[5]]
-        # a vector handed out earlier is never mutated in place
-        assert held == [0, 1, 2, 3, 4, 5]
-
-    def test_update_in_place(self):
-        table = typed_table()
-        rowid = table.insert((1, 1, 1.0, 1, "a", None, False))
-        table.columnar_view().column(0)
-        table.update(rowid, (9, 9, 9.5, 9, "z", 3, True))
-        view = table.columnar_view()
-        assert view.column(0)[0] == 9
-        assert view.column(2)[0] == 9.5
-        assert view.column(4)[0] == "z"
-        assert view.column(5)[0] == 3
-
-    def test_truncate_clears(self):
-        table = typed_table()
-        table.insert((1, 1, 1.0, 1, None, None, False))
-        table.columnar_view().column(0)
-        table.truncate()
-        assert table.columnar_view().size() == 0
-        assert table.columnar_view().column(0) == []
-
-    def test_out_of_order_reinsert_resorts(self):
-        # txn-undo path: insert_with_rowid below the high-water mark
-        table = typed_table()
-        rowids = [table.insert((i, i, float(i), i, None, None, False)) for i in range(4)]
-        table.columnar_view().column(0)
-        before = table.delete(rowids[1])
-        table.insert_with_rowid(rowids[1], before)
-        view = table.columnar_view()
-        assert list(table.storage()) == rowids
-        assert view.column(0) == [0, 1, 2, 3]
-
-    def test_load_state_rebuilds_mirror(self):
-        table = typed_table()
-        for i in range(3):
-            table.insert((i, i, float(i), i, None, None, False))
-        state = table.dump_state()
-        table.columnar_view().column(0)
-        table.truncate()
-        table.load_state(state)
-        assert table.columnar_view().column(0) == [0, 1, 2]
 
 
 class TestSortedFlagHeal:
@@ -258,7 +157,6 @@ class TestVectorExecution:
             assert [tuple(map(type, r)) for r in got] == [
                 tuple(map(type, r)) for r in want
             ], sql
-        assert people_engine.stats.snapshot().get("vector_scans", 0) >= len(QUERIES)
 
     def test_point_lookup_stays_on_row_fast_lane(self, people_engine):
         before = people_engine.stats.snapshot()
@@ -268,38 +166,25 @@ class TestVectorExecution:
         assert rows == [("carol",)]
         after = people_engine.stats.snapshot()
         assert after.get("point_lookups", 0) == before.get("point_lookups", 0) + 1
-        assert after.get("vector_scans", 0) == before.get("vector_scans", 0)
-        # ...and never builds a column vector for the table it probes
-        assert people_engine.partitions[0].ee.table("people")._colstore is None
 
-    def test_runtime_fallback_preserves_short_circuit(self, people_engine):
-        # the interpreter short-circuits AND before the division for id=0
-        # rows; eager vector evaluation raises, falls back, and the row
-        # path answers — silently, with one fallback counter bump
+    def test_and_short_circuits_before_the_division(self, people_engine):
+        # the interpreter short-circuits AND before the division for the
+        # age = 0 row; the kernel's AND does too, so nothing raises
         people_engine.execute_sql("INSERT INTO people VALUES (6, 'zed', 0, 'x')")
         sql = "SELECT id FROM people WHERE age <> 0 AND 10 / age > 0"
         got = people_engine.execute_sql(sql).rows
         want = _interp_people()
         want.execute_sql("INSERT INTO people VALUES (6, 'zed', 0, 'x')")
         assert got == want.execute_sql(sql).rows
-        assert people_engine.stats.snapshot().get("vector_runtime_fallbacks", 0) >= 1
 
-    def test_vectorize_off_arm(self):
-        eng = compiled_row_arm(HStoreEngine())
-        eng.execute_ddl("CREATE TABLE t (v INTEGER)")
-        for i in range(5):
-            eng.execute_sql("INSERT INTO t VALUES (?)", i)
-        assert eng.execute_sql("SELECT SUM(v) FROM t WHERE v > 0").rows == [(10,)]
-        assert eng.stats.snapshot().get("vector_scans", 0) == 0
-
-    def test_vector_update_and_delete_parity(self):
-        # full-scan UPDATE/DELETE between vector scans: same counts, same
-        # rows, and the scans after them see the writes
-        vec = HStoreEngine()
-        row = compiled_row_arm(HStoreEngine())
+    def test_update_and_delete_between_scans_match_oracle(self):
+        # full-scan UPDATE/DELETE between scans: same counts, same rows, and
+        # the scans after them see the writes
+        engine = HStoreEngine()
+        oracle = oracle_arm(HStoreEngine())
         counts = []
         scan = "SELECT COUNT(*), SUM(v), MAX(f) FROM t WHERE f >= 0"
-        for eng in (vec, row):
+        for eng in (engine, oracle):
             eng.execute_ddl("CREATE TABLE t (id INTEGER NOT NULL, v INTEGER, f FLOAT, PRIMARY KEY (id))")
             for i in range(30):
                 eng.execute_sql(
@@ -315,7 +200,7 @@ class TestVectorExecution:
             )
         assert counts[0] == counts[1] and counts[0][0] > 0 and counts[0][1] > 0
         for probe in ("SELECT * FROM t ORDER BY id", scan):
-            assert vec.execute_sql(probe).rows == row.execute_sql(probe).rows
+            assert engine.execute_sql(probe).rows == oracle.execute_sql(probe).rows
 
     def test_empty_table_aggregate(self):
         eng = HStoreEngine()
@@ -347,8 +232,22 @@ class TestVectorExecution:
         ).rows
         assert rows == [("b", 4), ("a", 7), ("c", 4)]
 
+    def test_group_raises_the_error_the_oracle_meets_first(self):
+        # the kernel evaluates the group key and the aggregate argument as
+        # two columns; the oracle walks row by row and meets the argument's
+        # error on the first row before the key's on the second
+        sql = "SELECT 10 / v, MAX(s < 1) FROM t GROUP BY 10 / v"
+        errors = []
+        for eng in (HStoreEngine(), oracle_arm(HStoreEngine())):
+            eng.execute_ddl("CREATE TABLE t (v INTEGER, s VARCHAR)")
+            eng.execute_sql("INSERT INTO t VALUES (5, 'x'), (0, 'y')")
+            with pytest.raises(TypeSystemError) as raised:
+                eng.execute_sql(sql)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] == "cannot compare 'x' < 1"
+
     def test_ivm_view_still_wins(self):
-        # the IVM ViewRead path is checked before the vector path
+        # the IVM ViewRead path is checked before the kernel
         from tests.ivm.conftest import build_engine
 
         eng = build_engine(
@@ -362,9 +261,12 @@ class TestVectorExecution:
 
 
 class TestExplainMode:
-    def test_full_scan_is_vector(self, people_engine):
+    def test_full_scan_is_row(self, people_engine):
         text = people_engine.explain("SELECT COUNT(*) FROM people WHERE age > 30")
-        assert "mode: vector" in text
+        assert "mode: row" in text
+        # the kernel's source follows its lane
+        assert "| def where(rows, params, ee):" in text
+        assert "| def group(rows, params, ee):" in text
 
     def test_point_lookup_is_row(self, people_engine):
         text = people_engine.explain("SELECT name FROM people WHERE id = 1")
@@ -376,11 +278,6 @@ class TestExplainMode:
         )
         assert text.splitlines()[2].strip() == "mode: row"
 
-    def test_vectorize_off_is_row(self):
-        eng = compiled_row_arm(HStoreEngine())
-        eng.execute_ddl("CREATE TABLE t (v INTEGER)")
-        assert "mode: row" in eng.explain("SELECT COUNT(*) FROM t WHERE v > 0")
-
 
 def _mode(text: str) -> str:
     """The lane EXPLAIN names for the top-level plan (its first mode line)."""
@@ -391,7 +288,7 @@ def _mode(text: str) -> str:
     )
 
 
-LANE_COUNTERS = ("ivm_view_hits", "point_lookups", "vector_scans")
+LANE_COUNTERS = ("ivm_view_hits", "point_lookups")
 
 
 class TestExplainLaneMatchesCounters:
@@ -443,14 +340,14 @@ class TestExplainLaneMatchesCounters:
                 "group-first(row)",
                 set(),
             ),
-            ("SELECT g, MAX(v) FROM recent GROUP BY g", (), "vector", {"vector_scans"}),
-            ("SELECT COUNT(*) FROM recent WHERE v > ?", (2,), "vector", {"vector_scans"}),
+            ("SELECT g, MAX(v) FROM recent GROUP BY g", (), "row", set()),
+            ("SELECT COUNT(*) FROM recent WHERE v > ?", (2,), "row", set()),
             ("SELECT * FROM recent", (), "row", set()),
             (
                 "SELECT g FROM recent WHERE v > (SELECT MIN(w) FROM d)",
                 (),
                 "row",
-                {"vector_scans"},  # the nested plan's own lane, one scan per row
+                set(),
             ),
         ],
     )
@@ -490,6 +387,6 @@ class TestExplainLaneMatchesCounters:
         sections = eng.explain_procedure("board").split("-- ")
         by_name = {s.split("\n", 1)[0]: s for s in sections if s}
         assert _mode(by_name["by_group"]) == "view(recent_by_g)"
-        assert _mode(by_name["extremes"]) == "vector"
+        assert _mode(by_name["extremes"]) == "row"
         eng.execute_ddl("DROP VIEW recent_by_g")
         assert "mode: view" not in eng.explain_procedure("board")

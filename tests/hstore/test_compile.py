@@ -1,7 +1,8 @@
-"""Closure-compilation layer: compiled plans agree with the interpreter.
+"""Kernel compilation: compiled plans agree with the interpreter.
 
 The compiler (:mod:`repro.hstore.compile`) turns a planned statement's
-expressions into flat closures once, at plan time.  These tests pin down:
+expressions into one generated kernel once, at plan time.  These tests pin
+down:
 
 * every planned DML statement carries a compiled artifact;
 * the point-lookup fast path triggers exactly when eligible (and counts);
@@ -13,22 +14,21 @@ expressions into flat closures once, at plan time.  These tests pin down:
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.errors import BindingError, TypeSystemError
 from repro.hstore.compile import (
-    SCALAR,
     CompiledDelete,
     CompiledInsert,
     CompiledSelect,
     CompiledUpdate,
-    lower_expr,
 )
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.executor import ExecutionEngine
-from repro.hstore.expression import EvalContext
 from repro.hstore.parser import parse
-from tests.oracle import oracle_arm
+from tests.oracle import compile_expression, oracle_arm
 
 
 PEOPLE_DDL = (
@@ -80,19 +80,25 @@ class TestArtifacts:
         assert isinstance(sub.compiled, CompiledSelect)
 
     def test_insert_all_parameters_uses_param_rows_fast_path(self):
+        # the all-parameter rows and the expression rows share one kernel
+        # function, values(); with every slot supplied in order its tuple
+        # IS the stored row
         eng = make_people()
         plan = eng.planner.plan(parse("INSERT INTO people VALUES (?, ?, ?, ?)"))
-        assert plan.compiled.param_rows is not None
         assert plan.compiled.identity_slots
+        assert plan.compiled.values((), (1, "a", 2, "b"), None) == [(1, "a", 2, "b")]
+        assert plan.compiled.source.count("def ") == 1
 
     def test_insert_expressions_fall_back_to_row_fns(self):
+        # expression rows are folded into the same values() function as
+        # parameter rows, not into a second function per row
         eng = make_people()
         plan = eng.planner.plan(
-            parse("INSERT INTO people VALUES (?, ?, 1 + 2, ?)")
+            parse("INSERT INTO people VALUES (?, ?, 1 + 2, ?), (?, ?, NULL, ?)")
         )
-        assert plan.compiled.param_rows is None
-        assert len(plan.compiled.row_fns) == 1
-
+        rows = plan.compiled.values((), (1, "a", "b", 2, "c", "d"), None)
+        assert rows == [(1, "a", 3, "b"), (2, "c", None, "d")]
+        assert plan.compiled.source.count("def ") == 1
 
 def _walk_planned_subqueries(plan):
     from repro.hstore.expression import (
@@ -251,32 +257,59 @@ class TestCompiledErrorSemantics:
 class TestCompileExprUnit:
     def test_comparison_compiles_to_closure(self):
         expr = parse("SELECT id + 1 FROM t WHERE id = 1").where
-        fn = lower_expr(expr, {"id": 0}, SCALAR)
-        ctx = EvalContext(row=(1,))
-        assert fn(ctx) is True
-        ctx.row = (2,)
-        assert fn(ctx) is False
+        fn = compile_expression(expr, {"id": 0})
+        assert fn((1,)) is True
+        assert fn((2,)) is False
 
     def test_unresolvable_column_raises_when_evaluated(self):
         expr = parse("SELECT 1 FROM t WHERE id = 1").where
-        fn = lower_expr(expr, {"x": 0}, SCALAR)  # lowering itself succeeds
+        fn = compile_expression(expr, {"x": 0})  # lowering itself succeeds
         with pytest.raises(BindingError, match=r"cannot resolve column 'id'; known: \['x'\]"):
-            fn(EvalContext(row=(1,)))
+            fn((1,))
+
+    def test_long_in_lists_and_boolean_chains_compile(self):
+        # a kernel spells an IN list, AND and OR as one flat chain, and a
+        # subtree past a fixed depth as a function of its own: neither 3 000
+        # terms nor a 500-deep left spine nests past CPython's parser limit
+        eng = make_people()
+        terms = range(10, 3010)
+        in_list = ", ".join(str(i) for i in terms)
+        for sql in (
+            f"SELECT id FROM people WHERE id IN (2, {in_list})",
+            "SELECT id FROM people WHERE id = 2 OR "
+            + " OR ".join(f"id = {i}" for i in terms),
+            "SELECT id FROM people WHERE age > 30 AND "
+            + " AND ".join(f"id <> {i}" for i in terms),
+            "SELECT " + " + ".join(["age"] * 500) + " FROM people",
+            "SELECT " + " || ".join(["name", "', '"] * 250) + " FROM people",
+            "SELECT " + "- " * 200 + "age FROM people",
+            "SELECT id FROM people WHERE " + "NOT " * 200 + "(age > 30)",
+            "SELECT id FROM people WHERE "
+            + "NOT " * 199
+            + "(age + "
+            + " * ".join(["id"] * 300)
+            + " > 30)",
+        ):
+            got = eng.execute_sql(sql).rows
+            # the oracle walks the tree at two Python frames a level
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit + 2000)
+            try:
+                want = make_people(oracle=True).execute_sql(sql).rows
+            finally:
+                sys.setrecursionlimit(limit)
+            assert got == want
 
     def test_three_valued_logic_and_or(self):
         columns = {"a": 0, "b": 1}
         stmt = parse("SELECT 1 FROM t WHERE a < 1 OR b < 1")
-        fn = lower_expr(stmt.where, columns, SCALAR)
-        ctx = EvalContext(row=(None, 0))
-        assert fn(ctx) is True  # NULL OR TRUE = TRUE
-        ctx.row = (None, 5)
-        assert fn(ctx) is None  # NULL OR FALSE = NULL
+        fn = compile_expression(stmt.where, columns)
+        assert fn((None, 0)) is True  # NULL OR TRUE = TRUE
+        assert fn((None, 5)) is None  # NULL OR FALSE = NULL
         stmt = parse("SELECT 1 FROM t WHERE a < 1 AND b < 1")
-        fn = lower_expr(stmt.where, columns, SCALAR)
-        ctx.row = (None, 5)
-        assert fn(ctx) is False  # NULL AND FALSE = FALSE
-        ctx.row = (None, 0)
-        assert fn(ctx) is None  # NULL AND TRUE = NULL
+        fn = compile_expression(stmt.where, columns)
+        assert fn((None, 5)) is False  # NULL AND FALSE = FALSE
+        assert fn((None, 0)) is None  # NULL AND TRUE = NULL
 
 
 # -- group-before-join ---------------------------------------------------------

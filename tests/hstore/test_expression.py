@@ -1,14 +1,13 @@
 """Unit tests for expression evaluation (including SQL three-valued logic).
 
-Every case runs through the ``ev`` fixture, i.e. through all three
-evaluators of one expression: the oracle's tree walk, the scalar form and
-the column form over a one-row batch (see ``ev``).
+Every case runs through the ``ev`` fixture, i.e. through both evaluators
+of one expression: the oracle's tree walk and the engine's lowering,
+compiled (see ``ev``).
 """
 
 import pytest
 
 from repro.errors import BindingError, PlanningError, TypeSystemError
-from repro.hstore.compile import SCALAR, lower_expr
 from repro.hstore.expression import (
     AggregateCall,
     Between,
@@ -28,65 +27,33 @@ from repro.hstore.expression import (
     find_parameters,
     walk,
 )
-from repro.hstore.vector import COLUMN, Broadcast, VectorContext
-from tests.oracle import OracleContext, evaluate
+from tests.oracle import OracleContext, compile_expression, evaluate
 
 
 def ctx(row=(), columns=None, params=()):
     return OracleContext(columns=columns or {}, row=row, params=params)
 
 
-class _OneRow:
-    """A column store holding one row."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def column(self, offset):
-        return [self.row[offset]]
-
-
-def _column_form(expr, context):
-    """The column form's value over a one-row batch; ``None`` when the
-    expression has no column form or its evaluation raised (the executor
-    falls back to the row path on either)."""
-    fn = lower_expr(expr, context.columns, COLUMN)
-    if fn is None:
-        return None
-    try:
-        result = fn(VectorContext(_OneRow(context.row), context.params, 1))
-    except Exception:
-        return None
-    return (result.value if type(result) is Broadcast else result[0],)
-
-
 @pytest.fixture
 def ev():
-    """``evaluate`` that holds the scalar and the column form to the oracle.
+    """``evaluate`` that holds the compiled lowering to the oracle: it must
+    return the oracle's value, type for type, or raise its error with its
+    text."""
 
-    The scalar form must return the oracle's value, or raise its error with
-    its text.  The column form may have no evaluator or raise, but a value
-    it returns must be the oracle's, in value and type.
-    """
-
-    def evaluate_all(expr, context):
-        scalar = lower_expr(expr, context.columns, SCALAR)
-        column = _column_form(expr, context)
+    def evaluate_both(expr, context):
+        kernel = compile_expression(expr, context.columns)
         try:
             want = evaluate(expr, context)
         except Exception as exc:
             with pytest.raises(type(exc)) as got:
-                scalar(context)
+                kernel(context.row, context.params, context.executor)
             assert str(got.value) == str(exc)
-            assert column is None, f"column form answered {column} where the oracle raised"
             raise
-        got = scalar(context)
+        got = kernel(context.row, context.params, context.executor)
         assert (got, type(got)) == (want, type(want))
-        if column is not None:
-            assert (column[0], type(column[0])) == (want, type(want))
         return want
 
-    return evaluate_all
+    return evaluate_both
 
 
 def lit(value):
@@ -111,11 +78,10 @@ class TestAtoms:
 
     def test_unresolvable_column_is_an_error_built_at_lowering(self, ev):
         # the map the expression is lowered against lacks the column: the
-        # scalar form raises the oracle's error, text and all, per row
+        # kernel raises the oracle's error, text and all, when evaluated
         context = ctx(row=(1, 2), columns={"a": 0, "t.a": 0})
         with pytest.raises(BindingError, match=r"known: \['a', 't.a'\]"):
             ev(ColumnRef("b"), context)
-        assert lower_expr(ColumnRef("b"), context.columns, COLUMN) is None
 
     def test_parameter(self, ev):
         assert ev(Parameter(1), ctx(params=(5, 7))) == 7

@@ -1,11 +1,10 @@
 """Every engine counter of a fixed Voter run and a fixed BikeShare run.
 
 The apps' answers are checked elsewhere; this pins *how* the engine got
-them — which lane each statement took (``point_lookups``,
-``vector_scans``), how many statements, round trips, triggers, window
-slides and log records it cost — so a change to the execution engine that
-keeps every answer but moves a statement to another lane, or adds a
-crossing, fails here.  The numbers are the engine's own at the time they
+them — which lane each statement took (``point_lookups``), how many
+statements, round trips, triggers, window slides and log records it cost —
+so a change to the execution engine that keeps every answer but moves a
+statement to another lane, or adds a crossing, fails here.  The numbers are the engine's own at the time they
 were recorded; a change that moves one on purpose re-records it and says
 why.
 """
@@ -38,7 +37,6 @@ VOTER = {
     "stream_tuples_ingested": 400,
     "txns_aborted": 0,
     "txns_committed": 769,
-    "vector_scans": 6,
     "window_expired_rows": 245,
     "window_slides": 345,
 }
@@ -64,7 +62,6 @@ BIKESHARE = {
     "stream_tuples_ingested": 2573,
     "txns_aborted": 69,
     "txns_committed": 1424,
-    "vector_scans": 747,
     "window_expired_rows": 2516,
     "window_slides": 2546,
 }

@@ -11,9 +11,11 @@ from __future__ import annotations
 import builtins
 import functools
 import io
+import os
+import sys
 
+import repro
 import repro.core.engine as core_engine
-import repro.hstore.columnar as columnar
 import repro.hstore.types as types
 from repro.apps.voter import VoterSStoreApp, VoterWorkload
 from repro.hstore.catalog import Column, Schema, TableEntry
@@ -129,36 +131,33 @@ def test_update_of_a_non_key_column_touches_no_index(monkeypatch):
     assert sum(len(calls) for calls in touched) == 3  # would_violate, remove, insert
 
 
-def test_single_row_writes_build_no_column_and_a_scan_builds_only_its_own(monkeypatch):
-    """The column cache costs a write one assignment: 100 single-row writes
-    after a vector scan transpose nothing, and the next scan transposes
-    exactly the columns its statement names."""
-    engine = HStoreEngine()
-    engine.execute_ddl(
-        "CREATE TABLE rides (id INTEGER NOT NULL, station INTEGER, fare FLOAT, "
-        "promo INTEGER, note VARCHAR(8), PRIMARY KEY (id))"
-    )
-    table = engine.partitions[0].ee.table("rides")
-    table.insert_many([(i, i % 5, i * 0.5, None, "x") for i in range(200)])
+def test_a_scan_makes_as_many_calls_over_2_000_rows_as_over_200():
+    """A statement's kernel runs each stage over all rows in one
+    comprehension, so the Python calls into ``src/repro`` of a filtered,
+    grouped scan do not grow with the rows it reads."""
+    package = os.path.dirname(repro.__file__) + os.sep
     scan = "SELECT station, SUM(fare) FROM rides WHERE promo IS NULL GROUP BY station"
-    engine.execute_sql(scan)
-    assert sorted(table._colstore._cols) == [1, 2, 3]  # station, fare, promo
 
-    built = _counted(monkeypatch, columnar, "itemgetter")  # one per transposition
-    for i in range(100):
-        kind = i % 3
-        if kind == 0:
-            engine.execute_sql("INSERT INTO rides VALUES (?, 1, 1.0, NULL, 'y')", 1000 + i)
-        elif kind == 1:
-            engine.execute_sql("UPDATE rides SET fare = fare + 1.0 WHERE id = ?", i)
-        else:
-            engine.execute_sql("DELETE FROM rides WHERE id = ?", i)
-        assert table._colstore is None
-    assert built == []
+    def calls(rows: int) -> int:
+        engine = HStoreEngine()
+        engine.execute_ddl(
+            "CREATE TABLE rides (id INTEGER NOT NULL, station INTEGER, fare FLOAT, "
+            "promo INTEGER, note VARCHAR(8), PRIMARY KEY (id))"
+        )
+        table = engine.partitions[0].ee.table("rides")
+        table.insert_many([(i, i % 5, i * 0.5, None, "x") for i in range(rows)])
+        engine.execute_sql(scan)  # planned and cached
+        counted = []
 
-    before = engine.stats.snapshot()
-    engine.execute_sql(scan)
-    engine.execute_sql(scan)  # unchanged table: served from the same vectors
-    assert sorted(offset for (offset,) in built) == [1, 2, 3]
-    delta = engine.stats.delta(before)
-    assert delta["vector_scans"] == 2 and delta.get("vector_runtime_fallbacks", 0) == 0
+        def count(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                counted.append(frame.f_code)
+
+        sys.setprofile(count)
+        try:
+            engine.execute_sql(scan)
+        finally:
+            sys.setprofile(None)
+        return len(counted)
+
+    assert calls(2000) == calls(200)

@@ -1,15 +1,15 @@
 """The tree-walking interpreter: the oracle of the differential suites.
 
-The engine lowers every expression once, at plan time, into a scalar or a
-column evaluator (``repro.hstore.compile.lower_expr``) and has no other way
-to evaluate one.  This module is the independent reference those evaluators
+The engine lowers every expression once, at plan time, into its statement's
+generated kernel (``repro.hstore.compile.lower_expr``) and has no other way
+to evaluate one.  This module is the independent reference those kernels
 are checked against: :func:`evaluate` walks the AST per row, resolving
 column names through a dict, and the runners below drive scan, join,
 aggregate, sort and DML with it — the semantics the engine's lanes must
 reproduce row for row, error for error.
 
 :func:`oracle_arm` points an engine's plans at these runners, from the
-outside, the way :func:`tests.lanes.compiled_row_arm` pins the row closures.
+outside.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.errors import BindingError, PlanningError, StorageError, TypeSystemError
+from repro.hstore.compile import Source, lower_expr
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.executor import ExecutionEngine, ResultSet
 from repro.hstore.expression import (
@@ -32,7 +33,6 @@ from repro.hstore.expression import (
     CaseExpr,
     ColumnRef,
     Comparison,
-    EvalContext,
     Exists,
     Expression,
     FunctionCall,
@@ -50,6 +50,7 @@ from repro.hstore.expression import (
     Star,
     UnaryOp,
     _like_match,
+    walk,
 )
 from repro.hstore.planner import (
     AccessPath,
@@ -64,17 +65,21 @@ from repro.hstore.planner import (
 from repro.hstore.table import Row
 from repro.hstore.txn import TransactionContext
 
-__all__ = ["OracleContext", "evaluate", "oracle_arm"]
+__all__ = ["OracleContext", "evaluate", "compile_expression", "oracle_arm"]
 
 
 @dataclass
-class OracleContext(EvalContext):
-    """An :class:`EvalContext` that also resolves column names.
-
-    ``columns`` maps a fully-qualified column key (``"alias.column"``) and,
-    when unambiguous, the bare column name to its position in ``row``.
+class OracleContext:
+    """What :func:`evaluate` reads: the current ``row``, the statement
+    ``params``, the ``executor`` planned subqueries run their inner plans
+    through, and ``columns``, which maps a fully-qualified column key
+    (``"alias.column"``) and, when unambiguous, the bare column name to its
+    position in ``row``.
     """
 
+    row: tuple[Any, ...] = ()
+    params: tuple[Any, ...] = ()
+    executor: Any = None
     columns: dict[str, int] = field(default_factory=dict)
 
     def resolve(self, name: str) -> Any:
@@ -102,6 +107,31 @@ class OracleContext(EvalContext):
 def evaluate(expr: Expression, ctx: OracleContext) -> Any:
     """Evaluate ``expr`` against one row, walking the tree."""
     return _EVAL[type(expr)](expr, ctx)
+
+
+def compile_expression(expr: Expression, columns: dict[str, int]) -> Callable[..., Any]:
+    """The engine's lowering of ``expr`` alone, compiled as a function
+    ``(row, params, ee=None) -> value``: what :func:`evaluate` is held to
+    node by node.
+
+    A statement's parameters are counted before it runs; here a missing one
+    raises the ``BindingError`` :func:`evaluate` raises when it reaches it.
+    """
+    src = Source()
+    src.define("expression", "row, params, ee", lower_expr(expr, columns, src))
+    kernel = src.build()["expression"]
+    indexes = [node.index for node in walk(expr) if isinstance(node, Parameter)]
+
+    def run(row: tuple = (), params: tuple = (), ee: Any = None) -> Any:
+        for index in indexes:
+            if index >= len(params):
+                raise BindingError(
+                    f"statement requires parameter #{index + 1}, "
+                    f"only {len(params)} bound"
+                )
+        return kernel(row, params, ee)
+
+    return run
 
 
 def _literal(self: Literal, ctx: OracleContext) -> Any:
@@ -725,9 +755,9 @@ def oracle_arm(engine: HStoreEngine) -> HStoreEngine:
     """Run every plan ``engine`` builds on the interpreter, for its lifetime.
 
     Each plan is finished as usual and then re-bound to the runner above
-    for its type, so it never reads a delta view, a column vector or a
-    compiled closure: the same statements, answered by the oracle.  Other
-    engines alive at the same time are not affected.
+    for its type, so it never reads a delta view or runs a kernel: the same
+    statements, answered by the oracle.  Other engines alive at the same
+    time are not affected.
     """
     finish = engine.planner._finish
 

@@ -1,21 +1,20 @@
-"""Differential fuzzing: vectorized execution ≡ the tree-walking interpreter.
+"""Differential fuzzing of scans: the engine ≡ the tree-walking interpreter.
 
-Three engines run every generated statement over the same data:
+Two engines run every generated statement over the same data:
 
-* *vector* — default engine: compiled plans, batch evaluation over cached
-  column vectors for full scans (with statement-level runtime fallback);
-* *row* — :func:`tests.lanes.compiled_row_arm`: the compiled closures the
-  vector lane forks from, row-at-a-time only;
+* *engine* — the default engine: compiled plans, each statement's kernel
+  over the table's rows;
 * *interpreter* — :func:`tests.oracle.oracle_arm`: the differential oracle.
 
-All three must agree **bit-for-bit**: same rows, same order, same Python
-types per cell (an int SUM must not come back as a float — float cells are
-compared by their IEEE-754 bit pattern).  The schema includes FLOAT and
-NOT NULL columns so the Neumaier-vs-naive summation trap and NULL-heavy 3VL
-predicates get exercised, and every way a table can change — DML, an
-aborted transaction's undo, truncate, snapshot + crash + recover — is
-interleaved with the probes, so a column cache that outlived its rows would
-show as a stale answer.
+Both must agree **bit-for-bit**: same rows, same order, same Python types
+per cell (an int SUM must not come back as a float — float cells are
+compared by their IEEE-754 bit pattern) — or raise the same error with the
+same text.  The schema includes FLOAT and NOT NULL columns so the
+Neumaier-vs-naive summation trap and NULL-heavy 3VL predicates get
+exercised, and every way a table can change — DML, an aborted
+transaction's undo (a re-insert below the high-water mark), truncate,
+snapshot + crash + recover — is interleaved with the probes, so a scan that
+read stale or misordered rows would show.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import ReproError
 from repro.hstore.engine import HStoreEngine
 from repro.hstore.procedure import StoredProcedure
-from tests.lanes import compiled_row_arm
 from tests.oracle import oracle_arm
 
 pytestmark = pytest.mark.columnar
@@ -115,15 +113,14 @@ AGG = st.sampled_from(
 )
 
 
-def make_trio(rows, **kwargs) -> tuple[HStoreEngine, HStoreEngine, HStoreEngine]:
-    vector = HStoreEngine(**kwargs)
-    row = compiled_row_arm(HStoreEngine(**kwargs))
+def make_pair(rows, **kwargs) -> tuple[HStoreEngine, HStoreEngine]:
+    engine = HStoreEngine(**kwargs)
     interp = oracle_arm(HStoreEngine(**kwargs))
-    for eng in (vector, row, interp):
+    for eng in (engine, interp):
         eng.execute_ddl(DDL)
         for i, (a, f, s) in enumerate(rows):
             eng.execute_sql("INSERT INTO t VALUES (?, ?, ?, ?)", i, a, f, s)
-    return vector, row, interp
+    return engine, interp
 
 
 def bits(cell):
@@ -144,36 +141,33 @@ def outcome(eng: HStoreEngine, sql: str, *params):
     return rows
 
 
-def assert_trio_equivalent(rows, sql: str, *params) -> None:
-    vector, row, interp = make_trio(rows)
+def assert_pair_equivalent(rows, sql: str, *params) -> None:
+    engine, interp = make_pair(rows)
     want = outcome(interp, sql, *params)
-    assert outcome(vector, sql, *params) == want, sql
-    assert outcome(row, sql, *params) == want, sql
+    assert outcome(engine, sql, *params) == want, sql
     probe = "SELECT * FROM t ORDER BY id"
-    state = outcome(interp, probe)
-    assert outcome(vector, probe) == state, sql
-    assert outcome(row, probe) == state, sql
+    assert outcome(engine, probe) == outcome(interp, probe), sql
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, where=bool_expr(3), param=st.integers(-5, 5))
 def test_filter_scan_equivalent(rows, where, param):
     sql = f"SELECT id, a, f, s FROM t WHERE {where}"
-    assert_trio_equivalent(rows, sql, *([param] * sql.count("?")))
+    assert_pair_equivalent(rows, sql, *([param] * sql.count("?")))
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, agg=AGG, arg=num_expr(2), where=bool_expr(2))
 def test_global_aggregate_equivalent(rows, agg, arg, where):
     sql = f"SELECT {agg.format(arg)}, COUNT(*) FROM t WHERE {where}"
-    assert_trio_equivalent(rows, sql)
+    assert_pair_equivalent(rows, sql)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rows=rows_strategy, agg=AGG, arg=num_expr(1))
 def test_unfiltered_aggregate_equivalent(rows, agg, arg):
     sql = f"SELECT {agg.format(arg)} FROM t"
-    assert_trio_equivalent(rows, sql)
+    assert_pair_equivalent(rows, sql)
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,21 +175,21 @@ def test_unfiltered_aggregate_equivalent(rows, agg, arg):
 def test_group_by_equivalent(rows, key, agg, where):
     # group order is first-appearance on every path, so compare directly
     sql = f"SELECT {key}, {agg.format('a')} FROM t WHERE {where} GROUP BY {key}"
-    assert_trio_equivalent(rows, sql)
+    assert_pair_equivalent(rows, sql)
 
 
 @settings(max_examples=50, deadline=None)
 @given(rows=rows_strategy, where=bool_expr(2), assign=num_expr(2))
 def test_update_equivalent(rows, where, assign):
     sql = f"UPDATE t SET a = {assign}, s = s WHERE {where}"
-    assert_trio_equivalent(rows, sql)
+    assert_pair_equivalent(rows, sql)
 
 
 @settings(max_examples=50, deadline=None)
 @given(rows=rows_strategy, where=bool_expr(2))
 def test_delete_equivalent(rows, where):
     sql = f"DELETE FROM t WHERE {where}"
-    assert_trio_equivalent(rows, sql)
+    assert_pair_equivalent(rows, sql)
 
 
 class DeleteThenAbort(StoredProcedure):
@@ -260,12 +254,11 @@ step_strategy = st.one_of(
     arg="f",
 )
 def test_dml_then_aggregate_equivalent(rows, steps, probe_where, arg):
-    # every step invalidates whatever column vectors the scans before it
-    # built; the scans after it must answer from the rows as they are now
-    trio = make_trio(rows, log_group_size=2)
-    for eng in trio:
+    # the scans after every step must answer from the rows as they are now
+    pair = make_pair(rows, log_group_size=2)
+    for eng in pair:
         eng.register_procedure(DeleteThenAbort)
-    vector, row, interp = trio
+    engine, interp = pair
     probes = (
         f"SELECT COUNT(*), SUM({arg}), MIN(f), MAX(a) FROM t WHERE {probe_where}",
         "SELECT s, COUNT(*), AVG(f) FROM t GROUP BY s",
@@ -276,9 +269,6 @@ def test_dml_then_aggregate_equivalent(rows, steps, probe_where, arg):
         if kind != "scan":
             fresh_id = 100 + number
             want = apply_step(interp, kind, step_arg, fresh_id)
-            assert apply_step(vector, kind, step_arg, fresh_id) == want, kind
-            assert apply_step(row, kind, step_arg, fresh_id) == want, kind
+            assert apply_step(engine, kind, step_arg, fresh_id) == want, kind
         for sql in probes:
-            want = outcome(interp, sql)
-            assert outcome(vector, sql) == want, (kind, sql)
-            assert outcome(row, sql) == want, (kind, sql)
+            assert outcome(engine, sql) == outcome(interp, sql), (kind, sql)

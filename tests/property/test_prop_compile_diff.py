@@ -1,6 +1,6 @@
 """Differential fuzzing: compiled execution ≡ the tree-walking interpreter.
 
-The closure compiler (:mod:`repro.hstore.compile`) must be *semantically
+The kernel compiler (:mod:`repro.hstore.compile`) must be *semantically
 invisible*: for any statement, a default engine and one on the oracle's
 runners (:func:`tests.oracle.oracle_arm`) over the same data must produce
 identical rows — or raise the same error.  Hypothesis drives random expression trees

@@ -1,8 +1,8 @@
 """Property: the per-table row codec is ``coerce_value``, column by column.
 
-A table builds one coercer per column at DDL time (``types.make_coercer``)
-whose fast path passes only values that already have the column's exact
-Python representation.  Whatever the value — exact type, ``bool`` for a
+A table compiles its row codec at DDL time (``types.make_row_codec``),
+whose per-column fast path passes only values that already have the
+column's exact Python representation.  Whatever the value — exact type, ``bool`` for a
 number, ``int`` for FLOAT, an integral ``float`` for INTEGER, NaN, ±inf, a
 range edge, NULL — the codec must return the same value *of the same Python
 type* as ``coerce_value``, or raise the same exception class with the same
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ReproError
 from repro.hstore.catalog import Column, Schema, TableEntry
 from repro.hstore.table import Table
-from repro.hstore.types import SqlType, coerce_value, make_coercer
+from repro.hstore.types import SqlType, coerce_value, make_row_codec
 
 EDGES = [
     -(2**63) - 1, -(2**63), -(2**31) - 1, -(2**31), -1, 0, 1,
@@ -34,6 +34,12 @@ values = st.one_of(
 )
 
 
+def make_coercer(sql_type, nullable):
+    """One column's coercion: the codec of a one-column table."""
+    codec = make_row_codec("t", [(sql_type, nullable)])
+    return lambda value: codec((value,))[0]
+
+
 def outcome(call, *args, **kwargs):
     """``(value, its type)`` on success, ``(class, message)`` on an engine error."""
     try:
@@ -47,7 +53,7 @@ def outcome(call, *args, **kwargs):
 @settings(max_examples=400, deadline=None)
 @given(value=values, sql_type=st.sampled_from(list(SqlType)), nullable=st.booleans())
 def test_column_coercer_matches_coerce_value(value, sql_type, nullable):
-    coerce = make_coercer(sql_type, nullable=nullable)
+    coerce = make_coercer(sql_type, nullable)
     assert outcome(coerce, value) == outcome(
         coerce_value, value, sql_type, nullable=nullable
     )
@@ -57,7 +63,7 @@ def test_every_edge_on_every_type():
     # the exhaustive grid the property samples from, so no edge is left to luck
     for sql_type in SqlType:
         for nullable in (True, False):
-            coerce = make_coercer(sql_type, nullable=nullable)
+            coerce = make_coercer(sql_type, nullable)
             for value in EDGES:
                 assert outcome(coerce, value) == outcome(
                     coerce_value, value, sql_type, nullable=nullable
